@@ -8,13 +8,13 @@ from .analysis import (
     PCEnumeration,
     PipelineReport,
     SearchBudget,
-    auto_weighting,
     chi_lower_from_certificate,
     chromatic_index_exact,
     chromatic_index_heuristic,
     enumerate_parallel_classes,
     max_disjoint_pcs,
     pc_bound_mod3,
+    pc_bound_mod3_auto,
     pc_bound_ws,
     theorem1_pipeline,
 )

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .constructions import LabelledSTS, sts33_fixture, wilson_schreiber
+from .constructions import sts33_fixture
 from .core import (
     Colouring,
     PartialParallelClass,
@@ -33,13 +33,13 @@ __all__ = [
     "PCEnumeration",
     "PipelineReport",
     "SearchBudget",
-    "auto_weighting",
     "chi_lower_from_certificate",
     "chromatic_index_exact",
     "chromatic_index_heuristic",
     "enumerate_parallel_classes",
     "max_disjoint_pcs",
     "pc_bound_mod3",
+    "pc_bound_mod3_auto",
     "pc_bound_ws",
     "theorem1_pipeline",
 ]
@@ -275,14 +275,22 @@ def pc_bound_mod3(system: TripleSystem, weights: Sequence[int]) -> PCBoundCertif
     )
 
 
-def auto_weighting(labelled: LabelledSTS) -> list[int]:
-    """The natural Z_3 weighting for a labelled construction: the layer index
-    for Bose systems, the point mod 3 otherwise."""
-    v = labelled.system.v
-    if labelled.tag == "bose":
-        n = labelled.params["n"]
-        return [p // n for p in range(v)]
-    return [p % 3 for p in range(v)]
+def pc_bound_mod3_auto(system: TripleSystem) -> PCBoundCertificate:
+    """The mod-3 weighting bound under the first admissible candidate
+    weighting: the point mod 3 (cyclic layouts), then the point's third of
+    the range (layered layouts such as Bose systems).  Either, when
+    admissible, proves a correct bound."""
+    v = system.v
+    candidates = [[p % 3 for p in range(v)]]
+    if v % 3 == 0:
+        candidates.append([p // (v // 3) for p in range(v)])
+    last_error: Exception | None = None
+    for weights in candidates:
+        try:
+            return pc_bound_mod3(system, weights)
+        except ValueError as e:
+            last_error = e
+    raise ValueError(f"no admissible mod-3 weighting found: {last_error}")
 
 
 def pc_bound_ws(n: int, fact: OneFactorisation) -> PCBoundCertificate:
@@ -540,9 +548,12 @@ def theorem1_pipeline(v: int) -> PipelineReport:
     * v = 33: the embedded fixture has at most 5 < 6 disjoint parallel
       classes, hence chromatic index 18 (witnessed by its colouring).
     * v in {45, 75, 129, 513}: possible exception, undecided here.
-    * otherwise: build the order-v system from the 1-factorisation of
-      G(v-2); its disjoint-PC certificate 3 f(v-2)+1 is checked against
-      (v+3)/6, certifying chromatic index >= (v+3)/2.
+    * otherwise: the verified 1-factorisation of G(v-2) yields the
+      disjoint-PC certificate 3 f(v-2)+1 for the Wilson-Schreiber system of
+      order v, which is checked against (v+3)/6, certifying chromatic index
+      >= (v+3)/2.  The system itself is not built here: the construction's
+      validity is checked by the acceptance suite (C4) and by
+      ``stskit construct wilson-schreiber``, which runs ``verify_sts``.
     """
     if v < 3 or v % 6 != 3:
         raise ValueError(f"v must be 3 mod 6 and >= 3, got {v}")
@@ -562,7 +573,7 @@ def theorem1_pipeline(v: int) -> PipelineReport:
         )
     if v == 33:
         labelled, colouring = sts33_fixture()
-        cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+        cert = pc_bound_mod3_auto(labelled.system)
         chi = chromatic_index_exact(labelled.system, pc_certificate=cert,
                                     upper_witness=colouring)
         return PipelineReport(
@@ -579,14 +590,12 @@ def theorem1_pipeline(v: int) -> PipelineReport:
                     f"is not below (v+3)/6 = {(v + 3) // 6}",
         )
     n = v - 2
-    fact = factorise_G(n)
-    wilson_schreiber(n, fact)  # materialise the witness system
-    cert = pc_bound_ws(n, fact)
+    cert = pc_bound_ws(n, factorise_G(n))
     threshold = min_pc_for_low_chi(v)
     holds = cert.bound < threshold
     chi_lower = (v + 3) // 2 if holds else m_lower(v)
     if holds:
-        message = (f"constructed order-{v} system has at most {cert.bound} "
+        message = (f"the order-{v} construction has at most {cert.bound} "
                    f"disjoint parallel classes < {threshold}, so chromatic "
                    f"index >= {chi_lower}")
     else:
@@ -594,5 +603,5 @@ def theorem1_pipeline(v: int) -> PipelineReport:
                    f"no conclusion at order {v}")
     return PipelineReport(
         v=v, route="ws-certificate", holds=holds, chi_lower=chi_lower,
-        chi_exact=None, pc_bound=cert.bound, f_value=f_of(n), message=message,
+        chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"], message=message,
     )

@@ -26,7 +26,7 @@ from .analysis import (
     chromatic_index_heuristic,
     enumerate_parallel_classes,
     max_disjoint_pcs,
-    pc_bound_mod3,
+    pc_bound_mod3_auto,
     pc_bound_ws,
     theorem1_pipeline,
 )
@@ -46,9 +46,9 @@ from .core import (
     verify_colouring,
     verify_sts,
 )
-from .factorisation import factorise_G, format_factorisation
+from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
 from .generator import GenerationError, batch_seed, colouring_survey, random_sts
-from .numtheory import number_profile, scan_profiles
+from .numtheory import f_of, number_profile, scan_profiles
 from .rng import substream
 
 SCHEMA = "stskit-report/1"
@@ -136,22 +136,24 @@ def _cmd_numtheory_scan(args) -> int:
 
 def _cmd_factorise(args) -> int:
     fact = factorise_G(args.n)
+    report = verify_factorisation_properties(fact, f_of(args.n))
     text = format_factorisation(fact)
     _write(args.out, text)
     payload = {
         "command": "factorise", "n": args.n,
         "edges": len(fact.graph.edges),
         "factor_sizes": [len(f) for f in fact.factors],
-        "out": args.out,
+        "verified": report.ok, "out": args.out,
     }
     lines = [f"G({args.n}): {len(fact.graph.edges)} edges in 3 factors of "
-             f"{len(fact.factors[0])}"]
+             f"{len(fact.factors[0])}, verify "
+             f"{'ok' if report.ok else 'FAILED: ' + str(report.first_violation)}"]
     if args.out:
         lines.append(f"wrote {args.out}")
     else:
         lines.append(text.rstrip("\n"))
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _construct_payload(args, labelled, what: str) -> int:
@@ -283,7 +285,7 @@ def _cmd_analyze_chi(args) -> int:
         witness = parse_colouring(_read_text(args.witness_colouring), system)
     cert = None
     if args.mod3_lower:
-        cert = pc_bound_mod3(system, [p % 3 for p in range(system.v)])
+        cert = pc_bound_mod3_auto(system)
     result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
                                    upper_witness=witness)
     payload = {
@@ -300,26 +302,10 @@ def _cmd_analyze_chi(args) -> int:
     return EXIT_OK if result.status == COMPLETE else EXIT_INCONCLUSIVE
 
 
-def _mod3_bound_auto(system):
-    # Candidate weightings: the point mod 3 (cyclic layouts) and the point's
-    # third of the range (layered layouts).  Either, when admissible, proves
-    # a correct bound.
-    candidates = [[p % 3 for p in range(system.v)]]
-    if system.v % 3 == 0:
-        candidates.append([p // (system.v // 3) for p in range(system.v)])
-    last_error: Exception | None = None
-    for weights in candidates:
-        try:
-            return pc_bound_mod3(system, weights)
-        except ValueError as e:
-            last_error = e
-    raise ValueError(f"no admissible mod-3 weighting found: {last_error}")
-
-
 def _cmd_analyze_bound(args) -> int:
     system = _read_system(args.infile)
     if args.method == "mod3":
-        cert = _mod3_bound_auto(system)
+        cert = pc_bound_mod3_auto(system)
     else:
         n = system.v - 2
         if n % 6 != 1:
@@ -484,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--witness-colouring", default=None,
                    help="colouring file used as an upper-bound witness (exact mode)")
     q.add_argument("--mod3-lower", action="store_true",
-                   help="raise the lower bound via the p mod 3 weighting (exact mode)")
+                   help="raise the lower bound via the mod-3 weighting certificate, "
+                        "as in 'analyze bound --method mod3' (exact mode)")
     _add_budget_flags(q)
     q.add_argument("--json", action="store_true")
     q.set_defaults(handler=_cmd_analyze_chi)
     q = asub.add_parser("bound", help="disjoint parallel-class upper-bound certificate")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--method", choices=("mod3", "ws"), required=True)
-    q.add_argument("--weighting", choices=("auto",), default="auto")
     q.add_argument("--json", action="store_true")
     q.set_defaults(handler=_cmd_analyze_bound)
 

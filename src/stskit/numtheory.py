@@ -17,6 +17,7 @@ Two routes compute the order of the subgroup of units generated by -1 and -2:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -280,25 +281,23 @@ def _scan_range(lo: int, hi: int) -> list[ScanRow]:
     return rows
 
 
-def _scan_chunk(bounds: tuple[int, int]) -> list[ScanRow]:
-    return _scan_range(*bounds)
-
-
 def scan_profiles(limit: int, threads: int = 1) -> list[ScanRow]:
     """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit.
 
-    ``threads`` > 1 partitions the range across a process pool; the merged
-    result is identical to the single-process scan.
+    ``threads`` > 1 partitions the range across a process pool of at most
+    ``os.cpu_count()`` workers; the merged result is identical to the
+    single-process scan.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or limit < 1000:
         return _scan_range(2, limit)
     span = (limit - 1) // threads + 1
-    chunks = [(2 + i * span, min(limit, 1 + (i + 1) * span)) for i in range(threads)]
-    chunks = [(lo, hi) for lo, hi in chunks if lo <= hi]
+    los = range(2, limit + 1, span)
+    his = [min(limit, lo + span - 1) for lo in los]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_scan_chunk, chunks))
+        parts = list(pool.map(_scan_range, los, his))
     rows = [row for part in parts for row in part]
     rows.sort()
     return rows

@@ -14,7 +14,6 @@ import pytest
 
 from stskit import (
     SearchBudget,
-    auto_weighting,
     bose,
     bose_half_sum,
     chromatic_index_exact,
@@ -26,7 +25,7 @@ from stskit import (
     max_disjoint_pcs,
     min_pc_for_low_chi,
     negative_psi_scan,
-    pc_bound_mod3,
+    pc_bound_mod3_auto,
     pc_bound_ws,
     random_sts,
     scan_exceptions,
@@ -96,7 +95,7 @@ def test_c05_sts33_fixture():
     assert verify_sts(labelled.system).ok
     report = verify_colouring(labelled.system, colouring)
     assert report.ok and report.n_classes == 18
-    cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+    cert = pc_bound_mod3_auto(labelled.system)
     assert cert.bound == 5
     assert cert.bound < min_pc_for_low_chi(33) == 6
     chi = chromatic_index_exact(labelled.system, pc_certificate=cert,
@@ -125,7 +124,7 @@ def test_c07_bose_bound():
     t0 = time.perf_counter()
     for k, n in ((0, 5), (1, 11)):
         labelled = bose_half_sum(n)
-        cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+        cert = pc_bound_mod3_auto(labelled.system)
         assert cert.bound == 3 * k + 2, (n, cert.bound)
     result = max_disjoint_pcs(bose_half_sum(5).system)
     assert result.status == COMPLETE and result.size <= 2
@@ -150,7 +149,7 @@ def test_c09_chromatic_indices(fano, sts9_grid):
     assert colouring is not None
     assert verify_colouring(bose15.system, colouring).ok
     # Lower bound (v+3)/2 = 9 from the mod-3 certificate pins the index to 9.
-    cert = pc_bound_mod3(bose15.system, auto_weighting(bose15))
+    cert = pc_bound_mod3_auto(bose15.system)
     assert cert.bound < min_pc_for_low_chi(15)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -219,12 +218,11 @@ def test_c11c_certificate_dominates_search():
         result = max_disjoint_pcs(system, SearchBudget(max_seconds=600))
         assert result.status == COMPLETE and result.size <= cert.bound
     labelled = bose_half_sum(5)
-    cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+    cert = pc_bound_mod3_auto(labelled.system)
     result = max_disjoint_pcs(labelled.system, SearchBudget(max_seconds=600))
     assert result.status == COMPLETE and result.size <= cert.bound
     # Certificate-only path for a larger order: it must still be issuable.
-    assert pc_bound_mod3(bose_half_sum(11).system,
-                         auto_weighting(bose_half_sum(11))).bound == 5
+    assert pc_bound_mod3_auto(bose_half_sum(11).system).bound == 5
     _report("C11c exhaustive max-disjoint counts (v <= 27) respect their certificates", t0)
 
 

@@ -7,7 +7,6 @@ import pytest
 from stskit import (
     TripleSystem,
     SearchBudget,
-    auto_weighting,
     bose_half_sum,
     chi_lower_from_certificate,
     chromatic_index_exact,
@@ -17,6 +16,7 @@ from stskit import (
     factorise_G,
     max_disjoint_pcs,
     pc_bound_mod3,
+    pc_bound_mod3_auto,
     pc_bound_ws,
     sts33_fixture,
     theorem1_pipeline,
@@ -108,19 +108,19 @@ def test_max_disjoint_inconclusive_budget(sts9_grid):
 
 def test_mod3_bound_bose15():
     labelled = bose_half_sum(5)
-    cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+    cert = pc_bound_mod3_auto(labelled.system)
     assert cert.bound == 2
     assert cert.witness["t0"] == 5 and cert.witness["a_min"] == 2
 
 
 def test_mod3_bound_fixture():
     labelled, _ = sts33_fixture()
-    assert pc_bound_mod3(labelled.system, auto_weighting(labelled)).bound == 5
+    assert pc_bound_mod3_auto(labelled.system).bound == 5
 
 
 def test_mod3_bound_bose33():
     labelled = bose_half_sum(11)
-    assert pc_bound_mod3(labelled.system, auto_weighting(labelled)).bound == 5
+    assert pc_bound_mod3_auto(labelled.system).bound == 5
 
 
 def test_mod3_bound_rejects_bad_weightings(sts9_grid):
@@ -164,7 +164,7 @@ def test_ws_bound_refuses_unverified_factorisation():
 
 def test_chi_lower_from_certificate():
     labelled, _ = sts33_fixture()
-    cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+    cert = pc_bound_mod3_auto(labelled.system)
     assert chi_lower_from_certificate(33, cert) == 18  # bound 5 < 6
     cert21 = pc_bound_ws(19, factorise_G(19))
     assert chi_lower_from_certificate(21, cert21) == 10  # bound 4 = (21+3)/6: no gain
@@ -190,7 +190,7 @@ def test_chi_exact_fano(fano):
 
 def test_chi_exact_fixture_with_witnesses():
     labelled, colouring = sts33_fixture()
-    cert = pc_bound_mod3(labelled.system, auto_weighting(labelled))
+    cert = pc_bound_mod3_auto(labelled.system)
     result = chromatic_index_exact(labelled.system, pc_certificate=cert,
                                    upper_witness=colouring)
     assert result.value == 18 and result.status == COMPLETE

@@ -36,6 +36,13 @@ def test_numtheory_scan_negative_psi(capsys):
     assert [ln.split("\t")[0] for ln in lines[1:]] == ["7", "11", "31", "43", "127"]
 
 
+def test_factorise_verifies(capsys):
+    code, out, _ = run(capsys, "factorise", "--n", "13", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True and payload["factor_sizes"] == [6, 6, 6]
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "s15.sts"
     code, _, _ = run(capsys, "construct", "wilson-schreiber", "--n", "13",
@@ -77,6 +84,17 @@ def test_analyze_chi_fixture_with_witness(tmp_path, capsys):
                        "--witness-colouring", str(cpath), "--mod3-lower", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 18
+
+
+def test_analyze_chi_mod3_lower_on_bose(tmp_path, capsys):
+    # The layered Bose file fits the thirds weighting, not the point mod 3;
+    # --mod3-lower must pick it as 'analyze bound --method mod3' does.
+    path = tmp_path / "b33.sts"
+    run(capsys, "construct", "bose", "--n", "11", "--out", str(path))
+    code, out, _ = run(capsys, "analyze", "chi", "--in", str(path), "--exact",
+                       "--mod3-lower", "--budget-nodes", "50000", "--json")
+    assert code in (0, 3)
+    assert json.loads(out)["lower"] >= 18
 
 
 def test_analyze_chi_inconclusive_exit_code(tmp_path, capsys):

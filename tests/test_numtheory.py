@@ -16,6 +16,7 @@ from stskit import (
     scan_profiles,
     subgroup_order,
 )
+from stskit import numtheory
 from stskit.numtheory import _neg_double_order, divisors_gt1, euler_phi
 
 
@@ -131,6 +132,33 @@ def test_scan_rows_are_consistent_with_profiles():
 
 def test_scan_multiprocess_matches_single():
     assert scan_profiles(2500, threads=2) == scan_profiles(2500, threads=1)
+
+
+def test_scan_threads_capped_at_cpu_count(monkeypatch):
+    # An in-process stand-in for the pool: it records the requested worker
+    # count and maps serially, so no process is started.
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(numtheory, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(numtheory.os, "cpu_count", lambda: 4)
+    assert scan_profiles(2500, threads=64) == scan_profiles(2500, threads=1)
+    assert requested == [4]
+    monkeypatch.setattr(numtheory.os, "cpu_count", lambda: None)
+    assert scan_profiles(2500, threads=64) == scan_profiles(2500, threads=1)
+    assert requested == [4]  # an unknown CPU count falls back to one process
 
 
 def test_scan_rejects_tiny_limit():
