@@ -170,8 +170,11 @@ def max_disjoint_pcs(system: TripleSystem,
     branch-and-bound set packing over the enumerated classes.
 
     Optimal when status is "complete"; on budget exhaustion reports the best
-    packing found together with the trivial remaining-class upper bound."""
+    packing found together with the trivial remaining-class upper bound.
+    The budget covers the whole call: packing gets what enumeration left."""
+    meter = _Meter(budget)
     enum = enumerate_parallel_classes(system, budget)
+    meter.nodes = enum.nodes
     classes = enum.classes
     k = len(classes)
     masks = [0] * k
@@ -187,7 +190,6 @@ def max_disjoint_pcs(system: TripleSystem,
             best.append(idx)
             taken_mask |= masks[idx]
     best_sol = list(best)
-    meter = _Meter(budget)
 
     def pack(cands: list[int], chosen: list[int]) -> None:
         nonlocal best_sol
@@ -217,7 +219,7 @@ def max_disjoint_pcs(system: TripleSystem,
         size=len(best_sol),
         witness=tuple(classes[i] for i in best_sol),
         status=status,
-        nodes=enum.nodes + meter.nodes,
+        nodes=meter.nodes,
         upper_bound=upper,
         n_parallel_classes=k,
     )
@@ -547,13 +549,15 @@ def theorem1_pipeline(v: int) -> PipelineReport:
       (external result, reported as such).
     * v = 33: the embedded fixture has at most 5 < 6 disjoint parallel
       classes, hence chromatic index 18 (witnessed by its colouring).
-    * v in {45, 75, 129, 513}: possible exception, undecided here.
     * otherwise: the verified 1-factorisation of G(v-2) yields the
       disjoint-PC certificate 3 f(v-2)+1 for the Wilson-Schreiber system of
-      order v, which is checked against (v+3)/6, certifying chromatic index
-      >= (v+3)/2.  The system itself is not built here: the construction's
-      validity is checked by the acceptance suite (C4) and by
-      ``stskit construct wilson-schreiber``, which runs ``verify_sts``.
+      order v, which is checked against (v+3)/6.  Below it, the certificate
+      proves chromatic index >= (v+3)/2.  Otherwise the order is a possible
+      exception, undecided here; the exceptions (45, 75, 129, 513 below
+      1000) come from the certificate, not from a list.  The system itself
+      is not built here: the construction's validity is checked by the
+      acceptance suite (C4) and by ``stskit construct wilson-schreiber``,
+      which runs ``verify_sts``.
     """
     if v < 3 or v % 6 != 3:
         raise ValueError(f"v must be 3 mod 6 and >= 3, got {v}")
@@ -582,26 +586,21 @@ def theorem1_pipeline(v: int) -> PipelineReport:
             message=f"embedded order-33 system: at most {cert.bound} disjoint "
                     f"parallel classes, chromatic index {chi.value}",
         )
-    if v in (45, 75, 129, 513):
-        return PipelineReport(
-            v=v, route="possible-exception", holds=None, chi_lower=m_lower(v),
-            chi_exact=None, pc_bound=3 * f_of(v - 2) + 1, f_value=f_of(v - 2),
-            message=f"possible exception: 3 f({v - 2})+1 = {3 * f_of(v - 2) + 1} "
-                    f"is not below (v+3)/6 = {(v + 3) // 6}",
-        )
     n = v - 2
     cert = pc_bound_ws(n, factorise_G(n))
     threshold = min_pc_for_low_chi(v)
-    holds = cert.bound < threshold
-    chi_lower = (v + 3) // 2 if holds else m_lower(v)
-    if holds:
-        message = (f"the order-{v} construction has at most {cert.bound} "
-                   f"disjoint parallel classes < {threshold}, so chromatic "
-                   f"index >= {chi_lower}")
-    else:
-        message = (f"certificate bound {cert.bound} does not beat {threshold}; "
-                   f"no conclusion at order {v}")
+    if cert.bound >= threshold:
+        return PipelineReport(
+            v=v, route="possible-exception", holds=None, chi_lower=m_lower(v),
+            chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],
+            message=f"possible exception: 3 f({n})+1 = {cert.bound} "
+                    f"is not below (v+3)/6 = {threshold}",
+        )
+    chi_lower = (v + 3) // 2
     return PipelineReport(
-        v=v, route="ws-certificate", holds=holds, chi_lower=chi_lower,
-        chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"], message=message,
+        v=v, route="ws-certificate", holds=True, chi_lower=chi_lower,
+        chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],
+        message=f"the order-{v} construction has at most {cert.bound} "
+                f"disjoint parallel classes < {threshold}, so chromatic "
+                f"index >= {chi_lower}",
     )

@@ -113,7 +113,7 @@ def _cmd_numtheory_profile(args) -> int:
 
 
 def _cmd_numtheory_scan(args) -> int:
-    rows = scan_profiles(args.limit, threads=args.threads)
+    rows = scan_profiles(args.limit)
     if args.all:
         picked = rows
         kind = "all"
@@ -413,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_numtheory_profile)
     q = nsub.add_parser("scan", help="scan n <= limit (TSV: n phi f psi psi_star)")
     q.add_argument("--limit", type=int, required=True)
-    q.add_argument("--negative-psi", action="store_true",
-                   help="rows with psi(n) < 0 instead of the psi* <= 0 exceptions")
-    q.add_argument("--all", action="store_true", help="every scanned n")
-    q.add_argument("--threads", type=int, default=1)
+    kind = q.add_mutually_exclusive_group()
+    kind.add_argument("--negative-psi", action="store_true",
+                      help="rows with psi(n) < 0 instead of the psi* <= 0 exceptions")
+    kind.add_argument("--all", action="store_true", help="every scanned n")
     q.add_argument("--json", action="store_true")
     q.set_defaults(handler=_cmd_numtheory_scan)
 

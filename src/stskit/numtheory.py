@@ -9,16 +9,22 @@ Two routes compute the order of the subgroup of units generated by -1 and -2:
 
 * :func:`subgroup_order` builds the subgroup as an explicit set by
   breadth-first closure under multiplication.  It is the oracle.
-* the scan path computes the multiplicative order of -2 from the factorised
-  totient and then adjoins -1.  It must (and, per the test suite, does)
-  agree with the closure oracle.
+* :func:`_unit_profile` computes the multiplicative order of -2 from the
+  factorised totient and then adjoins -1.  It must (and, per the test suite,
+  does) agree with the closure oracle.  :func:`g_of`, :func:`number_profile`
+  and :func:`scan_profiles` all take phi, the order and g from it.
+
+:func:`number_profile` sums g over the divisors of one n.
+:func:`scan_profiles` sweeps instead: it visits each modulus d coprime to 6
+once, in ascending order, and adds g(d) and phi(d) - 18 g(d) to every
+multiple d*k with k = 1 or 5 mod 6.  By the time the sweep reaches n, every
+divisor of n has contributed, so the row for n is complete; Gauss's identity
+(the totients of the divisors of n sum to n) checks the sums.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -157,13 +163,17 @@ def _neg_double_order(d: int, phi: int, spf: list[int] | None = None) -> int:
 # g, f, psi, psi*
 
 
-def _g_from_order(phi: int, sub_order: int) -> int:
-    if sub_order % 4 == 0:
-        return 0
-    g, rem = divmod(phi, sub_order)
-    if rem:  # impossible by Lagrange; a failure here is an arithmetic bug
-        raise RuntimeError(f"subgroup order {sub_order} does not divide phi {phi}")
-    return g
+def _unit_profile(d: int, spf: list[int] | None = None) -> tuple[int, int, int]:
+    """(phi(d), |<-1,-2>_d|, g(d)) for d coprime to 6.
+
+    The order is even (it contains -1) and divides phi(d) (Lagrange); a
+    failure of either is an arithmetic bug and raises RuntimeError.
+    """
+    phi = euler_phi(d, spf)
+    order = _neg_double_order(d, phi, spf)
+    if order % 2 or phi % order:
+        raise RuntimeError(f"subgroup order {order} mod {d} violates parity/Lagrange")
+    return phi, order, 0 if order % 4 == 0 else phi // order
 
 
 def _check_coprime_to_six(n: int, what: str) -> None:
@@ -174,8 +184,7 @@ def _check_coprime_to_six(n: int, what: str) -> None:
 def g_of(d: int, spf: list[int] | None = None) -> int:
     """0 when |<-1,-2>_d| is divisible by 4, else phi(d)/|<-1,-2>_d|."""
     _check_coprime_to_six(d, "d")
-    phi = euler_phi(d, spf)
-    return _g_from_order(phi, _neg_double_order(d, phi, spf))
+    return _unit_profile(d, spf)[2]
 
 
 @dataclass(frozen=True)
@@ -192,42 +201,33 @@ class NumberProfile:
     psi_star: int
 
 
-def _build_profile(n: int, spf: list[int] | None = None) -> NumberProfile:
-    _check_coprime_to_six(n, "n")
-    divs = divisors_gt1(n, spf)
-    f = 0
-    psi_star = 0
-    g_n = 0
-    order_n = 0
-    phi_n = 0
-    for d in divs:
-        phi = euler_phi(d, spf)
-        order = _neg_double_order(d, phi, spf)
-        if order % 2 != 0 or phi % order != 0:
-            raise RuntimeError(f"subgroup order {order} mod {d} violates parity/Lagrange")
-        g = _g_from_order(phi, order)
-        f += g
-        psi_star += phi - 18 * g
-        if d == n:
-            g_n, order_n, phi_n = g, order, phi
+def _check_psi_star(n: int, f: int, psi_star: int) -> None:
     if psi_star != n - 1 - 18 * f:
         raise RuntimeError(f"psi*({n}) != {n}-1-18*f({n}); divisor sum is inconsistent")
-    return NumberProfile(
-        n=n,
-        divisors_gt1=tuple(divs),
-        phi=phi_n,
-        sub_order=order_n,
-        g=g_n,
-        f=f,
-        psi=phi_n - 18 * g_n,
-        psi_star=psi_star,
-    )
 
 
 @lru_cache(maxsize=8192)
 def number_profile(n: int) -> NumberProfile:
     """Full :class:`NumberProfile` for n > 1 with n = 1 or 5 mod 6."""
-    return _build_profile(n)
+    _check_coprime_to_six(n, "n")
+    divs = divisors_gt1(n)
+    f = 0
+    psi_star = 0
+    for d in divs:  # ascending, so the loop ends on d = n
+        phi, order, g = _unit_profile(d)
+        f += g
+        psi_star += phi - 18 * g
+    _check_psi_star(n, f, psi_star)
+    return NumberProfile(
+        n=n,
+        divisors_gt1=tuple(divs),
+        phi=phi,
+        sub_order=order,
+        g=g,
+        f=f,
+        psi=phi - 18 * g,
+        psi_star=psi_star,
+    )
 
 
 def f_of(n: int) -> int:
@@ -254,63 +254,40 @@ class ScanRow(NamedTuple):
     psi_star: int
 
 
-def _scan_range(lo: int, hi: int) -> list[ScanRow]:
-    if hi < 5:
-        return []
-    spf = smallest_prime_factor_sieve(hi)
-    phi_memo: dict[int, int] = {}
-    g_memo: dict[int, int] = {}
-    rows: list[ScanRow] = []
-    for n in range(max(lo, 5), hi + 1):
-        r = n % 6
-        if r != 1 and r != 5:
-            continue
-        f = 0
-        psi_star = 0
-        for d in divisors_gt1(n, spf):
-            g = g_memo.get(d)
-            if g is None:
-                phi = euler_phi(d, spf)
-                phi_memo[d] = phi
-                g = g_memo[d] = _g_from_order(phi, _neg_double_order(d, phi, spf))
-            f += g
-            psi_star += phi_memo[d] - 18 * g
-        if psi_star != n - 1 - 18 * f:
-            raise RuntimeError(f"psi*({n}) != {n}-1-18*f({n}); divisor sum is inconsistent")
-        rows.append(ScanRow(n, phi_memo[n], f, phi_memo[n] - 18 * g_memo[n], psi_star))
-    return rows
-
-
-def scan_profiles(limit: int, threads: int = 1) -> list[ScanRow]:
-    """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit.
-
-    ``threads`` > 1 partitions the range across a process pool of at most
-    ``os.cpu_count()`` workers; the merged result is identical to the
-    single-process scan.
-    """
+def scan_profiles(limit: int) -> list[ScanRow]:
+    """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit,
+    by one in-process sweep over the multiples of each modulus."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or limit < 1000:
-        return _scan_range(2, limit)
-    span = (limit - 1) // threads + 1
-    los = range(2, limit + 1, span)
-    his = [min(limit, lo + span - 1) for lo in los]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_scan_range, los, his))
-    rows = [row for part in parts for row in part]
-    rows.sort()
+    spf = smallest_prime_factor_sieve(limit)
+    # f and psi* summed over the proper divisors > 1 seen so far.
+    f = [0] * (limit + 1)
+    psi_star = [0] * (limit + 1)
+    rows: list[ScanRow] = []
+    for n in range(5, limit + 1, 2):
+        if n % 3 == 0:
+            continue
+        phi, _, g = _unit_profile(n, spf)
+        psi = phi - 18 * g
+        f_n = f[n] + g
+        psi_star_n = psi_star[n] + psi
+        _check_psi_star(n, f_n, psi_star_n)
+        rows.append(ScanRow(n, phi, f_n, psi, psi_star_n))
+        for start in (5 * n, 7 * n):
+            for m in range(start, limit + 1, 6 * n):
+                f[m] += g
+                psi_star[m] += psi
     return rows
 
 
-def scan_exceptions(limit: int, threads: int = 1) -> list[int]:
+def scan_exceptions(limit: int) -> list[int]:
     """All n = 1 or 5 mod 6 with 1 < n <= limit and psi*(n) <= 0, ascending."""
-    return [row.n for row in scan_profiles(limit, threads) if row.psi_star <= 0]
+    return [row.n for row in scan_profiles(limit) if row.psi_star <= 0]
 
 
-def negative_psi_scan(limit: int, threads: int = 1) -> list[tuple[int, int]]:
+def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
     """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
-    return [(row.n, row.psi) for row in scan_profiles(limit, threads) if row.psi < 0]
+    return [(row.n, row.psi) for row in scan_profiles(limit) if row.psi < 0]
 
 
 def f_growth_table(limit: int, step: int = 1) -> list[tuple[int, int, float]]:

@@ -102,6 +102,15 @@ def test_max_disjoint_inconclusive_budget(sts9_grid):
     assert result.upper_bound == 4  # only the trivial (v-1)/2 cap remains
 
 
+def test_max_disjoint_budget_covers_enumeration_and_packing():
+    # Enumerating the classes of this system takes 34403 nodes and packing
+    # needs about 1000 more, so a 34930-node budget runs out while packing.
+    budget = SearchBudget(max_nodes=34930)
+    result = max_disjoint_pcs(wilson_schreiber(25).system, budget)
+    assert result.nodes <= budget.max_nodes + 1
+    assert result.status == INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # bound certificates
 

@@ -170,6 +170,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "verify", "--in", str(tmp_path / "missing.sts"))
     assert code == 2 and "cannot read" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["numtheory", "scan", "--limit", "600", "--all", "--negative-psi"])
+    assert exc.value.code == 2
 
 
 def test_bare_invocation_prints_help(capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stskit import (
     f_growth_table,
@@ -16,8 +18,7 @@ from stskit import (
     scan_profiles,
     subgroup_order,
 )
-from stskit import numtheory
-from stskit.numtheory import _neg_double_order, divisors_gt1, euler_phi
+from stskit.numtheory import ScanRow, _neg_double_order, divisors_gt1, euler_phi
 
 
 # ---------------------------------------------------------------------------
@@ -123,42 +124,24 @@ def test_negative_psi_scan_examples():
 
 
 def test_scan_rows_are_consistent_with_profiles():
-    rows = scan_profiles(300)
-    assert [r.n for r in rows][:4] == [5, 7, 11, 13]
+    for limit in (300, 5000):
+        rows = scan_profiles(limit)
+        assert [r.n for r in rows][:4] == [5, 7, 11, 13]
+        for row in rows:
+            p = number_profile(row.n)
+            assert (row.phi, row.f, row.psi, row.psi_star) == (p.phi, p.f, p.psi, p.psi_star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=400))
+def test_scan_sweep_matches_per_n_profiles(limit):
+    rows = scan_profiles(limit)
+    profiles = [number_profile(n) for n in range(5, limit + 1) if n % 6 in (1, 5)]
+    assert rows == [ScanRow(p.n, p.phi, p.f, p.psi, p.psi_star) for p in profiles]
     for row in rows:
-        p = number_profile(row.n)
-        assert (row.phi, row.f, row.psi, row.psi_star) == (p.phi, p.f, p.psi, p.psi_star)
-
-
-def test_scan_multiprocess_matches_single():
-    assert scan_profiles(2500, threads=2) == scan_profiles(2500, threads=1)
-
-
-def test_scan_threads_capped_at_cpu_count(monkeypatch):
-    # An in-process stand-in for the pool: it records the requested worker
-    # count and maps serially, so no process is started.
-    requested = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(numtheory, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(numtheory.os, "cpu_count", lambda: 4)
-    assert scan_profiles(2500, threads=64) == scan_profiles(2500, threads=1)
-    assert requested == [4]
-    monkeypatch.setattr(numtheory.os, "cpu_count", lambda: None)
-    assert scan_profiles(2500, threads=64) == scan_profiles(2500, threads=1)
-    assert requested == [4]  # an unknown CPU count falls back to one process
+        order = subgroup_order(row.n, [-1, -2])
+        g = (row.phi - row.psi) // 18
+        assert g == (0 if order % 4 == 0 else row.phi // order)
 
 
 def test_scan_rejects_tiny_limit():
