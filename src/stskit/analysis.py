@@ -22,7 +22,7 @@ from .core import (
     min_pc_for_low_chi,
     verify_colouring,
 )
-from .factorisation import OneFactorisation, factorise_G
+from .factorisation import OneFactorisation, factorise_G, verify_factorisation_properties
 from .numtheory import f_of
 from .rng import substream
 
@@ -303,8 +303,6 @@ def pc_bound_ws(n: int, fact: OneFactorisation) -> PCBoundCertificate:
     pairs two zero-weight edges from factors 1 and 2; the factorisation
     properties cap those cases at 1, 2f(n) and f(n) classes respectively.
     Refuses to certify unless the properties verify against f(n)."""
-    from .factorisation import verify_factorisation_properties
-
     f = f_of(n)
     report = verify_factorisation_properties(fact, f)
     if not report.ok:
@@ -458,8 +456,7 @@ def chromatic_index_exact(system: TripleSystem,
 def chromatic_index_heuristic(system: TripleSystem,
                               target: int,
                               seed: int = 0,
-                              restarts: int = 12,
-                              iterations: int | None = None) -> Colouring | None:
+                              restarts: int = 12) -> Colouring | None:
     """Try to colour the triples with at most ``target`` classes.
 
     Each restart seeds the classes greedily in a random triple order and then
@@ -472,8 +469,7 @@ def chromatic_index_heuristic(system: TripleSystem,
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
     b = system.b
     triples = system.triples
-    if iterations is None:
-        iterations = max(4000, 250 * b)
+    iterations = max(4000, 250 * b)
 
     for r in range(restarts):
         rng = substream(seed, "chi-heur", r)

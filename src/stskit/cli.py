@@ -1,26 +1,26 @@
 """Command-line entry point.
 
-One binary, subcommand style.  Every report has a ``--json`` twin with a
-stable, versioned schema.  Exit codes: 0 success/verified, 1 verification
-failure or negative verdict, 2 usage error, 3 budget-inconclusive or
-undecided.
+One binary, subcommand style.  Every leaf command (``theorem1``,
+``numtheory profile``, ``analyze chi``, ...) takes ``--json`` for a report
+with a stable, versioned schema; group commands take no flags of their own.
+Exit codes: 0 success/verified, 1 verification failure or negative verdict,
+2 usage error, 3 budget-inconclusive or undecided.
 
-Default search budgets can be overridden with the environment variables
-STSKIT_BUDGET_NODES and STSKIT_BUDGET_SECONDS, and per-call with the
-``--budget-nodes`` / ``--budget-seconds`` flags.
+The searches run under :data:`stskit.analysis.DEFAULT_BUDGET` unless the
+``--budget-nodes`` / ``--budget-seconds`` flags say otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
     COMPLETE,
+    DEFAULT_BUDGET,
     SearchBudget,
     chromatic_index_exact,
     chromatic_index_heuristic,
@@ -60,13 +60,7 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    nodes = getattr(args, "budget_nodes", None)
-    seconds = getattr(args, "budget_seconds", None)
-    if nodes is None:
-        nodes = int(os.environ.get("STSKIT_BUDGET_NODES", 100_000_000))
-    if seconds is None:
-        seconds = float(os.environ.get("STSKIT_BUDGET_SECONDS", 60.0))
-    return SearchBudget(max_nodes=nodes, max_seconds=float(seconds))
+    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
 def _read_text(path: str) -> str:
@@ -86,7 +80,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         payload = {"schema": SCHEMA, **payload}
         print(json.dumps(payload))
     else:
@@ -385,10 +379,10 @@ def _cmd_survey(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None,
-                   help="search node cap (env STSKIT_BUDGET_NODES)")
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="search time cap (env STSKIT_BUDGET_SECONDS)")
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes,
+                   help="search node cap")
+    p.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET.max_seconds,
+                   help="search time cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,67 +393,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"stskit {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def new(name: str, handler, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def new(parent, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        # A leaf command: it alone takes --json and carries a handler.
+        p = parent.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(handler=handler)
         return p
 
-    p = new("numtheory", None, help="profiles and scans of the bound arithmetic")
+    p = sub.add_parser("numtheory", help="profiles and scans of the bound arithmetic")
     nsub = p.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
-    q = nsub.add_parser("profile", help="arithmetic profile of one n")
+    q = new(nsub, "profile", _cmd_numtheory_profile, help="arithmetic profile of one n")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_numtheory_profile)
-    q = nsub.add_parser("scan", help="scan n <= limit (TSV: n phi f psi psi_star)")
+    q = new(nsub, "scan", _cmd_numtheory_scan, help="scan n <= limit (TSV: n phi f psi psi_star)")
     q.add_argument("--limit", type=int, required=True)
     kind = q.add_mutually_exclusive_group()
     kind.add_argument("--negative-psi", action="store_true",
                       help="rows with psi(n) < 0 instead of the psi* <= 0 exceptions")
     kind.add_argument("--all", action="store_true", help="every scanned n")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_numtheory_scan)
 
-    p = new("factorise", _cmd_factorise, help="1-factorisation of G(n)")
+    p = new(sub, "factorise", _cmd_factorise, help="1-factorisation of G(n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = new("construct", None, help="build a triple system")
+    p = sub.add_parser("construct", help="build a triple system")
     csub = p.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
-    q = csub.add_parser("wilson-schreiber", help="order n+2 from G(n)")
+    q = new(csub, "wilson-schreiber", _cmd_construct_ws, help="order n+2 from G(n)")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out", default=None)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_construct_ws)
-    q = csub.add_parser("bose", help="order 3n from idempotent symmetric squares")
+    q = new(csub, "bose", _cmd_construct_bose, help="order 3n from idempotent symmetric squares")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--square", choices=("half-sum", "conjugate"), default="half-sum")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", default=None)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_construct_bose)
 
-    p = new("fixture", None, help="embedded example systems")
+    p = sub.add_parser("fixture", help="embedded example systems")
     fsub = p.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
-    q = fsub.add_parser("sts33", help="the order-33 system and its 18-class colouring")
+    q = new(fsub, "sts33", _cmd_fixture, help="the order-33 system and its 18-class colouring")
     q.add_argument("--out", default=None)
     q.add_argument("--colouring-out", default=None)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_fixture)
 
-    p = new("verify", _cmd_verify, help="verify an STS file (and optional colouring)")
+    p = new(sub, "verify", _cmd_verify, help="verify an STS file (and optional colouring)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--colouring", default=None)
 
-    p = new("analyze", None, help="parallel classes, bounds, chromatic index")
+    p = sub.add_parser("analyze", help="parallel classes, bounds, chromatic index")
     asub = p.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
-    q = asub.add_parser("pcs", help="enumerate parallel classes / max disjoint set")
+    q = new(asub, "pcs", _cmd_analyze_pcs, help="enumerate parallel classes / max disjoint set")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--max-disjoint", action="store_true")
     _add_budget_flags(q)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_analyze_pcs)
-    q = asub.add_parser("chi", help="chromatic index, exact or heuristic")
+    q = new(asub, "chi", _cmd_analyze_chi, help="chromatic index, exact or heuristic")
     q.add_argument("--in", dest="infile", required=True)
     mode = q.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
@@ -473,32 +456,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raise the lower bound via the mod-3 weighting certificate, "
                         "as in 'analyze bound --method mod3' (exact mode)")
     _add_budget_flags(q)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_analyze_chi)
-    q = asub.add_parser("bound", help="disjoint parallel-class upper-bound certificate")
+    q = new(asub, "bound", _cmd_analyze_bound,
+            help="disjoint parallel-class upper-bound certificate")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--method", choices=("mod3", "ws"), required=True)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_analyze_bound)
 
-    p = new("theorem1", _cmd_theorem1, help="high-chromatic-index verdict for order v")
+    p = new(sub, "theorem1", _cmd_theorem1, help="high-chromatic-index verdict for order v")
     p.add_argument("--v", type=int, required=True)
 
-    p = new("generate", _cmd_generate, help="random systems by hill climbing")
+    p = new(sub, "generate", _cmd_generate, help="random systems by hill climbing")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
 
-    p = new("survey", None, help="colouring-difficulty survey over random systems")
+    p = sub.add_parser("survey", help="colouring-difficulty survey over random systems")
     ssub = p.add_subparsers(dest="subcommand", metavar="subcommand", required=True)
-    q = ssub.add_parser("colouring", help="least reachable target per random system")
+    q = new(ssub, "colouring", _cmd_survey, help="least reachable target per random system")
     q.add_argument("--v", type=int, required=True)
     q.add_argument("--count", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--restarts", type=int, default=6)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_survey)
 
     return parser
 

@@ -255,11 +255,11 @@ def verify_cyclic(labelled: LabelledSTS) -> bool:
     return len(orbit) == v
 
 
-def is_shift_invariant(system: TripleSystem, step: int = 1) -> bool:
-    """True iff p -> p+step mod v maps the triple set onto itself."""
+def is_shift_invariant(system: TripleSystem) -> bool:
+    """True iff p -> p+1 mod v maps the triple set onto itself."""
     v = system.v
     triple_set = set(system.triples)
-    return all(tuple(sorted((p + step) % v for p in t)) in triple_set
+    return all(tuple(sorted((p + 1) % v for p in t)) in triple_set
                for t in system.triples)
 
 

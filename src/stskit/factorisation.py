@@ -2,10 +2,12 @@
 
 G(n) has an edge {x,-2x} and an edge {x,-x} for every nonzero x; the weight
 of an edge {x,y} is x+y mod n.  G(n) splits into one unit-Cayley-graph
-component per divisor d > 1 of n, and each component carries an explicit
-3-way perfect-matching decomposition whose shape depends on
-|<-1,-2>_d| mod 4.  Gluing the components gives a 1-factorisation
-{G_0, G_1, G_2} of G(n) in which
+component per divisor d > 1 of n.  Each component is factorised from one
+walk x_i = (-2)^i mod d, x_0 = 1, that stops at the first x_s in {1, -1}:
+X = <-1,-2>_d is {+-x_i : i < s}, so |X| = 2s, and the shape of the 3-way
+perfect-matching decomposition depends on the parity of s (|X| mod 4).
+Cosets of X are translated copies.  Gluing the components gives a
+1-factorisation {G_0, G_1, G_2} of G(n) in which
 
 * edges of weight x and -x always land in the same factor,
 * G_0 has exactly 2 f(n) edges of nonzero weight, and
@@ -21,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .core import VerificationReport
-from .numtheory import divisors_gt1, euler_phi
+from .numtheory import divisors_gt1
 
 __all__ = [
     "OneFactorisation",
@@ -62,6 +65,23 @@ class OneFactorisation:
     factors: tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]
 
 
+def _cayley_graph(n: int, vertices: Iterable[int]) -> WeightedGraph:
+    """The edges {x,-x} and {x,-2x} mod n on ``vertices`` (closed under
+    negation and halving), checked to form a cubic graph."""
+    vertices = tuple(vertices)
+    edges = set()
+    for x in vertices:
+        edges.add(_pair(x, n - x))
+        edges.add(_pair(x, (-2 * x) % n))
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    if any(degree[x] != 3 for x in vertices) or len(edges) != 3 * len(vertices) // 2:
+        raise RuntimeError(f"the graph mod {n} is not cubic; construction bug")
+    return WeightedGraph(n=n, vertices=vertices, edges=tuple(sorted(edges)))
+
+
 def build_G(n: int) -> WeightedGraph:
     """The graph with vertex set Z_n \\ {0} and edges {x,-2x}, {x,-x}.
 
@@ -70,26 +90,7 @@ def build_G(n: int) -> WeightedGraph:
     """
     if n % 6 != 1 or n < 7:
         raise ValueError(f"n must be 1 mod 6 and >= 7, got {n}")
-    edges = set()
-    for x in range(1, n):
-        edges.add(_pair(x, n - x))
-        edges.add(_pair(x, (-2 * x) % n))
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(degree[x] != 3 for x in range(1, n)) or len(edges) != 3 * (n - 1) // 2:
-        raise RuntimeError(f"G({n}) is not cubic; construction bug")
-    return WeightedGraph(n=n, vertices=tuple(range(1, n)), edges=tuple(sorted(edges)))
-
-
-def _unit_cayley_edges(d: int) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
-    units = tuple(x for x in range(1, d) if math.gcd(x, d) == 1)
-    edges = set()
-    for x in units:
-        edges.add(_pair(x, d - x))
-        edges.add(_pair(x, (-2 * x) % d))
-    return units, tuple(sorted(edges))
+    return _cayley_graph(n, range(1, n))
 
 
 @lru_cache(maxsize=0)  # keeps nothing; cache_info() still counts the calls
@@ -99,85 +100,57 @@ def factorise_component(d: int) -> OneFactorisation:
     to: M_0 has 2*phi(d)/|X| nonzero-weight edges when |X| = 2 mod 4, none
     when |X| = 0 mod 4, and dually for zero weights in M_1 union M_2).
 
-    The component on X = <-1,-2>_d is a union of the (-2)-power cycle(s) and
-    the negation matching; the matching goes to M_0 and the cycle edges
-    alternate into M_1/M_2, except that when |X| = 2 mod 4 the alternation
-    cannot close and one negation edge is traded into each of M_1, M_2 in
-    exchange for two cycle edges.  Cosets of X are translated copies.
+    Walk x_i = (-2)^i mod d from x_0 = 1 to the first x_s in {1, -1}; then
+    X = <-1,-2>_d = {+-x_i : i < s} has 2s elements.  The component on X is
+    the cycle(s) through the edges {x_j, x_(j+1)}, {-x_j, -x_(j+1)} plus the
+    negation matching {x_i, -x_i}: the matching goes to M_0 and the cycle
+    edges alternate into M_1/M_2.  When s is odd (|X| = 2 mod 4) the
+    alternation cannot close, so the last cycle edge pair goes to M_0 in
+    exchange for the negation edges at x_0 (to M_2) and x_(s-1) (to M_1).
+    The cosets aX of the units are translated copies.
 
     d = 3 is rejected: there X = {1,2} and the graph is a single edge, which
-    has no decomposition into three perfect matchings.
+    has no decomposition into three perfect matchings.  Every other odd d has
+    s >= 2, since s = 1 means -2 = +-1 mod d.
     """
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be an odd integer >= 3, got {d}")
     if d == 3:
         raise ValueError("d=3 is degenerate: the unit Cayley graph is a single edge")
 
-    neg2 = d - 2
-    powers = [1]
-    x = neg2
-    while x != 1:
-        powers.append(x)
-        x = x * neg2 % d
-    m = len(powers)
-    power_set = set(powers)
-    neg_in = (d - 1) in power_set
+    x = [1, d - 2]
+    while x[-1] not in (1, d - 1):
+        x.append(x[-1] * (d - 2) % d)
+    s = len(x) - 1
+    x_set = {p for xi in x[:s] for p in (xi, d - xi)}
+    if len(x_set) != 2 * s:
+        raise RuntimeError(f"|<-1,-2>_{d}| mismatch: {len(x_set)} != {2 * s}")
 
-    if neg_in:
-        if m % 2 != 0:
-            raise RuntimeError(f"-1 in <-2>_{d} forces even order, got {m}")
-        s = m // 2
-        x_size = m
+    def negation(i: int) -> Edge:
+        return _pair(x[i], d - x[i])
+
+    def cycle(j: int) -> list[Edge]:
+        return [_pair(x[j], x[j + 1]), _pair(d - x[j], d - x[j + 1])]
+
+    h: list[list[Edge]] = [[], [], []]
+    odd = s % 2
+    for j in range(s - odd):
+        h[1 + j % 2].extend(cycle(j))
+    if odd:
+        h[0] = [negation(i) for i in range(1, s - 1)] + cycle(s - 1)
+        h[1].append(negation(s - 1))
+        h[2].append(negation(0))
     else:
-        s = m
-        x_size = 2 * m
-    x_set = power_set | {d - p for p in powers}
-    if len(x_set) != x_size:
-        raise RuntimeError(f"|<-1,-2>_{d}| mismatch: {len(x_set)} != {x_size}")
+        h[0] = [negation(i) for i in range(s)]
 
-    def xs(i: int) -> int:
-        # x_i = (-2)^i; only indices 0..s are ever needed.
-        if i < s:
-            return powers[i] if neg_in else powers[i % m]
-        return d - powers[0] if neg_in else powers[0]
-
-    def neg(value: int) -> int:
-        return d - value
-
-    h = [[], [], []]  # type: list[list[Edge]]
-    if x_size % 4 == 0:
-        for i in range(s):
-            h[0].append(_pair(xs(i), neg(xs(i))))
-        for j in range(0, s - 1, 2):
-            h[1].append(_pair(xs(j), xs(j + 1)))
-            h[1].append(_pair(neg(xs(j)), neg(xs(j + 1))))
-        for j in range(1, s, 2):
-            h[2].append(_pair(xs(j), xs(j + 1)))
-            h[2].append(_pair(neg(xs(j)), neg(xs(j + 1))))
-    else:
-        if s < 3:
-            raise RuntimeError(f"|X| = 2 mod 4 with s={s} < 3 should be unreachable for d={d}")
-        for i in range(1, s - 1):
-            h[0].append(_pair(xs(i), neg(xs(i))))
-        h[0].append(_pair(xs(s - 1), xs(s)))
-        h[0].append(_pair(neg(xs(s - 1)), neg(xs(s))))
-        for j in range(0, s - 2, 2):
-            h[1].append(_pair(xs(j), xs(j + 1)))
-            h[1].append(_pair(neg(xs(j)), neg(xs(j + 1))))
-        h[1].append(_pair(xs(s - 1), neg(xs(s - 1))))
-        for j in range(1, s - 1, 2):
-            h[2].append(_pair(xs(j), xs(j + 1)))
-            h[2].append(_pair(neg(xs(j)), neg(xs(j + 1))))
-        h[2].append(_pair(xs(0), neg(xs(0))))
-
-    phi = euler_phi(d)
+    units = [a for a in range(1, d) if math.gcd(a, d) == 1]
     reps = []
     covered: set[int] = set()
-    for a in range(1, d):
-        if math.gcd(a, d) == 1 and a not in covered:
+    for a in units:
+        if a not in covered:
             reps.append(a)
-            covered.update(a * x % d for x in x_set)
-    if len(reps) * x_size != phi:
+            covered.update(a * p % d for p in x_set)
+    if len(reps) * 2 * s != len(units):
         raise RuntimeError(f"coset count mismatch mod {d}")
 
     factors = []
@@ -187,9 +160,8 @@ def factorise_component(d: int) -> OneFactorisation:
             edges.extend(_pair(a * u % d, a * v % d) for u, v in hi)
         factors.append(tuple(sorted(edges)))
 
-    units, cay_edges = _unit_cayley_edges(d)
-    graph = WeightedGraph(n=d, vertices=units, edges=cay_edges)
-    return OneFactorisation(graph=graph, factors=tuple(factors))  # type: ignore[arg-type]
+    return OneFactorisation(graph=_cayley_graph(d, units),
+                            factors=tuple(factors))  # type: ignore[arg-type]
 
 
 def factorise_G(n: int) -> OneFactorisation:

@@ -98,10 +98,10 @@ def euler_phi(n: int, spf: list[int] | None = None) -> int:
     return phi
 
 
-def divisors_gt1(n: int, spf: list[int] | None = None) -> list[int]:
+def divisors_gt1(n: int) -> list[int]:
     """All divisors of n greater than 1, sorted ascending."""
     divs = [1]
-    for p, e in factorise(n, spf).items():
+    for p, e in factorise(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs[1:]
@@ -181,10 +181,10 @@ def _check_coprime_to_six(n: int, what: str) -> None:
         raise ValueError(f"{what} must be > 1 and congruent to 1 or 5 mod 6, got {n}")
 
 
-def g_of(d: int, spf: list[int] | None = None) -> int:
+def g_of(d: int) -> int:
     """0 when |<-1,-2>_d| is divisible by 4, else phi(d)/|<-1,-2>_d|."""
     _check_coprime_to_six(d, "d")
-    return _unit_profile(d, spf)[2]
+    return _unit_profile(d)[2]
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,9 @@ def test_fixture_and_colouring_files(tmp_path, capsys):
     assert code == 0 and "18 classes: ok" in out
 
 
-def test_analyze_chi_exact_fano(tmp_path, capsys, fano):
+def test_analyze_chi_exact_fano(tmp_path, capsys, fano, monkeypatch):
+    # The budget comes from the flags alone; the environment does not cap it.
+    monkeypatch.setenv("STSKIT_BUDGET_NODES", "1")
     path = tmp_path / "fano.sts"
     path.write_text(format_sts(fano))
     code, out, _ = run(capsys, "analyze", "chi", "--in", str(path), "--exact", "--json")
@@ -172,6 +174,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
     with pytest.raises(SystemExit) as exc:
         main(["numtheory", "scan", "--limit", "600", "--all", "--negative-psi"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["numtheory", "--json", "profile", "--n", "49"])  # --json is a leaf flag
     assert exc.value.code == 2
 
 

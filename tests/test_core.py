@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stskit import (
     Colouring,
@@ -14,6 +16,7 @@ from stskit import (
     min_pc_for_low_chi,
     parse_colouring,
     parse_sts,
+    random_sts,
     verify_colouring,
     verify_sts,
 )
@@ -261,3 +264,47 @@ def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     with pytest.raises(ValueError, match="promises"):
         parse_colouring("COLOURING v=9 k=3\n" + "\n".join(text.splitlines()[1:]) + "\n",
                         sts9_grid)
+
+
+# ---------------------------------------------------------------------------
+# parser properties
+
+
+@settings(max_examples=40, deadline=None)
+@given(v=st.sampled_from([7, 9, 13, 15]), seed=st.integers(0, 2**32 - 1))
+def test_format_parse_sts_round_trip(v, seed):
+    system = random_sts(v, seed)
+    assert parse_sts(format_sts(system)) == system
+
+
+# Near-miss files: a real or broken header, then lines of small integers
+# mixed with arbitrary short tokens.
+_token = st.one_of(st.integers(-2, 25).map(str), st.text(max_size=3))
+_line = st.lists(_token, max_size=4).map(" ".join)
+_header = st.builds(lambda head, tail: head + tail,
+                    st.sampled_from(["STS v=", "STS v=7", "COLOURING v=", "COLOURING v=7 k=",
+                                     "COLOURING v=7 k=3", ""]),
+                    _line)
+_file = st.builds(lambda head, body: "\n".join([head, *body]),
+                  _header, st.lists(_line, max_size=8))
+_FANO = TripleSystem.from_triples(7, FANO_TRIPLES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_file)
+def test_parse_sts_raises_only_value_error(text):
+    try:
+        system = parse_sts(text)
+    except ValueError:
+        return
+    assert parse_sts(format_sts(system)) == system
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_file)
+def test_parse_colouring_raises_only_value_error(text):
+    try:
+        colouring = parse_colouring(text, _FANO)
+    except ValueError:
+        return
+    assert parse_colouring(format_colouring(colouring), _FANO) == colouring

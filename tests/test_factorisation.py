@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -189,3 +190,14 @@ def test_format_factorisation():
     # 9 edges plus 3 headers
     assert len(lines) == 12
     assert all(len(ln.split()) == 3 for ln in lines if not ln.startswith("FACTOR"))
+
+
+def test_factorise_G_output_is_pinned():
+    # One digest over the formatted factorisations of every n = 1 mod 6 in
+    # 7..997, pinned so that a rewrite of the component walk must reproduce
+    # every factor edge for edge.
+    digest = hashlib.sha256()
+    for n in range(7, 998, 6):
+        digest.update(format_factorisation(factorise_G(n)).encode())
+    assert digest.hexdigest() == (
+        "957ab3671edcc6314fd27bab02e30fd06a2ed080d02090c565bd0b88fe41db19")
