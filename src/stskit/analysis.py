@@ -10,6 +10,7 @@ never truncates silently: results carry a status of "complete" or
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -106,44 +107,53 @@ def enumerate_parallel_classes(system: TripleSystem,
                                budget: SearchBudget = DEFAULT_BUDGET) -> PCEnumeration:
     """All parallel classes (v/3 disjoint triples covering every point), by
     exact-cover search branching on the uncovered point with the fewest
-    admissible triples.  Output sorted lexicographically by triple indices."""
+    admissible triples.  Each node carries the bitset of live triples (those
+    disjoint from every chosen one), so a point's candidates are its triple
+    bitset masked by the live set.  Output sorted lexicographically by
+    triple indices."""
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
-    point_triples: list[list[int]] = [[] for _ in range(v)]
+    on_point = [0] * v  # bitset of the triples through each point
     for i, t in enumerate(system.triples):
         for p in t:
-            point_triples[p].append(i)
+            on_point[p] |= 1 << i
+    clash = [on_point[a] | on_point[b] | on_point[c] for a, b, c in system.triples]
     full = (1 << v) - 1
     meter = _Meter(budget)
+    tick = meter.tick
     found: list[tuple[int, ...]] = []
 
-    def rec(covered: int, chosen: list[int]) -> None:
-        meter.tick()
+    def rec(covered: int, live: int, chosen: list[int]) -> None:
+        tick()
         if covered == full:
             found.append(tuple(sorted(chosen)))
             if budget.max_classes is not None and len(found) >= budget.max_classes:
                 raise _BudgetStop
             return
-        best_p = -1
-        best: list[int] = []
+        best_n = v
+        best = 0
         for p in range(v):
             if covered >> p & 1:
                 continue
-            cand = [i for i in point_triples[p] if masks[i] & covered == 0]
-            if best_p < 0 or len(cand) < len(best):
-                best_p, best = p, cand
-                if not cand:
+            cand = on_point[p] & live
+            n = cand.bit_count()
+            if n < best_n:
+                if not n:
                     return
-        for i in best:
+                best_n, best = n, cand
+        while best:
+            low = best & -best
+            best ^= low
+            i = low.bit_length() - 1
             chosen.append(i)
-            rec(covered | masks[i], chosen)
+            rec(covered | masks[i], live & ~clash[i], chosen)
             chosen.pop()
 
     status = COMPLETE
     try:
-        rec(0, [])
+        rec(0, (1 << system.b) - 1, [])
     except _BudgetStop:
         status = INCONCLUSIVE
     found.sort()
@@ -378,24 +388,27 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
     used = [0] * (b + 1)  # classes open before triple i
     i = 0
     next_class = [0] * b  # next class index to try for triple i
+    tick = meter.tick
     while True:
-        meter.tick()
+        tick()
         if i == b:
             return list(assign)
         m = masks[i]
-        placed = False
-        for c in range(next_class[i], min(used[i] + 1, k)):
+        u = used[i]
+        top = u + 1
+        if top > k:
+            top = k
+        for c in range(next_class[i], top):
             if class_masks[c] & m == 0:
                 class_masks[c] |= m
                 assign[i] = c
                 next_class[i] = c + 1
-                used[i + 1] = max(used[i], c + 1)
+                used[i + 1] = c + 1 if c == u else u
                 i += 1
                 if i < b:
                     next_class[i] = 0
-                placed = True
                 break
-        if not placed:
+        else:
             next_class[i] = 0
             i -= 1
             if i < 0:
@@ -462,14 +475,22 @@ def chromatic_index_heuristic(system: TripleSystem,
     Each restart seeds the classes greedily in a random triple order and then
     runs a min-conflicts repair walk: pick a conflicted triple, move it to
     the class where it clashes least (random tie-break, occasional random
-    kick).  Returns a verified colouring on success, None on failure; failure
-    proves nothing."""
+    kick).  The ascending list of conflicted triples is kept incrementally:
+    a move refreshes only the moved triple and its neighbours in the two
+    classes involved, so the list (and with it every random draw of the
+    walk) is the one a full rescan would give.  Returns a verified colouring
+    on success, None on failure; failure proves nothing."""
     v = system.v
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
     b = system.b
     triples = system.triples
     iterations = max(4000, 250 * b)
+    on_point: list[list[int]] = [[] for _ in range(v)]
+    for i, t in enumerate(triples):
+        for p in t:
+            on_point[p].append(i)
+    neighbours = [{j for p in t for j in on_point[p]} - {i} for i, t in enumerate(triples)]
 
     for r in range(restarts):
         rng = substream(seed, "chi-heur", r)
@@ -477,21 +498,33 @@ def chromatic_index_heuristic(system: TripleSystem,
         rng.shuffle(order)
 
         assign = [-1] * b
-        counts = [[0] * v for _ in range(target)]  # per-class point usage
+        load = [[0] * target for _ in range(v)]  # per-point class usage
         for i in order:
-            free = [c for c in range(target)
-                    if not any(counts[c][p] for p in triples[i])]
+            la, lb, lc = (load[p] for p in triples[i])
+            free = [c for c in range(target) if not (la[c] or lb[c] or lc[c])]
             c = rng.choice(free) if free else rng.randrange(target)
             assign[i] = c
-            for p in triples[i]:
-                counts[c][p] += 1
+            la[c] += 1
+            lb[c] += 1
+            lc[c] += 1
 
         def clash(i: int, c: int) -> int:
             a, b2, c2 = triples[i]
-            return counts[c][a] + counts[c][b2] + counts[c][c2]
+            return load[a][c] + load[b2][c] + load[c2][c]
+
+        is_conflicted = [clash(i, assign[i]) > 3 for i in range(b)]
+        conflicted = [i for i in range(b) if is_conflicted[i]]
+
+        def refresh(j: int) -> None:
+            now = clash(j, assign[j]) > 3
+            if now != is_conflicted[j]:
+                is_conflicted[j] = now
+                if now:
+                    insort(conflicted, j)
+                else:
+                    del conflicted[bisect_left(conflicted, j)]
 
         for _ in range(iterations):
-            conflicted = [i for i in range(b) if clash(i, assign[i]) > 3]
             if not conflicted:
                 groups: list[list[int]] = [[] for _ in range(target)]
                 for i, c in enumerate(assign):
@@ -504,17 +537,25 @@ def chromatic_index_heuristic(system: TripleSystem,
                 return colouring
             i = rng.choice(conflicted)
             old = assign[i]
-            for p in triples[i]:
-                counts[old][p] -= 1
+            la, lb, lc = (load[p] for p in triples[i])
+            la[old] -= 1
+            lb[old] -= 1
+            lc[old] -= 1
             if rng.random() < 0.08:
                 new = rng.randrange(target)
             else:
-                scores = [clash(i, c) for c in range(target)]
+                scores = [x + y + z for x, y, z in zip(la, lb, lc)]
                 best = min(scores)
                 new = rng.choice([c for c, sc in enumerate(scores) if sc == best])
             assign[i] = new
-            for p in triples[i]:
-                counts[new][p] += 1
+            la[new] += 1
+            lb[new] += 1
+            lc[new] += 1
+            if new != old:
+                refresh(i)
+                for j in neighbours[i]:
+                    if assign[j] == old or assign[j] == new:
+                        refresh(j)
     return None
 
 

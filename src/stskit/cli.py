@@ -261,6 +261,10 @@ def _cmd_analyze_chi(args) -> int:
     if args.heuristic:
         if args.target is None:
             raise ValueError("--heuristic requires --target")
+        if args.witness_colouring is not None:
+            raise ValueError("--witness-colouring applies to --exact only")
+        if args.mod3_lower:
+            raise ValueError("--mod3-lower applies to --exact only")
         colouring = chromatic_index_heuristic(system, args.target, seed=args.seed,
                                               restarts=args.restarts)
         ok = colouring is not None
@@ -274,6 +278,8 @@ def _cmd_analyze_chi(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_FAIL
 
+    if args.target is not None:
+        raise ValueError("--target applies to --heuristic only")
     witness = None
     if args.witness_colouring is not None:
         witness = parse_colouring(_read_text(args.witness_colouring), system)
@@ -447,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = q.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    q.add_argument("--target", type=int, default=None)
+    q.add_argument("--target", type=int, default=None,
+                   help="number of classes to reach (heuristic mode)")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--restarts", type=int, default=12)
     q.add_argument("--witness-colouring", default=None,

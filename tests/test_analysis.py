@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from stskit import (
     pc_bound_mod3,
     pc_bound_mod3_auto,
     pc_bound_ws,
+    random_sts,
     sts33_fixture,
     theorem1_pipeline,
     verify_colouring,
@@ -60,8 +62,6 @@ def _naive_parallel_classes(system):
 
 
 def test_enumeration_matches_naive_oracle(sts9_grid):
-    from stskit import random_sts
-
     systems = [sts9_grid, wilson_schreiber(13).system, bose_half_sum(5).system,
                random_sts(15, seed=6), random_sts(9, seed=2)]
     for system in systems:
@@ -297,3 +297,41 @@ def test_pipeline_rejects_bad_order():
     for v in (14, 13, 0):
         with pytest.raises(ValueError):
             theorem1_pipeline(v)
+
+
+# ---------------------------------------------------------------------------
+# pinned search trajectories
+
+
+def test_search_results_are_pinned():
+    # One digest over what the searches return, node counts included, so
+    # that a faster search node must walk the same tree in the same order
+    # and a faster repair move must draw the same random numbers.
+    digest = hashlib.sha256()
+
+    def add(*record) -> None:
+        digest.update(repr(record).encode())
+
+    for v, seed, budget in ((15, 1, None), (15, 2, None), (21, 1, None), (21, 2, None),
+                            (21, 3, SearchBudget(max_nodes=500)),
+                            (21, 3, SearchBudget(max_classes=10))):
+        enum = enumerate_parallel_classes(random_sts(v, seed=seed), budget or SearchBudget())
+        add(enum.nodes, enum.status, [c.indices for c in enum.classes])
+    ws13 = wilson_schreiber(13).system
+    # Enumeration takes 82 nodes and packing 5 more: 50 stops the
+    # enumeration, 84 stops the packing.
+    for max_nodes in (50, 84, 1000):
+        result = max_disjoint_pcs(ws13, SearchBudget(max_nodes=max_nodes))
+        add(result.nodes, result.status, result.size)
+    for v, target, seed, restarts in ((9, 4, 1, 1), (13, 7, 1, 1), (13, 8, 2, 2),
+                                      (15, 8, 2, 1), (15, 9, 1, 3), (19, 11, 2, 3)):
+        colouring = chromatic_index_heuristic(random_sts(v, seed=seed), target,
+                                              seed=seed, restarts=restarts)
+        add(None if colouring is None else [c.indices for c in colouring.classes])
+    for system, budget in ((random_sts(13, seed=1), SearchBudget()),
+                           (random_sts(15, seed=1), SearchBudget(max_nodes=5000))):
+        result = chromatic_index_exact(system, budget)
+        add(result.nodes, result.status, result.lower, result.upper,
+            [c.indices for c in result.colouring.classes])
+    assert digest.hexdigest() == (
+        "d42054b38a9073c33da7c3f9ee93f75ebd68579e0979aa4067b07b2c4600414e")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stskit import format_sts
+from stskit import format_sts, random_sts
 from stskit.cli import main
 
 
@@ -178,6 +178,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["numtheory", "--json", "profile", "--n", "49"])  # --json is a leaf flag
     assert exc.value.code == 2
+    # Mode-specific flags of 'analyze chi' are refused in the other mode.
+    path = tmp_path / "s9.sts"
+    path.write_text(format_sts(random_sts(9, seed=1)))
+    chi = ("analyze", "chi", "--in", str(path))
+    for extra in (("--heuristic", "--target", "5", "--witness-colouring", str(path)),
+                  ("--heuristic", "--target", "5", "--mod3-lower"),
+                  ("--exact", "--target", "5")):
+        code, _, err = run(capsys, *chi, *extra)
+        assert code == 2 and "only" in err, extra
 
 
 def test_bare_invocation_prints_help(capsys):

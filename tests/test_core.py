@@ -308,3 +308,82 @@ def test_parse_colouring_raises_only_value_error(text):
     except ValueError:
         return
     assert parse_colouring(format_colouring(colouring), _FANO) == colouring
+
+
+# ---------------------------------------------------------------------------
+# verifier properties: perturbed systems and colourings against quadratic
+# oracles
+
+
+def _sts_oracle(v, triples):
+    if any(len(set(t)) != 3 for t in triples):
+        return False
+    return all(sum(1 for t in triples if x in t and y in t) == 1
+               for x, y in combinations(range(v), 2))
+
+
+def _colouring_oracle(triples, groups):
+    if any(not g for g in groups):
+        return False
+    if any(sum(1 for g in groups if i in g) != 1 for i in range(len(triples))):
+        return False
+    return all(not set(triples[i]) & set(triples[j])
+               for g in groups for i, j in combinations(g, 2))
+
+
+_orders = st.sampled_from([7, 9, 13, 15])
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=_orders, seed=_seeds, data=st.data())
+def test_verify_sts_matches_oracle_on_perturbed_systems(v, seed, data):
+    triples = [list(t) for t in random_sts(v, seed).triples]
+    kind = data.draw(st.sampled_from(["none", "swap-point", "drop", "add", "duplicate"]))
+    i = data.draw(st.integers(0, len(triples) - 1))
+    if kind == "swap-point":
+        k = data.draw(st.integers(0, 2))
+        triples[i][k] = data.draw(st.sampled_from([p for p in range(v) if p != triples[i][k]]))
+    elif kind == "drop":
+        del triples[i]
+    elif kind == "add":
+        triples.append(data.draw(st.lists(st.integers(0, v - 1), min_size=3, max_size=3)))
+    elif kind == "duplicate":
+        triples.append(list(reversed(triples[i])))
+    canon = sorted(tuple(sorted(t)) for t in triples)
+    if len(set(canon)) < len(canon):
+        with pytest.raises(ValueError, match="duplicate"):
+            TripleSystem.from_triples(v, triples)
+        return
+    system = TripleSystem.from_triples(v, triples)
+    assert verify_sts(system).ok == _sts_oracle(v, system.triples) == (kind == "none")
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=_orders, seed=_seeds, heuristic=st.booleans(), data=st.data())
+def test_verify_colouring_matches_oracle_on_perturbed_colourings(v, seed, heuristic, data):
+    from stskit import chromatic_index_heuristic
+    from stskit.analysis import _greedy_colouring
+
+    system = random_sts(v, seed)
+    groups = [set(g) for g in _greedy_colouring(system)]
+    if heuristic:
+        found = chromatic_index_heuristic(system, len(groups), seed=seed, restarts=1)
+        if found is not None:
+            groups = [set(c.indices) for c in found.classes]
+    kind = data.draw(st.sampled_from(["none", "move", "drop", "duplicate", "empty"]))
+    i = data.draw(st.integers(0, system.b - 1))
+    home = next(g for g in groups if i in g)
+    other = data.draw(st.sampled_from(groups))
+    if kind == "move":
+        home.discard(i)
+        other.add(i)
+    elif kind == "drop":
+        home.discard(i)
+    elif kind == "duplicate":
+        other.add(i)
+    elif kind == "empty":
+        groups.append(set())
+    colouring = Colouring(system, tuple(PartialParallelClass(tuple(sorted(g)))
+                                        for g in groups))
+    assert verify_colouring(system, colouring).ok == _colouring_oracle(system.triples, groups)
