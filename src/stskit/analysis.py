@@ -121,6 +121,7 @@ def enumerate_parallel_classes(system: TripleSystem,
             on_point[p] |= 1 << i
     clash = [on_point[a] | on_point[b] | on_point[c] for a, b, c in system.triples]
     full = (1 << v) - 1
+    above = system.b + 1  # more candidates than any point has: the first point is taken
     meter = _Meter(budget)
     tick = meter.tick
     found: list[tuple[int, ...]] = []
@@ -132,7 +133,7 @@ def enumerate_parallel_classes(system: TripleSystem,
             if budget.max_classes is not None and len(found) >= budget.max_classes:
                 raise _BudgetStop
             return
-        best_n = v
+        best_n = above
         best = 0
         for p in range(v):
             if covered >> p & 1:

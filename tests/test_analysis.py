@@ -62,8 +62,11 @@ def _naive_parallel_classes(system):
 
 
 def test_enumeration_matches_naive_oracle(sts9_grid):
+    # All 84 triples on 9 points is no Steiner system: each point lies in 28
+    # triples, more than v, and the search must still branch on one of them.
+    k9 = TripleSystem.from_triples(9, list(combinations(range(9), 3)))
     systems = [sts9_grid, wilson_schreiber(13).system, bose_half_sum(5).system,
-               random_sts(15, seed=6), random_sts(9, seed=2)]
+               random_sts(15, seed=6), random_sts(9, seed=2), k9]
     for system in systems:
         enum = enumerate_parallel_classes(system)
         assert [c.indices for c in enum.classes] == sorted(_naive_parallel_classes(system))
@@ -323,6 +326,12 @@ def test_search_results_are_pinned():
     for max_nodes in (50, 84, 1000):
         result = max_disjoint_pcs(ws13, SearchBudget(max_nodes=max_nodes))
         add(result.nodes, result.status, result.size)
+    # A dense non-Steiner system: every point lies in 28 triples.
+    k9 = TripleSystem.from_triples(9, list(combinations(range(9), 3)))
+    enum = enumerate_parallel_classes(k9)
+    add(enum.nodes, enum.status, [c.indices for c in enum.classes])
+    result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
+    add(result.nodes, result.status, result.size)
     for v, target, seed, restarts in ((9, 4, 1, 1), (13, 7, 1, 1), (13, 8, 2, 2),
                                       (15, 8, 2, 1), (15, 9, 1, 3), (19, 11, 2, 3)):
         colouring = chromatic_index_heuristic(random_sts(v, seed=seed), target,
@@ -334,4 +343,4 @@ def test_search_results_are_pinned():
         add(result.nodes, result.status, result.lower, result.upper,
             [c.indices for c in result.colouring.classes])
     assert digest.hexdigest() == (
-        "d42054b38a9073c33da7c3f9ee93f75ebd68579e0979aa4067b07b2c4600414e")
+        "df6c99dfcb670bf0f5c199e9911d7f7b2b8388e905fa5651fd123eda6c43bd9b")
