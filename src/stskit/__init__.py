@@ -46,8 +46,6 @@ from .core import (
 )
 from .factorisation import (
     OneFactorisation,
-    WeightedGraph,
-    build_G,
     factorise_G,
     factorise_component,
     verify_factorisation_properties,
@@ -55,7 +53,6 @@ from .factorisation import (
 from .generator import GenerationError, colouring_survey, random_sts
 from .numtheory import (
     NumberProfile,
-    f_growth_table,
     f_of,
     g_of,
     negative_psi_scan,

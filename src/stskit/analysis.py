@@ -306,14 +306,18 @@ def pc_bound_mod3_auto(system: TripleSystem) -> PCBoundCertificate:
     raise ValueError(f"no admissible mod-3 weighting found: {last_error}")
 
 
-def pc_bound_ws(n: int, fact: OneFactorisation) -> PCBoundCertificate:
-    """Upper bound 3 f(n) + 1 for the order-(n+2) system built on ``fact``.
+def pc_bound_ws(fact: OneFactorisation) -> PCBoundCertificate:
+    """Upper bound 3 f(n) + 1 for the order-(n+2) system built on ``fact``,
+    a 1-factorisation of G(n) with n = ``fact.n``.
 
     Any parallel class either (i) contains the all-infinity triple, or (ii)
     contains an infinity triple over a nonzero-weight factor-0 edge, or (iii)
     pairs two zero-weight edges from factors 1 and 2; the factorisation
     properties cap those cases at 1, 2f(n) and f(n) classes respectively.
-    Refuses to certify unless the properties verify against f(n)."""
+    The order comes from the factorisation, so the certificate cannot name
+    an order its factorisation was not built for.  Refuses to certify unless
+    the properties verify against f(n)."""
+    n = fact.n
     f = f_of(n)
     report = verify_factorisation_properties(fact, f)
     if not report.ok:
@@ -625,7 +629,7 @@ def theorem1_pipeline(v: int) -> PipelineReport:
                     f"parallel classes, chromatic index {chi.value}",
         )
     n = v - 2
-    cert = pc_bound_ws(n, factorise_G(n))
+    cert = pc_bound_ws(factorise_G(n))
     threshold = min_pc_for_low_chi(v)
     if cert.bound >= threshold:
         return PipelineReport(

@@ -59,8 +59,15 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+def _passed(args: argparse.Namespace, *dests: str) -> dict:
+    """The options among ``dests`` given on the command line.  Their parser
+    default is ``argparse.SUPPRESS``, so an option left out sets nothing."""
+    return {d: getattr(args, d) for d in dests if hasattr(args, d)}
+
+
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+    return SearchBudget(max_nodes=getattr(args, "budget_nodes", DEFAULT_BUDGET.max_nodes),
+                        max_seconds=getattr(args, "budget_seconds", DEFAULT_BUDGET.max_seconds))
 
 
 def _read_text(path: str) -> str:
@@ -133,13 +140,13 @@ def _cmd_factorise(args) -> int:
     report = verify_factorisation_properties(fact, f_of(args.n))
     text = format_factorisation(fact)
     _write(args.out, text)
+    edges = sum(len(f) for f in fact.factors)
     payload = {
-        "command": "factorise", "n": args.n,
-        "edges": len(fact.graph.edges),
+        "command": "factorise", "n": args.n, "edges": edges,
         "factor_sizes": [len(f) for f in fact.factors],
         "verified": report.ok, "out": args.out,
     }
-    lines = [f"G({args.n}): {len(fact.graph.edges)} edges in 3 factors of "
+    lines = [f"G({args.n}): {edges} edges in 3 factors of "
              f"{len(fact.factors[0])}, verify "
              f"{'ok' if report.ok else 'FAILED: ' + str(report.first_violation)}"]
     if args.out:
@@ -256,17 +263,23 @@ def _cmd_analyze_pcs(args) -> int:
     return EXIT_OK if status == COMPLETE else EXIT_INCONCLUSIVE
 
 
+# The options of 'analyze chi' that only one mode reads (argparse dests).
+_CHI_MODE_ONLY = {
+    "heuristic": ("target", "seed", "restarts"),
+    "exact": ("witness_colouring", "mod3_lower", "budget_nodes", "budget_seconds"),
+}
+
+
 def _cmd_analyze_chi(args) -> int:
     system = _read_system(args.infile)
+    mode, other = ("heuristic", "exact") if args.heuristic else ("exact", "heuristic")
+    for dest in _passed(args, *_CHI_MODE_ONLY[other]):
+        raise ValueError(f"--{dest.replace('_', '-')} applies to --{other} only")
+    opts = _passed(args, *_CHI_MODE_ONLY[mode])
     if args.heuristic:
-        if args.target is None:
+        if "target" not in opts:
             raise ValueError("--heuristic requires --target")
-        if args.witness_colouring is not None:
-            raise ValueError("--witness-colouring applies to --exact only")
-        if args.mod3_lower:
-            raise ValueError("--mod3-lower applies to --exact only")
-        colouring = chromatic_index_heuristic(system, args.target, seed=args.seed,
-                                              restarts=args.restarts)
+        colouring = chromatic_index_heuristic(system, **opts)
         ok = colouring is not None
         payload = {
             "command": "analyze chi", "mode": "heuristic", "v": system.v,
@@ -278,13 +291,11 @@ def _cmd_analyze_chi(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_FAIL
 
-    if args.target is not None:
-        raise ValueError("--target applies to --heuristic only")
     witness = None
-    if args.witness_colouring is not None:
+    if "witness_colouring" in opts:
         witness = parse_colouring(_read_text(args.witness_colouring), system)
     cert = None
-    if args.mod3_lower:
+    if "mod3_lower" in opts:
         cert = pc_bound_mod3_auto(system)
     result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
                                    upper_witness=witness)
@@ -315,7 +326,7 @@ def _cmd_analyze_bound(args) -> int:
         if canonical.system != system:
             raise ValueError("input system is not the canonical construction "
                              f"of order {system.v}; the ws bound does not apply")
-        cert = pc_bound_ws(n, fact)
+        cert = pc_bound_ws(fact)
     payload = {
         "command": "analyze bound", "v": system.v, "method": cert.method,
         "bound": cert.bound,
@@ -385,9 +396,10 @@ def _cmd_survey(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes,
+    # Left out, a cap keeps its DEFAULT_BUDGET value (see _budget).
+    p.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
                    help="search node cap")
-    p.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET.max_seconds,
+    p.add_argument("--budget-seconds", type=float, default=argparse.SUPPRESS,
                    help="search time cap")
 
 
@@ -453,13 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     mode = q.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    q.add_argument("--target", type=int, default=None,
+    # Each mode-only option defaults to SUPPRESS, so that passing it to the
+    # other mode is seen and refused (see _CHI_MODE_ONLY).
+    q.add_argument("--target", type=int, default=argparse.SUPPRESS,
                    help="number of classes to reach (heuristic mode)")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--restarts", type=int, default=12)
-    q.add_argument("--witness-colouring", default=None,
+    q.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="random seed (heuristic mode)")
+    q.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                   help="number of restarts (heuristic mode)")
+    q.add_argument("--witness-colouring", default=argparse.SUPPRESS,
                    help="colouring file used as an upper-bound witness (exact mode)")
-    q.add_argument("--mod3-lower", action="store_true",
+    q.add_argument("--mod3-lower", action="store_true", default=argparse.SUPPRESS,
                    help="raise the lower bound via the mod-3 weighting certificate, "
                         "as in 'analyze bound --method mod3' (exact mode)")
     _add_budget_flags(q)

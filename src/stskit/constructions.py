@@ -4,8 +4,9 @@ symmetric Latin squares, the half-sum cyclic Latin square, and an embedded
 order-33 system with an explicit 18-class colouring.
 
 Constructed systems come back as :class:`LabelledSTS`: the canonical
-:class:`~stskit.core.TripleSystem` plus the natural point labels and the
-distinguished triple families the bound arguments need.
+:class:`~stskit.core.TripleSystem` plus the distinguished triple families
+the bound arguments need.  Each construction's docstring gives its map from
+natural point names to internal points.
 """
 
 from __future__ import annotations
@@ -108,13 +109,11 @@ def random_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
 class LabelledSTS:
     """A triple system plus its construction structure.
 
-    ``labels[p]`` is the natural name of internal point p.  ``families`` maps
-    family names (e.g. "zero-sum", "infinity", "spine") to sorted tuples of
-    triple indices; the families partition the triple list.
+    ``families`` maps family names (e.g. "zero-sum", "infinity", "spine") to
+    sorted tuples of triple indices; the families partition the triple list.
     """
 
     system: TripleSystem
-    labels: tuple[str, ...]
     tag: str
     params: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
@@ -148,8 +147,8 @@ def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledST
     """
     if fact is None:
         fact = factorise_G(n)
-    if fact.graph.n != n or fact.graph.vertices != tuple(range(1, n)):
-        raise ValueError(f"factorisation is for a different graph than G({n})")
+    if fact.n != n:
+        raise ValueError(f"factorisation is for G({fact.n}), not G({n})")
     inf = [n - 1, n, n + 1]
 
     zero_sum = []
@@ -163,10 +162,8 @@ def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledST
         infinity.extend(tuple(sorted((u - 1, v - 1, inf[i]))) for u, v in factor)
 
     system = TripleSystem.from_triples(n + 2, zero_sum + infinity)
-    labels = tuple(str(x) for x in range(1, n)) + ("inf0", "inf1", "inf2")
     return LabelledSTS(
         system=system,
-        labels=labels,
         tag="wilson-schreiber",
         params={"n": n},
         families=_family_indices(system, {"zero-sum": zero_sum, "infinity": infinity}),
@@ -210,10 +207,8 @@ def bose(l0: LatinSquare, l1: LatinSquare, l2: LatinSquare) -> LabelledSTS:
         all_triples.extend(layer)
 
     system = TripleSystem.from_triples(3 * n, all_triples)
-    labels = tuple(f"({x},{i})" for i in range(3) for x in range(n))
     return LabelledSTS(
         system=system,
-        labels=labels,
         tag="bose",
         params={"n": n},
         families=_family_indices(system, layers),
@@ -312,7 +307,6 @@ def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
     system = TripleSystem.from_triples(v, spine + developed)
     labelled = LabelledSTS(
         system=system,
-        labels=tuple(str(p) for p in range(v)),
         tag="sts33-fixture",
         params={},
         families=_family_indices(system, {"spine": spine, "developed": developed}),

@@ -7,11 +7,12 @@ All types are immutable values; every operation here is pure.
 Conventions: points are always 0..v-1, each triple is stored sorted
 ascending, and the triple list is sorted lexicographically.  Constructions
 with a natural labelling (cyclic groups, infinity points, grid coordinates)
-keep that labelling in a side structure, see :mod:`stskit.constructions`.
+state their map onto 0..v-1, see :mod:`stskit.constructions`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -87,15 +88,9 @@ class TripleSystem:
     def index_of(self, triple: Sequence[int]) -> int:
         """Index of a triple (any order of its points) in the canonical list."""
         key = tuple(sorted(triple))
-        lo, hi = 0, len(self.triples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.triples[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.triples) and self.triples[lo] == key:
-            return lo
+        i = bisect_left(self.triples, key)
+        if i < len(self.triples) and self.triples[i] == key:
+            return i
         raise KeyError(f"triple {key} not in system")
 
 

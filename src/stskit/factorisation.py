@@ -1,13 +1,18 @@
 """The cubic graph G(n) on Z_n \\ {0} and its special 1-factorisation.
 
-G(n) has an edge {x,-2x} and an edge {x,-x} for every nonzero x; the weight
-of an edge {x,y} is x+y mod n.  G(n) splits into one unit-Cayley-graph
-component per divisor d > 1 of n.  Each component is factorised from one
-walk x_i = (-2)^i mod d, x_0 = 1, that stops at the first x_s in {1, -1}:
-X = <-1,-2>_d is {+-x_i : i < s}, so |X| = 2s, and the shape of the 3-way
-perfect-matching decomposition depends on the parity of s (|X| mod 4).
-Cosets of X are translated copies.  Gluing the components gives a
-1-factorisation {G_0, G_1, G_2} of G(n) in which
+G(n) is defined by its edge rule: for nonzero u != v mod n, {u, v} is an
+edge exactly when v = -u, v = -2u or u = -2v (mod n).  The weight of an
+edge {x,y} is x+y mod n.  No graph object is built: a factorisation is its
+order n and three matchings, and :func:`verify_factorisation_properties`
+checks the matchings against the edge rule.
+
+G(n) splits into one unit-Cayley-graph component per divisor d > 1 of n.
+Each component is factorised from one walk x_i = (-2)^i mod d, x_0 = 1,
+that stops at the first x_s in {1, -1}: X = <-1,-2>_d is {+-x_i : i < s},
+so |X| = 2s, and the shape of the 3-way perfect-matching decomposition
+depends on the parity of s (|X| mod 4).  Cosets of X are translated copies.
+Gluing the components gives a 1-factorisation {G_0, G_1, G_2} of G(n) in
+which
 
 * edges of weight x and -x always land in the same factor,
 * G_0 has exactly 2 f(n) edges of nonzero weight, and
@@ -23,15 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .core import VerificationReport
 from .numtheory import divisors_gt1
 
 __all__ = [
     "OneFactorisation",
-    "WeightedGraph",
-    "build_G",
     "factorise_G",
     "factorise_component",
     "format_factorisation",
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+Factors = tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]
 
 
 def _pair(u: int, v: int) -> Edge:
@@ -46,59 +49,23 @@ def _pair(u: int, v: int) -> Edge:
 
 
 @dataclass(frozen=True)
-class WeightedGraph:
-    """A graph on a subset of Z_n \\ {0}; edge {x,y} has weight x+y mod n."""
+class OneFactorisation:
+    """Three perfect matchings of G(n); each edge is a pair (u, v), u < v."""
 
     n: int
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    def weight(self, edge: Edge) -> int:
-        return (edge[0] + edge[1]) % self.n
-
-
-@dataclass(frozen=True)
-class OneFactorisation:
-    """Three edge-disjoint perfect matchings partitioning the host's edges."""
-
-    graph: WeightedGraph
-    factors: tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]
-
-
-def _cayley_graph(n: int, vertices: Iterable[int]) -> WeightedGraph:
-    """The edges {x,-x} and {x,-2x} mod n on ``vertices`` (closed under
-    negation and halving), checked to form a cubic graph."""
-    vertices = tuple(vertices)
-    edges = set()
-    for x in vertices:
-        edges.add(_pair(x, n - x))
-        edges.add(_pair(x, (-2 * x) % n))
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(degree[x] != 3 for x in vertices) or len(edges) != 3 * len(vertices) // 2:
-        raise RuntimeError(f"the graph mod {n} is not cubic; construction bug")
-    return WeightedGraph(n=n, vertices=vertices, edges=tuple(sorted(edges)))
-
-
-def build_G(n: int) -> WeightedGraph:
-    """The graph with vertex set Z_n \\ {0} and edges {x,-2x}, {x,-x}.
-
-    Needs n = 1 mod 6 so that x, -x, -2x are always three distinct vertices;
-    the result is 3-regular with 3(n-1)/2 edges.
-    """
-    if n % 6 != 1 or n < 7:
-        raise ValueError(f"n must be 1 mod 6 and >= 7, got {n}")
-    return _cayley_graph(n, range(1, n))
+    factors: Factors
 
 
 @lru_cache(maxsize=0)  # keeps nothing; cache_info() still counts the calls
-def factorise_component(d: int) -> OneFactorisation:
-    """1-factorisation {M_0,M_1,M_2} of the unit Cayley graph mod d with the
-    weight properties described in the module docstring (f(d) there reduces
-    to: M_0 has 2*phi(d)/|X| nonzero-weight edges when |X| = 2 mod 4, none
-    when |X| = 0 mod 4, and dually for zero weights in M_1 union M_2).
+def factorise_component(d: int) -> Factors:
+    """The three factors (M_0, M_1, M_2) of a 1-factorisation of the unit
+    Cayley graph mod d (vertices the units, edges {x,-x} and {x,-2x}), with
+    the weight properties described in the module docstring (f(d) there
+    reduces to: M_0 has 2*phi(d)/|X| nonzero-weight edges when
+    |X| = 2 mod 4, none when |X| = 0 mod 4, and dually for zero weights in
+    M_1 union M_2).  No graph is built or checked here: the factors of
+    G(n) that :func:`factorise_G` assembles from them go through
+    :func:`verify_factorisation_properties`.
 
     Walk x_i = (-2)^i mod d from x_0 = 1 to the first x_s in {1, -1}; then
     X = <-1,-2>_d = {+-x_i : i < s} has 2s elements.  The component on X is
@@ -153,46 +120,51 @@ def factorise_component(d: int) -> OneFactorisation:
     if len(reps) * 2 * s != len(units):
         raise RuntimeError(f"coset count mismatch mod {d}")
 
-    factors = []
-    for hi in h:
-        edges = []
-        for a in reps:
-            edges.extend(_pair(a * u % d, a * v % d) for u, v in hi)
-        factors.append(tuple(sorted(edges)))
-
-    return OneFactorisation(graph=_cayley_graph(d, units),
-                            factors=tuple(factors))  # type: ignore[arg-type]
+    return tuple(  # type: ignore[return-value]
+        tuple(sorted(_pair(a * u % d, a * v % d) for a in reps for u, v in hi))
+        for hi in h)
 
 
 def factorise_G(n: int) -> OneFactorisation:
-    """1-factorisation of G(n) assembled from the per-divisor component
-    factorisations via x -> (n/d) x, which maps units mod d onto the elements
-    of additive order d.  The result is unchecked here:
-    :func:`verify_factorisation_properties` is the one check, and callers
-    that rely on the properties run it."""
-    graph = build_G(n)
+    """1-factorisation of G(n), n = 1 mod 6 and n >= 7, assembled from the
+    per-divisor component factorisations via x -> (n/d) x, which maps units
+    mod d onto the elements of additive order d.  The result is unchecked
+    here: :func:`verify_factorisation_properties` is the one check, and
+    callers that rely on the properties run it."""
+    if n % 6 != 1 or n < 7:
+        raise ValueError(f"n must be 1 mod 6 and >= 7, got {n}")
     factors: list[list[Edge]] = [[], [], []]
     for d in divisors_gt1(n):
-        comp = factorise_component(d)
-        mult = n // d
-        for i, factor in enumerate(comp.factors):
-            factors[i].extend(_pair(mult * u % n, mult * v % n) for u, v in factor)
+        mult = n // d  # 0 < u < v < d, so 0 < mult*u < mult*v < n
+        for i, factor in enumerate(factorise_component(d)):
+            factors[i].extend((mult * u, mult * v) for u, v in factor)
     return OneFactorisation(
-        graph=graph,
-        factors=tuple(tuple(sorted(f)) for f in factors),  # type: ignore[arg-type]
-    )
+        n=n, factors=tuple(tuple(sorted(f)) for f in factors))  # type: ignore[arg-type]
 
 
 def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> VerificationReport:
     """Re-check, from scratch, everything the parallel-class bound needs:
 
-    1. the three factors are perfect matchings partitioning the host's edges;
-    2. for every x != 0, all edges with weight in {x, -x} lie in one factor;
-    3. factor 0 has exactly ``2 * f_n`` nonzero-weight edges and factors 1, 2
+    1. there are three factors, each a perfect matching of 1..n-1;
+    2. every factor edge {u, v} is an edge of G(n): v = -u, v = -2u or
+       u = -2v (mod n);
+    3. no edge lies in two factors;
+    4. for every x != 0, all edges with weight in {x, -x} lie in one factor;
+    5. factor 0 has exactly ``2 * f_n`` nonzero-weight edges and factors 1, 2
        together have exactly ``2 * f_n`` zero-weight edges.
+
+    n must be 1 mod 6 and at least 7; any other n is a violation.
+
+    Checks 1-3 say the factors are a 1-factorisation of G(n) without a
+    stored edge set or a cubic check: for odd n every vertex x of G(n) has
+    at most three neighbours, -x, -2x and -x/2.  Three edge-disjoint perfect
+    matchings inside G(n) give every vertex three distinct neighbours, so
+    together they are all of G(n).
     """
-    graph = fact.graph
-    n = graph.n
+    n = fact.n
+    if n % 6 != 1 or n < 7:
+        return VerificationReport(ok=False, violation_count=1,
+                                  first_violation=f"n must be 1 mod 6 and >= 7, got {n}")
     first: str | None = None
     count = 0
 
@@ -202,37 +174,39 @@ def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> Verific
         if first is None:
             first = msg
 
-    union: set[Edge] = set()
-    total = 0
+    if len(fact.factors) != 3:
+        hit(f"{len(fact.factors)} factors, expected 3")
+    owner: dict[Edge, int] = {}
+    weight_class_factor: dict[int, tuple[int, Edge]] = {}
+    nonzero_in_0 = zero_in_12 = 0
     for i, factor in enumerate(fact.factors):
         touched: set[int] = set()
-        for u, v in factor:
-            if u in touched or v in touched:
-                hit(f"factor {i} is not a matching at edge {(u, v)}")
-            touched.update((u, v))
-        if touched != set(graph.vertices):
-            hit(f"factor {i} does not cover every vertex")
-        union.update(factor)
-        total += len(factor)
-    if union != set(graph.edges) or total != len(graph.edges):
-        hit("factors do not partition the edge set")
-
-    weight_class_factor: dict[int, tuple[int, Edge]] = {}
-    for i, factor in enumerate(fact.factors):
         for edge in factor:
-            w = graph.weight(edge)
+            u, v = edge
+            if u in touched or v in touched:
+                hit(f"factor {i} is not a matching at edge {edge}")
+            touched.update(edge)
+            if not (0 < u < n and 0 < v < n
+                    and ((u + v) % n == 0 or (2 * u + v) % n == 0 or (u + 2 * v) % n == 0)):
+                hit(f"edge {edge} of factor {i} is not an edge of G({n})")
+            j = owner.setdefault(_pair(u, v), i)
+            if j != i:
+                hit(f"edge {edge} is in factors {j} and {i}")
+            w = (u + v) % n
             if w == 0:
+                if i:
+                    zero_in_12 += 1
                 continue
+            if i == 0:
+                nonzero_in_0 += 1
             key = min(w, n - w)
-            prev = weight_class_factor.get(key)
-            if prev is None:
-                weight_class_factor[key] = (i, edge)
-            elif prev[0] != i:
+            prev = weight_class_factor.setdefault(key, (i, edge))
+            if prev[0] != i:
                 hit(f"edges {prev[1]} and {edge} have opposite weights "
                     f"but sit in factors {prev[0]} and {i}")
+        if len(touched) != n - 1:
+            hit(f"factor {i} does not cover every vertex")
 
-    nonzero_in_0 = sum(1 for e in fact.factors[0] if graph.weight(e) != 0)
-    zero_in_12 = sum(1 for i in (1, 2) for e in fact.factors[i] if graph.weight(e) == 0)
     if nonzero_in_0 != 2 * f_n:
         hit(f"factor 0 has {nonzero_in_0} nonzero-weight edges, expected {2 * f_n}")
     if zero_in_12 != 2 * f_n:
@@ -246,5 +220,5 @@ def format_factorisation(fact: OneFactorisation) -> str:
     lines = []
     for i, factor in enumerate(fact.factors):
         lines.append(f"FACTOR {i}")
-        lines.extend(f"{u} {v} {fact.graph.weight((u, v))}" for u, v in factor)
+        lines.extend(f"{u} {v} {(u + v) % fact.n}" for u, v in factor)
     return "\n".join(lines) + "\n"

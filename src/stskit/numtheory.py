@@ -2,8 +2,7 @@
 the divisor-sum functions g, f, psi, psi* that control how many disjoint
 parallel classes the triple-system constructions can have.
 
-Everything is exact integer arithmetic; the only float in the module is the
-ratio column of :func:`f_growth_table`.
+Everything is exact integer arithmetic.
 
 Two routes compute the order of the subgroup of units generated by -1 and -2:
 
@@ -34,7 +33,6 @@ __all__ = [
     "ScanRow",
     "divisors_gt1",
     "euler_phi",
-    "f_growth_table",
     "f_of",
     "g_of",
     "negative_psi_scan",
@@ -289,14 +287,3 @@ def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
     """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
     return [(row.n, row.psi) for row in scan_profiles(limit) if row.psi < 0]
 
-
-def f_growth_table(limit: int, step: int = 1) -> list[tuple[int, int, float]]:
-    """Every ``step``-th scanned n with its f(n) and the ratio f(n)/n.
-
-    A sampling aid for eyeballing how slowly f grows; makes no asymptotic
-    claim.
-    """
-    if not (limit >= step >= 1):
-        raise ValueError(f"need limit >= step >= 1, got limit={limit} step={step}")
-    rows = scan_profiles(limit)
-    return [(row.n, row.f, row.f / row.n) for i, row in enumerate(rows) if i % step == 0]

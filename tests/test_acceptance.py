@@ -214,7 +214,7 @@ def test_c11c_certificate_dominates_search():
     t0 = time.perf_counter()
     for n in (7, 13, 19, 25):
         system = wilson_schreiber(n).system
-        cert = pc_bound_ws(n, factorise_G(n))
+        cert = pc_bound_ws(factorise_G(n))
         result = max_disjoint_pcs(system, SearchBudget(max_seconds=600))
         assert result.status == COMPLETE and result.size <= cert.bound
     labelled = bose_half_sum(5)

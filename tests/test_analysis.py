@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,6 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.analysis import COMPLETE, INCONCLUSIVE
-from stskit.factorisation import OneFactorisation
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +158,36 @@ def test_mod3_bound_rejects_bad_weightings(sts9_grid):
 
 @pytest.mark.parametrize("n,expected", [(13, 1), (7, 4), (127, 28)])
 def test_ws_bound(n, expected):
-    cert = pc_bound_ws(n, factorise_G(n))
+    cert = pc_bound_ws(factorise_G(n))
     assert cert.bound == expected == 3 * f_of(n) + 1
+    assert cert.witness["n"] == n
+
+
+def test_ws_bound_reads_order_from_factorisation():
+    # The order is the factorisation's own; G(7)'s matchings relabelled as
+    # G(19)'s are refused by the verifier.
+    fact = factorise_G(7)
+    with pytest.raises(ValueError, match="weight properties"):
+        pc_bound_ws(replace(fact, n=19))
 
 
 def test_ws_bound_refuses_unverified_factorisation():
     fact = factorise_G(7)
     e1, e2 = fact.factors[1][0], fact.factors[2][0]
-    tampered = OneFactorisation(
-        graph=fact.graph,
+    tampered = replace(
+        fact,
         factors=(fact.factors[0],
                  tuple(sorted(set(fact.factors[1]) - {e1} | {e2})),
                  tuple(sorted(set(fact.factors[2]) - {e2} | {e1}))))
     with pytest.raises(ValueError, match="weight properties"):
-        pc_bound_ws(7, tampered)
+        pc_bound_ws(tampered)
 
 
 def test_chi_lower_from_certificate():
     labelled, _ = sts33_fixture()
     cert = pc_bound_mod3_auto(labelled.system)
     assert chi_lower_from_certificate(33, cert) == 18  # bound 5 < 6
-    cert21 = pc_bound_ws(19, factorise_G(19))
+    cert21 = pc_bound_ws(factorise_G(19))
     assert chi_lower_from_certificate(21, cert21) == 10  # bound 4 = (21+3)/6: no gain
 
 

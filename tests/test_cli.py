@@ -184,7 +184,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     chi = ("analyze", "chi", "--in", str(path))
     for extra in (("--heuristic", "--target", "5", "--witness-colouring", str(path)),
                   ("--heuristic", "--target", "5", "--mod3-lower"),
-                  ("--exact", "--target", "5")):
+                  ("--exact", "--target", "5"),
+                  ("--heuristic", "--target", "5", "--budget-nodes", "1"),
+                  ("--heuristic", "--target", "5", "--budget-seconds", "0"),
+                  ("--exact", "--seed", "5"),
+                  ("--exact", "--restarts", "1")):
         code, _, err = run(capsys, *chi, *extra)
         assert code == 2 and "only" in err, extra
 

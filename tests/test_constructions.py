@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from stskit import (
     LatinSquare,
-    OneFactorisation,
     bose,
     bose_half_sum,
     conjugate_square,
@@ -106,8 +106,7 @@ def test_ws_rejects_tampered_factorisation():
     # and the duplicate/missing pairs break the construction.
     e1, e2 = fact.factors[0][0], fact.factors[0][1]
     bad0 = (tuple(sorted((e1[0], e2[1]))), tuple(sorted((e2[0], e1[1])))) + fact.factors[0][2:]
-    tampered = OneFactorisation(graph=fact.graph,
-                                factors=(tuple(sorted(bad0)),) + fact.factors[1:])
+    tampered = replace(fact, factors=(tuple(sorted(bad0)),) + fact.factors[1:])
     try:
         labelled = wilson_schreiber(7, tampered)
     except ValueError:

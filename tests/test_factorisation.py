@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
 from stskit import (
-    OneFactorisation,
-    build_G,
     f_of,
     factorise_G,
     factorise_component,
@@ -18,27 +17,17 @@ from stskit.factorisation import format_factorisation
 from stskit.numtheory import divisors_gt1, euler_phi
 
 
-# ---------------------------------------------------------------------------
-# the graph G(n)
+def _units(d: int) -> set[int]:
+    return {x for x in range(1, d) if math.gcd(x, d) == 1}
 
 
-def test_build_G7():
-    g = build_G(7)
-    assert len(g.vertices) == 6 and len(g.edges) == 9
-    neighbours = sorted(v for e in g.edges if 1 in e for v in e if v != 1)
-    assert neighbours == [3, 5, 6]  # -x, -2x, and the x with -2x = 1
-    assert g.weight((1, 6)) == 0
-
-
-def test_build_G13_sizes():
-    g = build_G(13)
-    assert len(g.vertices) == 12 and len(g.edges) == 18
-
-
-def test_build_G_rejects_other_residues():
-    for n in (5, 9, 11, 12, 15):
-        with pytest.raises(ValueError):
-            build_G(n)
+def _cayley_edges(n: int, vertices) -> set[tuple[int, int]]:
+    """The edges {x,-x} and {x,-2x} mod n at ``vertices``, from the definition."""
+    edges = set()
+    for x in vertices:
+        edges.add(tuple(sorted((x, n - x))))
+        edges.add(tuple(sorted((x, (-2 * x) % n))))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -46,35 +35,34 @@ def test_build_G_rejects_other_residues():
 
 
 def test_component_d5_matching_factor():
-    fact = factorise_component(5)
-    assert set(fact.factors[0]) == {(1, 4), (2, 3)}
+    factors = factorise_component(5)
+    assert set(factors[0]) == {(1, 4), (2, 3)}
 
 
-def _weight_counts(fact: OneFactorisation):
-    n = fact.graph.n
-    nz0 = sum(1 for e in fact.factors[0] if (e[0] + e[1]) % n != 0)
-    z12 = sum(1 for i in (1, 2) for e in fact.factors[i] if (e[0] + e[1]) % n == 0)
+def _weight_counts(factors, n: int):
+    nz0 = sum(1 for e in factors[0] if (e[0] + e[1]) % n != 0)
+    z12 = sum(1 for i in (1, 2) for e in factors[i] if (e[0] + e[1]) % n == 0)
     return nz0, z12
 
 
 def test_component_d7_counts():
     # |<-1,-2>_7| = 6, so 2*phi/|X| = 2 crossing edges each way.
-    assert _weight_counts(factorise_component(7)) == (2, 2)
+    assert _weight_counts(factorise_component(7), 7) == (2, 2)
 
 
 def test_component_d13_pure_split():
-    fact = factorise_component(13)
-    nz0, z12 = _weight_counts(fact)
+    factors = factorise_component(13)
+    nz0, z12 = _weight_counts(factors, 13)
     assert nz0 == 0 and z12 == 0
-    assert len(fact.factors[0]) == 6
+    assert len(factors[0]) == 6
 
 
 def test_component_counts_match_subgroup_formula():
     for d in (5, 7, 9, 11, 13, 17, 19, 21, 23, 25, 35, 49):
-        fact = factorise_component(d)
+        factors = factorise_component(d)
         order = subgroup_order(d, [-1, -2])
         expected = 0 if order % 4 == 0 else 2 * euler_phi(d) // order
-        assert _weight_counts(fact) == (expected, expected), d
+        assert _weight_counts(factors, d) == (expected, expected), d
 
 
 def test_component_rejects_degenerate_and_even():
@@ -86,37 +74,54 @@ def test_component_rejects_degenerate_and_even():
 
 def test_component_factors_are_perfect_matchings():
     for d in (5, 7, 9, 13, 15, 25, 33):
-        fact = factorise_component(d)
-        vertices = set(fact.graph.vertices)
-        for factor in fact.factors:
+        for factor in factorise_component(d):
             touched = [v for e in factor for v in e]
-            assert sorted(touched) == sorted(vertices)
+            assert sorted(touched) == sorted(_units(d))
             assert len(set(touched)) == len(touched)
 
 
 def test_component_bullets_for_every_small_odd_d():
-    # Partition, paired weights, and the crossing-edge counts, re-derived
-    # from scratch for every odd d in 5..301.
+    # Partition of the unit Cayley graph's edges, paired weights, and the
+    # crossing-edge counts, re-derived from scratch for every odd d in 5..301.
     for d in range(5, 302, 2):
-        fact = factorise_component(d)
+        factors = factorise_component(d)
         union = set()
-        for factor in fact.factors:
+        for factor in factors:
             union |= set(factor)
-        assert union == set(fact.graph.edges)
-        assert sum(len(f) for f in fact.factors) == len(fact.graph.edges)
+        cayley = _cayley_edges(d, _units(d))
+        assert union == cayley
+        assert sum(len(f) for f in factors) == len(cayley)
         weight_factor: dict[int, int] = {}
-        for i, factor in enumerate(fact.factors):
+        for i, factor in enumerate(factors):
             for u, v in factor:
                 w = (u + v) % d
                 if w:
                     assert weight_factor.setdefault(min(w, d - w), i) == i, (d, (u, v))
         order = subgroup_order(d, [-1, -2])
         expected = 0 if order % 4 == 0 else 2 * euler_phi(d) // order
-        assert _weight_counts(fact) == (expected, expected), d
+        assert _weight_counts(factors, d) == (expected, expected), d
 
 
 # ---------------------------------------------------------------------------
 # assembling G(n)
+
+
+def test_factorise_G7_neighbours():
+    fact = factorise_G(7)
+    assert sum(len(f) for f in fact.factors) == 9
+    neighbours = sorted(v for f in fact.factors for e in f if 1 in e for v in e if v != 1)
+    assert neighbours == [3, 5, 6]  # -x, -2x, and the x with -2x = 1
+
+
+def test_factorise_G13_sizes():
+    fact = factorise_G(13)
+    assert fact.n == 13 and [len(f) for f in fact.factors] == [6, 6, 6]
+
+
+def test_factorise_G_rejects_other_residues():
+    for n in (1, 5, 9, 11, 12, 15):
+        with pytest.raises(ValueError):
+            factorise_G(n)
 
 
 @pytest.mark.parametrize("n", [7, 13, 25, 49, 91, 127])
@@ -149,7 +154,7 @@ def test_verify_catches_swapped_zero_weight_edge():
     other = fact.factors[1][0]
     f0 = tuple(sorted(set(fact.factors[0]) - {zero} | {other}))
     f1 = tuple(sorted(set(fact.factors[1]) - {other} | {zero}))
-    tampered = OneFactorisation(graph=fact.graph, factors=(f0, f1, fact.factors[2]))
+    tampered = replace(fact, factors=(f0, f1, fact.factors[2]))
     report = verify_factorisation_properties(tampered, f_of(7))
     assert not report.ok
     assert report.violation_count > 0
@@ -161,25 +166,69 @@ def test_verify_catches_wrong_f():
     assert "expected 2" in report.first_violation
 
 
+def test_verify_catches_edge_outside_G():
+    # Re-pair factor 0 of G(7), ((1,3), (2,5), (4,6)), into ((1,2), (3,5),
+    # (4,6)): still a perfect matching, but {1,2} and {3,5} are not edges.
+    fact = factorise_G(7)
+    assert fact.factors[0] == ((1, 3), (2, 5), (4, 6))
+    tampered = replace(fact, factors=(((1, 2), (3, 5), (4, 6)),) + fact.factors[1:])
+    report = verify_factorisation_properties(tampered, f_of(7))
+    assert not report.ok
+    assert report.first_violation == "edge (1, 2) of factor 0 is not an edge of G(7)"
+
+
+def test_verify_catches_edge_in_two_factors():
+    # Factor 2 replaced by a copy of factor 1: three perfect matchings inside
+    # G(7), but not edge-disjoint.
+    fact = factorise_G(7)
+    tampered = replace(fact, factors=fact.factors[:2] + (fact.factors[1],))
+    report = verify_factorisation_properties(tampered, f_of(7))
+    assert not report.ok
+    assert "is in factors 1 and 2" in report.first_violation
+
+
+def test_verify_catches_missing_factor():
+    # Two edge-disjoint perfect matchings inside G(7) are not all of it.
+    fact = factorise_G(7)
+    report = verify_factorisation_properties(replace(fact, factors=fact.factors[:2]), f_of(7))
+    assert not report.ok
+    assert report.first_violation == "2 factors, expected 3"
+
+
+def test_verify_catches_non_matching():
+    fact = factorise_G(7)
+    tampered = replace(fact, factors=(((1, 3), (1, 6), (2, 5)),) + fact.factors[1:])
+    report = verify_factorisation_properties(tampered, f_of(7))
+    assert not report.ok
+    assert "factor 0 is not a matching" in report.first_violation
+
+
+def test_verify_catches_order_not_1_mod_6():
+    fact = factorise_G(7)
+    for n in (1, 5, 9):
+        report = verify_factorisation_properties(replace(fact, n=n), f_of(7))
+        assert not report.ok
+        assert "1 mod 6" in report.first_violation
+    # A valid order the matchings were not built for fails the edge rule.
+    report = verify_factorisation_properties(replace(fact, n=13), f_of(13))
+    assert not report.ok
+
+
 def test_component_decomposition_under_scaling():
     # Restricting G(n) to the elements of additive order d and dividing by
     # n/d must reproduce the unit Cayley graph mod d, edge for edge.
     for n in range(7, 201, 6):
-        g = build_G(n)
+        g_edges = _cayley_edges(n, range(1, n))
+        assert len(g_edges) == 3 * (n - 1) // 2  # G(n) is cubic
         for d in divisors_gt1(n):
             mult = n // d
             restricted = {
                 tuple(sorted((u // mult, v // mult)))
-                for u, v in g.edges
+                for u, v in g_edges
                 if u % mult == 0 and v % mult == 0
                 and math.gcd(u // mult, d) == 1 and math.gcd(v // mult, d) == 1
             }
-            cay = set()
-            for x in range(1, d):
-                if math.gcd(x, d) == 1:
-                    cay.add(tuple(sorted((x, d - x))))
-                    cay.add(tuple(sorted((x, (-2 * x) % d))))
-            assert restricted == cay, (n, d)
+            assert restricted == _cayley_edges(d, _units(d)), (n, d)
 
 
 def test_format_factorisation():

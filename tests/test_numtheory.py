@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stskit import (
-    f_growth_table,
     f_of,
     g_of,
     negative_psi_scan,
@@ -148,22 +147,3 @@ def test_scan_rejects_tiny_limit():
     with pytest.raises(ValueError):
         scan_profiles(2)
 
-
-# ---------------------------------------------------------------------------
-# growth table
-
-
-def test_f_growth_table_rows():
-    table = {n: (f, ratio) for n, f, ratio in f_growth_table(600)}
-    assert table[7] == (1, 1 / 7)
-    assert table[13] == (0, 0.0)
-    f511 = g_of(7) + g_of(73) + g_of(511)
-    assert table[511][0] == f511 == 29
-
-
-def test_f_growth_table_step_and_validation():
-    rows = f_growth_table(100, step=3)
-    all_rows = f_growth_table(100)
-    assert rows == all_rows[::3]
-    with pytest.raises(ValueError):
-        f_growth_table(5, step=6)
