@@ -484,10 +484,13 @@ def chromatic_index_heuristic(system: TripleSystem,
     a move refreshes only the moved triple and its neighbours in the two
     classes involved, so the list (and with it every random draw of the
     walk) is the one a full rescan would give.  Returns a verified colouring
-    on success, None on failure; failure proves nothing."""
+    on success, None on failure; failure proves nothing.  A target below the
+    counting bound or fewer than one restart raises ValueError."""
     v = system.v
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     b = system.b
     triples = system.triples
     iterations = max(4000, 250 * b)

@@ -354,6 +354,8 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     written = []
     orders = []
     for idx in range(args.count):

@@ -90,6 +90,8 @@ def colouring_survey(v: int, count: int, seed: int,
     """Generate ``count`` random systems and record, per system, the least
     target among m(v), m(v)+1, m(v)+2 that the colouring heuristic reaches
     with the given restart budget ("fail" when none succeeds)."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     m = m_lower(v)
     counts = {"m": 0, "m+1": 0, "m+2": 0, "fail": 0}
     failures = 0

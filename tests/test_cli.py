@@ -191,6 +191,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                   ("--exact", "--restarts", "1")):
         code, _, err = run(capsys, *chi, *extra)
         assert code == 2 and "only" in err, extra
+    # Values that would otherwise read as answers: an empty report, a
+    # heuristic failure, or a scan that allocates without bound.
+    for argv in ((*chi, "--heuristic", "--target", "7", "--restarts", "0"),
+                 ("generate", "--v", "9", "--count", "-1"),
+                 ("survey", "colouring", "--v", "9", "--count", "-1"),
+                 ("numtheory", "scan", "--limit", "10000001")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error" in err, argv
 
 
 def test_bare_invocation_prints_help(capsys):

@@ -17,7 +17,16 @@ from stskit import (
     scan_profiles,
     subgroup_order,
 )
-from stskit.numtheory import ScanRow, _neg_double_order, divisors_gt1, euler_phi
+from stskit.numtheory import (
+    SCAN_LIMIT_MAX,
+    ScanRow,
+    _neg_double_order,
+    _unit_profile,
+    divisors_gt1,
+    euler_phi,
+    factorise,
+    smallest_prime_factor_sieve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +152,32 @@ def test_scan_sweep_matches_per_n_profiles(limit):
         assert g == (0 if order % 4 == 0 else row.phi // order)
 
 
+def test_scan_sieve_matches_per_n_route_to_100000():
+    # The range sieve takes phi and the order of -2 from prime powers; the
+    # per-n route factorises phi(n) and calls pow for every n.
+    rows = scan_profiles(10**5)
+    assert len(rows) == 33_332
+    for row in rows:
+        phi, _, g = _unit_profile(row.n)
+        assert (row.phi, (row.phi - row.psi) // 18) == (phi, g), row.n
+
+
 def test_scan_rejects_tiny_limit():
     with pytest.raises(ValueError):
         scan_profiles(2)
 
+
+def test_scan_rejects_limit_above_cap():
+    with pytest.raises(ValueError, match="<="):
+        scan_profiles(SCAN_LIMIT_MAX + 1)
+
+
+def test_smallest_prime_factor_sieve():
+    for limit in (2, 3, 4, 25, 1000):
+        spf = smallest_prime_factor_sieve(limit)
+        assert len(spf) == limit + 1
+        for k in range(2, limit + 1):
+            assert spf[k] == min(factorise(k)), k
+    spf = smallest_prime_factor_sieve(10**4)
+    for k in range(2, 10**4 + 1):
+        assert factorise(k, spf) == factorise(k), k
