@@ -315,41 +315,60 @@ def test_pipeline_rejects_bad_order():
 # pinned search trajectories
 
 
-def test_search_results_are_pinned():
-    # One digest over what the searches return, node counts included, so
-    # that a faster search node must walk the same tree in the same order
-    # and a faster repair move must draw the same random numbers.
+def _digest(records) -> str:
     digest = hashlib.sha256()
-
-    def add(*record) -> None:
+    for record in records:
         digest.update(repr(record).encode())
+    return digest.hexdigest()
 
+
+# Each digest covers what one search returns, node counts included, so that
+# a faster search node must walk the same tree in the same order and a
+# faster repair move must draw the same random numbers.  One digest per
+# search lets a change of search order be re-pinned for that search alone.
+
+
+def test_search_results_are_pinned():
+    # Parallel-class enumeration and disjoint-class packing.
+    records = []
     for v, seed, budget in ((15, 1, None), (15, 2, None), (21, 1, None), (21, 2, None),
                             (21, 3, SearchBudget(max_nodes=500)),
                             (21, 3, SearchBudget(max_classes=10))):
         enum = enumerate_parallel_classes(random_sts(v, seed=seed), budget or SearchBudget())
-        add(enum.nodes, enum.status, [c.indices for c in enum.classes])
+        records.append((enum.nodes, enum.status, [c.indices for c in enum.classes]))
     ws13 = wilson_schreiber(13).system
     # Enumeration takes 82 nodes and packing 5 more: 50 stops the
     # enumeration, 84 stops the packing.
     for max_nodes in (50, 84, 1000):
         result = max_disjoint_pcs(ws13, SearchBudget(max_nodes=max_nodes))
-        add(result.nodes, result.status, result.size)
+        records.append((result.nodes, result.status, result.size))
     # A dense non-Steiner system: every point lies in 28 triples.
     k9 = TripleSystem.from_triples(9, list(combinations(range(9), 3)))
     enum = enumerate_parallel_classes(k9)
-    add(enum.nodes, enum.status, [c.indices for c in enum.classes])
+    records.append((enum.nodes, enum.status, [c.indices for c in enum.classes]))
     result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
-    add(result.nodes, result.status, result.size)
+    records.append((result.nodes, result.status, result.size))
+    assert _digest(records) == (
+        "41ff2fe12adba4b522b4f0f2e604fbf8af23d3cca5d1df18c6a2f2b1316df434")
+
+
+def test_heuristic_results_are_pinned():
+    records = []
     for v, target, seed, restarts in ((9, 4, 1, 1), (13, 7, 1, 1), (13, 8, 2, 2),
                                       (15, 8, 2, 1), (15, 9, 1, 3), (19, 11, 2, 3)):
         colouring = chromatic_index_heuristic(random_sts(v, seed=seed), target,
                                               seed=seed, restarts=restarts)
-        add(None if colouring is None else [c.indices for c in colouring.classes])
+        records.append((None if colouring is None else [c.indices for c in colouring.classes],))
+    assert _digest(records) == (
+        "e207ca228d674aa5918e860fdabf799ccbcc2c9d809c7078062ab354a0c7c6fe")
+
+
+def test_exact_results_are_pinned():
+    records = []
     for system, budget in ((random_sts(13, seed=1), SearchBudget()),
                            (random_sts(15, seed=1), SearchBudget(max_nodes=5000))):
         result = chromatic_index_exact(system, budget)
-        add(result.nodes, result.status, result.lower, result.upper,
-            [c.indices for c in result.colouring.classes])
-    assert digest.hexdigest() == (
-        "df6c99dfcb670bf0f5c199e9911d7f7b2b8388e905fa5651fd123eda6c43bd9b")
+        records.append((result.nodes, result.status, result.lower, result.upper,
+                        [c.indices for c in result.colouring.classes]))
+    assert _digest(records) == (
+        "4304a5c29198787259cde60ecf3e02fdb84224117920e3864d60d374cf690a9d")
