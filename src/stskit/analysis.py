@@ -382,44 +382,71 @@ def _colouring_from_groups(system: TripleSystem, groups: Sequence[Sequence[int]]
 def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int] | None:
     """Backtracking k-colourability test; returns an assignment or None.
 
-    Class symmetry is broken by forcing triple 0 into class 0 and opening a
-    new class only at the next unused index.  Iterative so the depth (one
-    level per triple) cannot hit the interpreter recursion limit; raises
-    _BudgetStop on budget exhaustion."""
-    b = system.b
-    masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
-    assign = [-1] * b
-    class_masks = [0] * k
-    used = [0] * (b + 1)  # classes open before triple i
-    i = 0
-    next_class = [0] * b  # next class index to try for triple i
+    DSATUR-style branching: each node places the unplaced triple with the
+    fewest free classes (open, and holding none of its points), lowest
+    index on ties, trying its free classes in index order and then a new
+    one.  A class is opened only at the next unused index, which breaks
+    class symmetry under any branching order.  A node fails at once when
+    all k classes are open and its chosen triple has none free.  Iterative
+    so the depth (one level per triple) cannot hit the interpreter
+    recursion limit; raises _BudgetStop on budget exhaustion."""
+    triples = system.triples
+    assign = [-1] * system.b
+    pc = [0] * system.v  # bitset of the classes holding each point
+    # (index, points) of each unplaced triple, ascending, so ties go to the
+    # lowest index
+    unplaced = [(i, *t) for i, t in enumerate(triples)]
+    used = 0  # classes 0..used-1 are open
+    # One frame per placed triple: the triple, its untried classes, and the
+    # open-class count before it was placed.
+    stack: list[list[int]] = []
     tick = meter.tick
     while True:
         tick()
-        if i == b:
-            return list(assign)
-        m = masks[i]
-        u = used[i]
-        top = u + 1
-        if top > k:
-            top = k
-        for c in range(next_class[i], top):
-            if class_masks[c] & m == 0:
-                class_masks[c] |= m
-                assign[i] = c
-                next_class[i] = c + 1
-                used[i + 1] = c + 1 if c == u else u
-                i += 1
-                if i < b:
-                    next_class[i] = 0
+        if not unplaced:
+            return assign
+        opened = (1 << used) - 1
+        best_n = k + 1
+        for i, a, b, c in unplaced:
+            free = opened & ~(pc[a] | pc[b] | pc[c])
+            n = free.bit_count()
+            if n < best_n:
+                best_n, best, best_free = n, i, free
+                if n <= 1:
+                    break
+        if used < k:
+            best_free |= 1 << used
+        if best_free:
+            del unplaced[bisect_left(unplaced, (best,))]
+            stack.append([best, best_free, used])
+        elif not stack:
+            return None
+        # Place the top frame's next class, backtracking past exhausted frames.
+        while True:
+            frame = stack[-1]
+            i, cands, used = frame
+            a, b, c = triples[i]
+            if assign[i] >= 0:  # take the triple out of the class it was tried in
+                keep = ~(1 << assign[i])
+                pc[a] &= keep
+                pc[b] &= keep
+                pc[c] &= keep
+            if cands:
+                low = cands & -cands
+                frame[1] = cands ^ low
+                col = low.bit_length() - 1
+                assign[i] = col
+                pc[a] |= low
+                pc[b] |= low
+                pc[c] |= low
+                if col == used:
+                    used += 1
                 break
-        else:
-            next_class[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            class_masks[assign[i]] &= ~masks[i]
             assign[i] = -1
+            insort(unplaced, (i, a, b, c))
+            stack.pop()
+            if not stack:
+                return None
 
 
 def chromatic_index_exact(system: TripleSystem,
