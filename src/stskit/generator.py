@@ -92,6 +92,8 @@ def colouring_survey(v: int, count: int, seed: int,
     with the given restart budget ("fail" when none succeeds)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if restarts < 1:  # checked here as well: a survey may never reach the heuristic
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     m = m_lower(v)
     counts = {"m": 0, "m+1": 0, "m+2": 0, "fail": 0}
     failures = 0

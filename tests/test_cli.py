@@ -196,6 +196,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in ((*chi, "--heuristic", "--target", "7", "--restarts", "0"),
                  ("generate", "--v", "9", "--count", "-1"),
                  ("survey", "colouring", "--v", "9", "--count", "-1"),
+                 ("survey", "colouring", "--v", "9", "--count", "0", "--restarts", "0"),
                  ("numtheory", "scan", "--limit", "10000001")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err, argv
