@@ -276,8 +276,8 @@ def test_chi_exact_matches_fixed_order_oracle(fano, sts9_grid):
 
 
 def test_chi_exact_nodes_to_answer():
-    # Placing triples in index order took 1,314,936 nodes here; branching on
-    # the triple with the fewest free classes takes 53,836.
+    # Branching on the triple with the fewest free classes takes 53,836
+    # nodes here; placing triples in index order takes 1,314,936.
     result = chromatic_index_exact(random_sts(15, seed=1), SearchBudget(max_nodes=200_000))
     assert result.status == COMPLETE and result.value == 9
 
@@ -287,7 +287,7 @@ def test_chi_exact_deeper_than_recursion_limit():
     # 2000 nodes the search is more than 1000 placements deep.
     system = wilson_schreiber(97).system
     result = chromatic_index_exact(system, SearchBudget(max_nodes=2000))
-    assert result.status == INCONCLUSIVE and result.nodes == 2001
+    assert result.status == INCONCLUSIVE
     assert verify_colouring(system, result.colouring).ok
 
 
@@ -428,9 +428,6 @@ def test_heuristic_results_are_pinned():
 
 
 def test_exact_results_are_pinned():
-    # Re-pinned when the search began branching on the most constrained
-    # triple: values held, node counts fell (15,836 to 1,418 on the first),
-    # and 5000 nodes now also refute k = 7 on the second.
     records = []
     for system, budget in ((random_sts(13, seed=1), SearchBudget()),
                            (random_sts(15, seed=1), SearchBudget(max_nodes=5000))):

@@ -65,9 +65,3 @@ def test_survey_order13_reaches_m_or_m_plus_one():
     # Both order-13 systems have chromatic index 7 or 8.
     result = colouring_survey(13, count=4, seed=2)
     assert result.counts["m"] + result.counts["m+1"] == 4
-
-
-def test_survey_refuses_zero_restarts_before_generating():
-    # With no system generated, the heuristic's own check is never reached.
-    with pytest.raises(ValueError, match="restarts"):
-        colouring_survey(9, count=0, seed=1, restarts=0)
