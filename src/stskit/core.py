@@ -35,12 +35,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a verifier: ok flag, first violation, and total count."""
+    """Outcome of a verifier: first violation and total count; ok when the
+    count is zero."""
 
-    ok: bool
     first_violation: str | None = None
     violation_count: int = 0
     n_classes: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.violation_count == 0
+
+
+class Violations:
+    """Collects a verifier's violations: the first message and the count.
+    Call it once per violation, or with ``times`` for a run of them."""
+
+    __slots__ = ("first", "count")
+
+    def __init__(self) -> None:
+        self.first: str | None = None
+        self.count = 0
+
+    def __call__(self, msg: str, times: int = 1) -> None:
+        self.count += times
+        if self.first is None:
+            self.first = msg
+
+    def report(self, n_classes: int | None = None) -> VerificationReport:
+        return VerificationReport(first_violation=self.first, violation_count=self.count,
+                                  n_classes=n_classes)
 
 
 @dataclass(frozen=True)
@@ -167,24 +191,16 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     v = system.v
     if v < 3:
         raise ValueError(f"order {v} too small to verify")
-    first: str | None = None
-    count = 0
-
-    def hit(msg: str) -> None:
-        nonlocal first, count
-        count += 1
-        if first is None:
-            first = msg
-
-    clean: list[tuple[int, tuple[int, int, int]]] = []
-    for i, t in enumerate(system.triples):
+    hit = Violations()
+    clean: list[tuple[int, int, int]] = []
+    for t in system.triples:
         if t[0] == t[1] or t[1] == t[2]:
             hit(f"malformed triple {t}: repeated point")
         else:
-            clean.append((i, t))
+            clean.append(t)
 
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for _, t in clean:
+    for t in clean:
         for pair in combinations(t, 2):
             other = seen.get(pair)
             if other is None:
@@ -194,14 +210,9 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
 
     missing = v * (v - 1) // 2 - len(seen)
     if missing > 0:
-        # Locate the first uncovered pair for the report; count covers the rest.
-        found_msg = False
-        for pair in combinations(range(v), 2):
-            if pair not in seen:
-                hit(f"pair {{{pair[0]},{pair[1]}}} not covered")
-                found_msg = True
-                break
-        count += missing - (1 if found_msg else 0)
+        # Report the first uncovered pair; the count covers all of them.
+        pair = next(p for p in combinations(range(v), 2) if p not in seen)
+        hit(f"pair {{{pair[0]},{pair[1]}}} not covered", missing)
 
     expected, rem = divmod(v * (v - 1), 6)
     if rem != 0:
@@ -209,7 +220,7 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     elif len(system.triples) != expected:
         hit(f"triple count {len(system.triples)} != v(v-1)/6 = {expected}")
 
-    return VerificationReport(ok=count == 0, first_violation=first, violation_count=count)
+    return hit.report()
 
 
 def verify_colouring(system: TripleSystem, colouring: Colouring) -> VerificationReport:
@@ -217,15 +228,7 @@ def verify_colouring(system: TripleSystem, colouring: Colouring) -> Verification
     contains two triples sharing a point.  Reports the class count."""
     if colouring.host != system:
         raise ValueError("colouring was built for a different system")
-    first: str | None = None
-    count = 0
-
-    def hit(msg: str) -> None:
-        nonlocal first, count
-        count += 1
-        if first is None:
-            first = msg
-
+    hit = Violations()
     assigned = [0] * system.b
     for c, cls in enumerate(colouring.classes):
         if not cls.indices:
@@ -246,8 +249,7 @@ def verify_colouring(system: TripleSystem, colouring: Colouring) -> Verification
         elif times > 1:
             hit(f"triple {system.triples[i]} is in {times} classes")
 
-    return VerificationReport(ok=count == 0, first_violation=first,
-                              violation_count=count, n_classes=colouring.n_classes)
+    return hit.report(n_classes=colouring.n_classes)
 
 
 # ---------------------------------------------------------------------------

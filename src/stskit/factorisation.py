@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import VerificationReport
+from .core import VerificationReport, Violations
 from .numtheory import divisors_gt1
 
 __all__ = [
@@ -162,18 +162,10 @@ def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> Verific
     together they are all of G(n).
     """
     n = fact.n
+    hit = Violations()
     if n % 6 != 1 or n < 7:
-        return VerificationReport(ok=False, violation_count=1,
-                                  first_violation=f"n must be 1 mod 6 and >= 7, got {n}")
-    first: str | None = None
-    count = 0
-
-    def hit(msg: str) -> None:
-        nonlocal first, count
-        count += 1
-        if first is None:
-            first = msg
-
+        hit(f"n must be 1 mod 6 and >= 7, got {n}")
+        return hit.report()
     if len(fact.factors) != 3:
         hit(f"{len(fact.factors)} factors, expected 3")
     owner: dict[Edge, int] = {}
@@ -212,7 +204,7 @@ def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> Verific
     if zero_in_12 != 2 * f_n:
         hit(f"factors 1+2 have {zero_in_12} zero-weight edges, expected {2 * f_n}")
 
-    return VerificationReport(ok=count == 0, first_violation=first, violation_count=count)
+    return hit.report()
 
 
 def format_factorisation(fact: OneFactorisation) -> str:
