@@ -356,27 +356,32 @@ class ChiResult:
         return self.lower
 
 
-def _greedy_colouring(system: TripleSystem) -> list[list[int]]:
-    masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
-    classes: list[list[int]] = []
+def _greedy_colouring(system: TripleSystem) -> list[int]:
+    """First-fit assignment: each triple, in index order, goes to the first
+    class holding none of its points."""
     class_masks: list[int] = []
-    for i in range(system.b):
-        for c, cm in enumerate(class_masks):
-            if cm & masks[i] == 0:
-                classes[c].append(i)
-                class_masks[c] |= masks[i]
+    assign = []
+    for a, b, c in system.triples:
+        mask = 1 << a | 1 << b | 1 << c
+        for col, cm in enumerate(class_masks):
+            if cm & mask == 0:
+                class_masks[col] |= mask
                 break
         else:
-            classes.append([i])
-            class_masks.append(masks[i])
-    return classes
+            col = len(class_masks)
+            class_masks.append(mask)
+        assign.append(col)
+    return assign
 
 
-def _colouring_from_groups(system: TripleSystem, groups: Sequence[Sequence[int]]) -> Colouring:
-    return Colouring(
-        host=system,
-        classes=tuple(PartialParallelClass(tuple(sorted(g))) for g in groups if g),
-    )
+def _colouring_from_assignment(system: TripleSystem, assign: Sequence[int]) -> Colouring:
+    """The colouring whose classes, in class order, hold the triples assigned
+    to them; classes no triple is assigned to are left out."""
+    groups: list[list[int]] = [[] for _ in range(max(assign, default=-1) + 1)]
+    for i, c in enumerate(assign):
+        groups[c].append(i)
+    return Colouring(host=system,
+                     classes=tuple(PartialParallelClass(tuple(g)) for g in groups if g))
 
 
 def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int] | None:
@@ -470,25 +475,20 @@ def chromatic_index_exact(system: TripleSystem,
             raise ValueError(f"witness colouring invalid: {report.first_violation}")
         best_col = upper_witness
     else:
-        best_col = _colouring_from_groups(system, _greedy_colouring(system))
+        best_col = _colouring_from_assignment(system, _greedy_colouring(system))
     upper = best_col.n_classes
     if lower > upper:  # a sound certificate and a verified witness cannot cross
         raise ValueError(f"lower bound {lower} exceeds witness upper bound {upper}; "
                          f"the certificate does not apply to this system")
 
     meter = _Meter(budget)
-    k = lower
     try:
-        while k < upper:
-            assign = _search_k_colouring(system, k, meter)
+        while lower < upper:
+            assign = _search_k_colouring(system, lower, meter)
             if assign is None:
-                lower = k + 1
-                k += 1
+                lower += 1
             else:
-                groups: list[list[int]] = [[] for _ in range(k)]
-                for i, c in enumerate(assign):
-                    groups[c].append(i)
-                best_col = _colouring_from_groups(system, groups)
+                best_col = _colouring_from_assignment(system, assign)
                 upper = best_col.n_classes
                 break
     except _BudgetStop:
@@ -561,10 +561,7 @@ def chromatic_index_heuristic(system: TripleSystem,
 
         for _ in range(iterations):
             if not conflicted:
-                groups: list[list[int]] = [[] for _ in range(target)]
-                for i, c in enumerate(assign):
-                    groups[c].append(i)
-                colouring = _colouring_from_groups(system, groups)
+                colouring = _colouring_from_assignment(system, assign)
                 report = verify_colouring(system, colouring)
                 if not report.ok:  # defensive; repair loop guarantees this
                     raise RuntimeError(f"heuristic produced invalid colouring: "
@@ -660,15 +657,15 @@ def theorem1_pipeline(v: int) -> PipelineReport:
         )
     n = v - 2
     cert = pc_bound_ws(factorise_G(n))
+    chi_lower = chi_lower_from_certificate(v, cert)
     threshold = min_pc_for_low_chi(v)
-    if cert.bound >= threshold:
+    if chi_lower == m_lower(v):
         return PipelineReport(
-            v=v, route="possible-exception", holds=None, chi_lower=m_lower(v),
+            v=v, route="possible-exception", holds=None, chi_lower=chi_lower,
             chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],
             message=f"possible exception: 3 f({n})+1 = {cert.bound} "
                     f"is not below (v+3)/6 = {threshold}",
         )
-    chi_lower = (v + 3) // 2
     return PipelineReport(
         v=v, route="ws-certificate", holds=True, chi_lower=chi_lower,
         chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],

@@ -366,7 +366,8 @@ def test_verify_colouring_matches_oracle_on_perturbed_colourings(v, seed, heuris
     from stskit.analysis import _greedy_colouring
 
     system = random_sts(v, seed)
-    groups = [set(g) for g in _greedy_colouring(system)]
+    assign = _greedy_colouring(system)
+    groups = [{i for i, c in enumerate(assign) if c == k} for k in range(max(assign) + 1)]
     if heuristic:
         found = chromatic_index_heuristic(system, len(groups), seed=seed, restarts=1)
         if found is not None:
