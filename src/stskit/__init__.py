@@ -54,11 +54,8 @@ from .generator import GenerationError, colouring_survey, random_sts
 from .numtheory import (
     NumberProfile,
     f_of,
-    g_of,
     negative_psi_scan,
     number_profile,
-    psi_of,
-    psi_star_of,
     scan_exceptions,
     scan_profiles,
     subgroup_order,

@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .constructions import (
     bose,
+    bose_half_sum,
     conjugate_square,
     half_sum_square,
     random_permutation,
@@ -39,6 +40,7 @@ from .constructions import (
     wilson_schreiber,
 )
 from .core import (
+    VerificationReport,
     format_colouring,
     format_sts,
     parse_colouring,
@@ -86,6 +88,10 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _verdict(report: VerificationReport) -> str:
+    return "ok" if report.ok else f"FAILED: {report.first_violation}"
+
+
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     if args.json:
         payload = {"schema": SCHEMA, **payload}
@@ -115,19 +121,17 @@ def _cmd_numtheory_profile(args) -> int:
 
 def _cmd_numtheory_scan(args) -> int:
     rows = scan_profiles(args.limit)
+    exceptions = [r for r in rows if r.psi_star <= 0]
     if args.all:
-        picked = rows
-        kind = "all"
+        picked, kind = rows, "all"
     elif args.negative_psi:
-        picked = [r for r in rows if r.psi < 0]
-        kind = "negative-psi"
+        picked, kind = [r for r in rows if r.psi < 0], "negative-psi"
     else:
-        picked = [r for r in rows if r.psi_star <= 0]
-        kind = "exceptions"
+        picked, kind = exceptions, "exceptions"
     payload = {
         "command": "numtheory scan", "limit": args.limit, "kind": kind,
         "rows": [list(r) for r in picked],
-        "exceptions": [r.n for r in rows if r.psi_star <= 0],
+        "exceptions": [r.n for r in exceptions],
     }
     lines = ["n\tphi\tf\tpsi\tpsi_star"]
     lines.extend(f"{r.n}\t{r.phi}\t{r.f}\t{r.psi}\t{r.psi_star}" for r in picked)
@@ -147,8 +151,7 @@ def _cmd_factorise(args) -> int:
         "verified": report.ok, "out": args.out,
     }
     lines = [f"G({args.n}): {edges} edges in 3 factors of "
-             f"{len(fact.factors[0])}, verify "
-             f"{'ok' if report.ok else 'FAILED: ' + str(report.first_violation)}"]
+             f"{len(fact.factors[0])}, verify {_verdict(report)}"]
     if args.out:
         lines.append(f"wrote {args.out}")
     else:
@@ -167,7 +170,7 @@ def _construct_payload(args, labelled, what: str) -> int:
         "families": {name: len(idx) for name, idx in labelled.families.items()},
     }
     lines = [f"{labelled.tag}: order {system.v}, {system.b} triples, "
-             f"verify {'ok' if report.ok else 'FAILED: ' + str(report.first_violation)}"]
+             f"verify {_verdict(report)}"]
     if args.out:
         lines.append(f"wrote {args.out}")
     _emit(args, payload, lines)
@@ -179,15 +182,14 @@ def _cmd_construct_ws(args) -> int:
 
 
 def _cmd_construct_bose(args) -> int:
-    base = half_sum_square(args.n)
     if args.square == "half-sum":
-        squares = (base, base, base)
+        labelled = bose_half_sum(args.n)
     else:
-        squares = tuple(
+        base = half_sum_square(args.n)
+        labelled = bose(*(
             conjugate_square(base, random_permutation(args.n, substream(args.seed, "bose", i)))
-            for i in range(3)
-        )
-    return _construct_payload(args, bose(*squares), "construct bose")
+            for i in range(3)))
+    return _construct_payload(args, labelled, "construct bose")
 
 
 def _cmd_fixture(args) -> int:
@@ -219,16 +221,14 @@ def _cmd_verify(args) -> int:
         "ok": report.ok, "first_violation": report.first_violation,
         "violations": report.violation_count,
     }
-    lines = [f"order {system.v}, {system.b} triples: "
-             f"{'ok' if report.ok else 'FAILED: ' + str(report.first_violation)}"]
+    lines = [f"order {system.v}, {system.b} triples: {_verdict(report)}"]
     ok = report.ok
     if args.colouring is not None:
         colouring = parse_colouring(_read_text(args.colouring), system)
         creport = verify_colouring(system, colouring)
         payload["colouring_ok"] = creport.ok
         payload["classes"] = creport.n_classes
-        lines.append(f"colouring with {creport.n_classes} classes: "
-                     f"{'ok' if creport.ok else 'FAILED: ' + str(creport.first_violation)}")
+        lines.append(f"colouring with {creport.n_classes} classes: {_verdict(creport)}")
         ok = ok and creport.ok
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_FAIL
@@ -378,7 +378,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    result = colouring_survey(args.v, args.count, args.seed, restarts=args.restarts)
+    result = colouring_survey(args.v, args.count, args.seed, **_passed(args, "restarts"))
     payload = {
         "command": "survey colouring", "v": result.v, "m": result.m,
         "count": args.count, "seed": args.seed, "counts": result.counts,
@@ -501,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--v", type=int, required=True)
     q.add_argument("--count", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--restarts", type=int, default=6)
+    # Left out, the restart count is colouring_survey's default.
+    q.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
 
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Colouring, PartialParallelClass, TripleSystem
 from .factorisation import OneFactorisation, factorise_G
@@ -118,12 +118,10 @@ class LabelledSTS:
     params: dict = field(default_factory=dict)
     families: dict = field(default_factory=dict)
 
-    def family(self, name: str) -> tuple[int, ...]:
-        return self.families[name]
 
-
-def _family_indices(system: TripleSystem,
-                    groups: dict[str, list[tuple[int, int, int]]]) -> dict[str, tuple[int, ...]]:
+def _family_indices(system: TripleSystem, groups: dict) -> dict:
+    """Each group of triples (any point order), under its key in ``groups``,
+    as the sorted tuple of their indices in ``system``."""
     index = {t: i for i, t in enumerate(system.triples)}
     return {name: tuple(sorted(index[tuple(sorted(t))] for t in triples))
             for name, triples in groups.items()}
@@ -221,6 +219,13 @@ def bose_half_sum(n: int) -> LabelledSTS:
     return bose(sq, sq, sq)
 
 
+def _is_automorphism(system: TripleSystem, image: Callable[[int], int]) -> bool:
+    """True iff the point permutation ``image`` maps every triple to a triple
+    (and so, the system being finite, the triple set onto itself)."""
+    triple_set = set(system.triples)
+    return all(tuple(sorted(image(p) for p in t)) in triple_set for t in system.triples)
+
+
 def verify_cyclic(labelled: LabelledSTS) -> bool:
     """True iff (x,i) -> (x+1, i+1) is an automorphism of a Bose-built system
     and acts on the points in a single orbit of length 3n.
@@ -238,10 +243,8 @@ def verify_cyclic(labelled: LabelledSTS) -> bool:
         x, i = p % n, p // n
         return (x + 1) % n + n * ((i + 1) % 3)
 
-    triple_set = set(labelled.system.triples)
-    for t in labelled.system.triples:
-        if tuple(sorted(rho(p) for p in t)) not in triple_set:
-            return False
+    if not _is_automorphism(labelled.system, rho):
+        return False
     orbit = {0}
     p = rho(0)
     while p != 0:
@@ -253,9 +256,8 @@ def verify_cyclic(labelled: LabelledSTS) -> bool:
 def is_shift_invariant(system: TripleSystem) -> bool:
     """True iff p -> p+1 mod v maps the triple set onto itself."""
     v = system.v
-    triple_set = set(system.triples)
-    return all(tuple(sorted((p + 1) % v for p in t)) in triple_set
-               for t in system.triples)
+    return _is_automorphism(system, lambda p: (p + 1) % v)
+
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +321,9 @@ def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
                              for t in _STS33_DEVELOPED_BASE))
     classes.extend(_STS33_AD_HOC_CLASSES)
 
-    index = {t: i for i, t in enumerate(system.triples)}
+    class_indices = _family_indices(system, dict(enumerate(classes)))
     colouring = Colouring(
         host=system,
-        classes=tuple(PartialParallelClass(tuple(sorted(index[tuple(sorted(t))] for t in cls)))
-                      for cls in classes),
+        classes=tuple(PartialParallelClass(idx) for idx in class_indices.values()),
     )
     return labelled, colouring

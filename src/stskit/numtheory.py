@@ -10,9 +10,9 @@ and -2:
 * :func:`subgroup_order` builds the subgroup as an explicit set by
   breadth-first closure under multiplication.  It is the oracle.
 * :func:`_unit_profile` computes the multiplicative order of -2 mod one d
-  from the factorised totient and then adjoins -1.  :func:`g_of` and
-  :func:`number_profile` take phi, the order and g from it, and
-  :func:`number_profile` sums g over the divisors of one n.
+  from the factorised totient and then adjoins -1.  :func:`number_profile`
+  takes phi, the order and g from it for each divisor of one n, and sums g
+  over them.
 * :func:`scan_profiles` sieves a whole range.  It computes the order of -2
   only modulo prime powers q; for any other n = q*r (q the prime-power part
   of n at its smallest prime) the order is lcm(ord_q, ord_r), and -1 lies in
@@ -42,11 +42,8 @@ __all__ = [
     "divisors_gt1",
     "euler_phi",
     "f_of",
-    "g_of",
     "negative_psi_scan",
     "number_profile",
-    "psi_of",
-    "psi_star_of",
     "scan_exceptions",
     "scan_profiles",
     "subgroup_order",
@@ -194,12 +191,6 @@ def _check_coprime_to_six(n: int, what: str) -> None:
         raise ValueError(f"{what} must be > 1 and congruent to 1 or 5 mod 6, got {n}")
 
 
-def g_of(d: int) -> int:
-    """0 when |<-1,-2>_d| is divisible by 4, else phi(d)/|<-1,-2>_d|."""
-    _check_coprime_to_six(d, "d")
-    return _unit_profile(d)[2]
-
-
 @dataclass(frozen=True)
 class NumberProfile:
     """Per-n record of the arithmetic quantities feeding the bound machinery."""
@@ -245,14 +236,6 @@ def number_profile(n: int) -> NumberProfile:
 
 def f_of(n: int) -> int:
     return number_profile(n).f
-
-
-def psi_of(n: int) -> int:
-    return number_profile(n).psi
-
-
-def psi_star_of(n: int) -> int:
-    return number_profile(n).psi_star
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ def test_ws7_is_the_order9_system():
 def test_ws13_family_sizes():
     labelled = wilson_schreiber(13)
     assert labelled.system.b == 35
-    assert len(labelled.family("zero-sum")) == 16
-    assert len(labelled.family("infinity")) == 19  # 3(n-1)/2 + 1
+    assert len(labelled.families["zero-sum"]) == 16
+    assert len(labelled.families["infinity"]) == 19  # 3(n-1)/2 + 1
     assert verify_sts(labelled.system).ok
 
 
@@ -96,7 +96,7 @@ def test_ws13_zero_sum_count_against_enumeration():
 def test_ws_zero_sum_family_sums_to_zero():
     for n in (7, 13, 19):
         labelled = wilson_schreiber(n)
-        for i in labelled.family("zero-sum"):
+        for i in labelled.families["zero-sum"]:
             assert sum(p + 1 for p in labelled.system.triples[i]) % n == 0
 
 
@@ -126,14 +126,14 @@ def test_ws_rejects_mismatched_factorisation():
 def test_bose5_counts():
     labelled = bose_half_sum(5)
     assert labelled.system.v == 15 and labelled.system.b == 35
-    assert len(labelled.family("spine")) == 5
+    assert len(labelled.families["spine"]) == 5
     assert verify_sts(labelled.system).ok
 
 
 def test_bose11_counts():
     labelled = bose_half_sum(11)
     assert labelled.system.v == 33
-    assert len(labelled.family("spine")) == 11
+    assert len(labelled.families["spine"]) == 11
     assert verify_sts(labelled.system).ok
 
 
@@ -141,10 +141,10 @@ def test_bose_layer_coordinate_sums():
     labelled = bose_half_sum(5)
     n = labelled.params["n"]
     system = labelled.system
-    for i in labelled.family("spine"):
+    for i in labelled.families["spine"]:
         assert sum(p // n for p in system.triples[i]) % 3 == 0
     for layer in ("layer0", "layer1", "layer2"):
-        for i in labelled.family(layer):
+        for i in labelled.families[layer]:
             assert sum(p // n for p in system.triples[i]) % 3 == 1
 
 
@@ -197,14 +197,14 @@ def test_fixture_verifies():
 def test_fixture_contains_base_triple():
     labelled, _ = sts33_fixture()
     idx = labelled.system.index_of((0, 3, 7))
-    assert idx in labelled.family("developed")
+    assert idx in labelled.families["developed"]
 
 
 def test_fixture_developed_triples_sum_to_one_mod3():
     labelled, _ = sts33_fixture()
-    for i in labelled.family("developed"):
+    for i in labelled.families["developed"]:
         assert sum(labelled.system.triples[i]) % 3 == 1
-    for i in labelled.family("spine"):
+    for i in labelled.families["spine"]:
         assert sum(labelled.system.triples[i]) % 3 == 0
 
 

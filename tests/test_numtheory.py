@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from stskit import (
     f_of,
-    g_of,
     negative_psi_scan,
     number_profile,
-    psi_of,
-    psi_star_of,
     scan_exceptions,
     scan_profiles,
     subgroup_order,
@@ -69,13 +66,13 @@ def test_subgroup_order_invariants():
 
 @pytest.mark.parametrize("d,expected", [(7, 1), (13, 0), (127, 9), (5, 0), (73, 4)])
 def test_g_of(d, expected):
-    assert g_of(d) == expected
+    assert number_profile(d).g == expected
 
 
 def test_g_of_rejects_multiples_of_two_and_three():
     for d in (9, 10, 15, 21, 6):
         with pytest.raises(ValueError):
-            g_of(d)
+            number_profile(d)
 
 
 def test_g_of_matches_closure_oracle():
@@ -84,7 +81,7 @@ def test_g_of_matches_closure_oracle():
             continue
         order = subgroup_order(d, [-1, -2])
         expected = 0 if order % 4 == 0 else euler_phi(d) // order
-        assert g_of(d) == expected
+        assert number_profile(d).g == expected
 
 
 def test_profiles():
@@ -96,7 +93,7 @@ def test_profiles():
     p49 = number_profile(49)
     assert (p49.f, p49.psi_star) == (2, 12)
     assert p49.sub_order == 42  # order of -2 mod 49, which is 2 mod 4
-    assert f_of(49) == 2 and psi_of(49) == 24 and psi_star_of(49) == 12
+    assert f_of(49) == 2 and (p49.psi, p49.psi_star) == (24, 12)
 
 
 def test_profile_rejects_bad_n():
@@ -113,7 +110,7 @@ def test_totient_divisor_sum_identity():
 
 def test_psi_star_identity():
     for n in (7, 25, 49, 91, 511, 997):
-        assert psi_star_of(n) == n - 1 - 18 * f_of(n)
+        assert number_profile(n).psi_star == n - 1 - 18 * f_of(n)
 
 
 # ---------------------------------------------------------------------------
