@@ -85,9 +85,10 @@ class _Meter:
         self.deadline = time.monotonic() + budget.max_seconds
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+        # The cap is checked before counting, so a stop reports exactly it.
+        if self.nodes >= self.max_nodes:
             raise _BudgetStop
+        self.nodes += 1
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _BudgetStop
 

@@ -75,6 +75,7 @@ def test_enumeration_matches_naive_oracle(sts9_grid):
 def test_enumeration_budget_is_inconclusive_not_fatal(sts9_grid):
     enum = enumerate_parallel_classes(sts9_grid, SearchBudget(max_nodes=2))
     assert enum.status == INCONCLUSIVE
+    assert enum.nodes == 2  # a budget stop reports exactly the cap
 
 
 def test_class_cap_budget(sts9_grid):
@@ -102,6 +103,7 @@ def test_ws13_max_disjoint_is_one():
 def test_max_disjoint_inconclusive_budget(sts9_grid):
     result = max_disjoint_pcs(sts9_grid, SearchBudget(max_nodes=2))
     assert result.status == INCONCLUSIVE
+    assert result.nodes == 2
     assert result.upper_bound == 4  # only the trivial (v-1)/2 cap remains
 
 
@@ -110,7 +112,7 @@ def test_max_disjoint_budget_covers_enumeration_and_packing():
     # needs about 1000 more, so a 34930-node budget runs out while packing.
     budget = SearchBudget(max_nodes=34930)
     result = max_disjoint_pcs(wilson_schreiber(25).system, budget)
-    assert result.nodes <= budget.max_nodes + 1
+    assert result.nodes <= budget.max_nodes
     assert result.status == INCONCLUSIVE
 
 
@@ -222,6 +224,7 @@ def test_chi_exact_budget_interval():
     labelled, _ = sts33_fixture()
     result = chromatic_index_exact(labelled.system, SearchBudget(max_nodes=50))
     assert result.status == INCONCLUSIVE
+    assert result.nodes == 50
     assert result.lower >= 16 and result.upper >= result.lower
     with pytest.raises(ValueError):
         result.value
@@ -413,7 +416,7 @@ def test_search_results_are_pinned():
     result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
     records.append((result.nodes, result.status, result.size))
     assert _digest(records) == (
-        "41ff2fe12adba4b522b4f0f2e604fbf8af23d3cca5d1df18c6a2f2b1316df434")
+        "c574d33683239c8da17bcc2bbb39caae22d50c10bdf8b2c45f66a03c66820655")
 
 
 def test_heuristic_results_are_pinned():
@@ -435,4 +438,4 @@ def test_exact_results_are_pinned():
         records.append((result.nodes, result.status, result.lower, result.upper,
                         [c.indices for c in result.colouring.classes]))
     assert _digest(records) == (
-        "c383fc989ab7366fa15b1a0637b62171340c119ccdd15f36f4ef35a68d2434d1")
+        "9cacdff67144451ce89d352b145dcc2185616b541f1289a9db961eaa49c1e9b6")
