@@ -33,7 +33,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NumberProfile",
@@ -264,9 +264,15 @@ def scan_profiles(limit: int) -> list[ScanRow]:
 
     ``limit`` above :data:`SCAN_LIMIT_MAX` raises ValueError before anything
     is allocated.  Memory grows linearly with ``limit``, about 100 bytes per
-    unit of ``limit``: max RSS 116 MB at 10^6 and 316 MB at 3*10^6, so about
-    1 GB at the cap.
+    unit of ``limit``, most of it the row list: max RSS 116 MB at 10^6 and
+    316 MB at 3*10^6, so about 1 GB at the cap.  :func:`scan_exceptions` and
+    :func:`negative_psi_scan` run the same sieve but keep no row list.
     """
+    return list(_scan_rows(limit))
+
+
+def _scan_rows(limit: int) -> Iterator[ScanRow]:
+    """The rows of :func:`scan_profiles`, ascending by n, one at a time."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if limit > SCAN_LIMIT_MAX:
@@ -278,7 +284,6 @@ def scan_profiles(limit: int) -> list[ScanRow]:
     phis, orders, twos = (array("i", [0]) * (limit + 1) for _ in range(3))
     # f and psi* summed over the proper divisors > 1 seen so far.
     f, psi_star = (array("i", [0]) * (limit + 1) for _ in range(2))
-    rows: list[ScanRow] = []
     for n in range(5, limit + 1, 2):
         if n % 3 == 0:
             continue
@@ -304,22 +309,20 @@ def scan_profiles(limit: int) -> list[ScanRow]:
         f_n = f[n] + g
         psi_star_n = psi_star[n] + psi
         _check_psi_star(n, f_n, psi_star_n)
-        rows.append(ScanRow(n, phi, f_n, psi, psi_star_n))
+        yield ScanRow(n, phi, f_n, psi, psi_star_n)
         for start in (5 * n, 7 * n):
             for m in range(start, limit + 1, 6 * n):
                 psi_star[m] += psi
             if g:
                 for m in range(start, limit + 1, 6 * n):
                     f[m] += g
-    return rows
 
 
 def scan_exceptions(limit: int) -> list[int]:
     """All n = 1 or 5 mod 6 with 1 < n <= limit and psi*(n) <= 0, ascending."""
-    return [row.n for row in scan_profiles(limit) if row.psi_star <= 0]
+    return [row.n for row in _scan_rows(limit) if row.psi_star <= 0]
 
 
 def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
     """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
-    return [(row.n, row.psi) for row in scan_profiles(limit) if row.psi < 0]
-
+    return [(row.n, row.psi) for row in _scan_rows(limit) if row.psi < 0]
