@@ -183,11 +183,14 @@ def _cmd_construct_ws(args) -> int:
 
 def _cmd_construct_bose(args) -> int:
     if args.square == "half-sum":
+        if _passed(args, "seed"):
+            raise ValueError("--seed applies to --square conjugate only")
         labelled = bose_half_sum(args.n)
     else:
+        seed = getattr(args, "seed", 0)
         base = half_sum_square(args.n)
         labelled = bose(*(
-            conjugate_square(base, random_permutation(args.n, substream(args.seed, "bose", i)))
+            conjugate_square(base, random_permutation(args.n, substream(seed, "bose", i)))
             for i in range(3)))
     return _construct_payload(args, labelled, "construct bose")
 
@@ -443,7 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = new(csub, "bose", _cmd_construct_bose, help="order 3n from idempotent symmetric squares")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--square", choices=("half-sum", "conjugate"), default="half-sum")
-    q.add_argument("--seed", type=int, default=0)
+    # SUPPRESS so that a seed given with the half-sum square is seen and refused.
+    q.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="seed of the conjugating permutations (--square conjugate; "
+                        "default 0)")
     q.add_argument("--out", default=None)
 
     p = sub.add_parser("fixture", help="embedded example systems")

@@ -300,11 +300,13 @@ def parse_colouring(text: str, host: TripleSystem) -> Colouring:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("COLOURING v="):
         raise ValueError("not a colouring file: expected 'COLOURING v=<v> k=<k>'")
-    head = lines[0].split()
+    head = lines[0].split()  # "COLOURING", "v=<v>", "k=<k>" and nothing more
     try:
+        if len(head) != 3 or not head[2].startswith("k="):
+            raise ValueError
         v = int(head[1][len("v="):])
         k = int(head[2][len("k="):])
-    except (IndexError, ValueError):
+    except ValueError:
         raise ValueError(f"bad colouring header {lines[0]!r}") from None
     if v != host.v:
         raise ValueError(f"colouring order {v} does not match system order {host.v}")

@@ -191,6 +191,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                   ("--exact", "--restarts", "1")):
         code, _, err = run(capsys, *chi, *extra)
         assert code == 2 and "only" in err, extra
+    # A seed means nothing to the half-sum square, the default.
+    for square in ((), ("--square", "half-sum")):
+        code, _, err = run(capsys, "construct", "bose", "--n", "5", *square, "--seed", "2")
+        assert code == 2 and "only" in err, square
     # Values that would otherwise read as answers: an empty report, a
     # heuristic failure, or a scan that allocates without bound.
     for argv in ((*chi, "--heuristic", "--target", "7", "--restarts", "0"),

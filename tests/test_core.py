@@ -261,9 +261,12 @@ def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     text = format_colouring(colouring)
     with pytest.raises(ValueError, match="does not match"):
         parse_colouring(text, fano)
+    body = "\n".join(text.splitlines()[1:]) + "\n"
     with pytest.raises(ValueError, match="promises"):
-        parse_colouring("COLOURING v=9 k=3\n" + "\n".join(text.splitlines()[1:]) + "\n",
-                        sts9_grid)
+        parse_colouring("COLOURING v=9 k=3\n" + body, sts9_grid)
+    for header in ("COLOURING v=9 q=4", "COLOURING v=9 k=4 junk"):
+        with pytest.raises(ValueError, match="bad colouring header"):
+            parse_colouring(header + "\n" + body, sts9_grid)
 
 
 # ---------------------------------------------------------------------------
