@@ -186,11 +186,6 @@ def _unit_profile(d: int) -> tuple[int, int, int]:
     return phi, order, _g_from_order(d, phi, order)
 
 
-def _check_coprime_to_six(n: int, what: str) -> None:
-    if n <= 1 or n % 2 == 0 or n % 3 == 0:
-        raise ValueError(f"{what} must be > 1 and congruent to 1 or 5 mod 6, got {n}")
-
-
 @dataclass(frozen=True)
 class NumberProfile:
     """Per-n record of the arithmetic quantities feeding the bound machinery."""
@@ -213,7 +208,8 @@ def _check_psi_star(n: int, f: int, psi_star: int) -> None:
 @lru_cache(maxsize=8192)
 def number_profile(n: int) -> NumberProfile:
     """Full :class:`NumberProfile` for n > 1 with n = 1 or 5 mod 6."""
-    _check_coprime_to_six(n, "n")
+    if n <= 1 or n % 2 == 0 or n % 3 == 0:
+        raise ValueError(f"n must be > 1 and congruent to 1 or 5 mod 6, got {n}")
     divs = divisors_gt1(n)
     f = 0
     psi_star = 0
