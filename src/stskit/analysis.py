@@ -55,7 +55,8 @@ class SearchBudget:
 
     ``max_classes`` optionally caps how many parallel classes an enumeration
     may collect before giving up.  Exceeding any cap yields an explicit
-    inconclusive status.
+    inconclusive status.  A NaN time cap or a class cap below 1 is refused:
+    the first would switch the clock off, the second still returns a class.
     """
 
     max_nodes: int = 100_000_000
@@ -63,8 +64,10 @@ class SearchBudget:
     max_classes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 0 or self.max_seconds < 0:
+        if self.max_nodes < 0 or not self.max_seconds >= 0:  # NaN fails >= 0
             raise ValueError("budget limits must be nonnegative")
+        if self.max_classes is not None and self.max_classes < 1:
+            raise ValueError(f"max_classes must be >= 1, got {self.max_classes}")
 
 
 DEFAULT_BUDGET = SearchBudget()

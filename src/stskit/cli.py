@@ -50,7 +50,7 @@ from .core import (
 )
 from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
 from .generator import GenerationError, batch_seed, colouring_survey, random_sts
-from .numtheory import f_of, number_profile, scan_profiles
+from .numtheory import f_of, number_profile, scan_rows
 from .rng import substream
 
 SCHEMA = "stskit-report/1"
@@ -120,18 +120,17 @@ def _cmd_numtheory_profile(args) -> int:
 
 
 def _cmd_numtheory_scan(args) -> int:
-    rows = scan_profiles(args.limit)
-    exceptions = [r for r in rows if r.psi_star <= 0]
-    if args.all:
-        picked, kind = rows, "all"
-    elif args.negative_psi:
-        picked, kind = [r for r in rows if r.psi < 0], "negative-psi"
-    else:
-        picked, kind = exceptions, "exceptions"
+    kind = "all" if args.all else "negative-psi" if args.negative_psi else "exceptions"
+    picked, exceptions = [], []
+    for r in scan_rows(args.limit):
+        if r.psi_star <= 0:
+            exceptions.append(r.n)
+        if args.all or (r.psi < 0 if args.negative_psi else r.psi_star <= 0):
+            picked.append(r)
     payload = {
         "command": "numtheory scan", "limit": args.limit, "kind": kind,
         "rows": [list(r) for r in picked],
-        "exceptions": [r.n for r in exceptions],
+        "exceptions": exceptions,
     }
     lines = ["n\tphi\tf\tpsi\tpsi_star"]
     lines.extend(f"{r.n}\t{r.phi}\t{r.f}\t{r.psi}\t{r.psi_star}" for r in picked)

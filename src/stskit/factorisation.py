@@ -6,13 +6,15 @@ edge {x,y} is x+y mod n.  No graph object is built: a factorisation is its
 order n and three matchings, and :func:`verify_factorisation_properties`
 checks the matchings against the edge rule.
 
-G(n) splits into one unit-Cayley-graph component per divisor d > 1 of n.
-Each component is factorised from one walk x_i = (-2)^i mod d, x_0 = 1,
-that stops at the first x_s in {1, -1}: X = <-1,-2>_d is {+-x_i : i < s},
-so |X| = 2s, and the shape of the 3-way perfect-matching decomposition
-depends on the parity of s (|X| mod 4).  Cosets of X are translated copies.
-Gluing the components gives a 1-factorisation {G_0, G_1, G_2} of G(n) in
-which
+Multiplication by -2 permutes Z_n \\ {0} for odd n, and G(n) is the union
+of the +-orbits of x -> -2x.  From a start a, walk x_i = a(-2)^i mod n to
+the first x_s in {a, -a}: the orbit {+-x_i : i < s} has 2s points, and
+G(n) on it is the cycle(s) through the edges {x_j, x_(j+1)},
+{-x_j, -x_(j+1)} plus the negation matching {x_i, -x_i}.  For a of
+additive order d the orbit is a times a coset of X = <-1,-2>_d, so
+|X| = 2s, and the parity of s (|X| mod 4) decides the shape of the 3-way
+split of the orbit's edges.  One walk per orbit, starts taken in ascending
+order, gives a 1-factorisation {G_0, G_1, G_2} of G(n) in which
 
 * edges of weight x and -x always land in the same factor,
 * G_0 has exactly 2 f(n) edges of nonzero weight, and
@@ -28,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .core import VerificationReport, Violations
-from .numtheory import divisors_gt1
 
 __all__ = [
     "OneFactorisation",
@@ -56,25 +58,53 @@ class OneFactorisation:
     factors: Factors
 
 
+def _orbit_factors(n: int, starts: Iterable[int]) -> Factors:
+    """The three factors of the graph with edges {x,-x} and {x,-2x} mod n on
+    the (-2)-orbits of ``starts``: one walk per start not yet seen, in the
+    order given (see the module docstring).
+
+    The negation matching goes to factor 0 and the cycle edges alternate
+    into factors 1 and 2.  When s is odd the alternation cannot close, so
+    the last cycle edge pair goes to factor 0 in exchange for the negation
+    edges at x_0 (to factor 2) and x_(s-1) (to factor 1).  An orbit with
+    fewer than 2s points, or one that meets a point already seen, raises
+    RuntimeError.
+    """
+    h: list[list[Edge]] = [[], [], []]
+    seen: set[int] = set()
+    for a in starts:
+        if a in seen:
+            continue
+        x = [a, a * (n - 2) % n]
+        while x[-1] not in (a, n - a):
+            x.append(x[-1] * (n - 2) % n)
+        s = len(x) - 1
+        orbit = {p for xi in x[:s] for p in (xi, n - xi)}
+        if len(orbit) != 2 * s or not seen.isdisjoint(orbit):
+            raise RuntimeError(f"the (-2)-orbit of {a} mod {n} is not a fresh cycle")
+        seen |= orbit
+        negation = [_pair(xi, n - xi) for xi in x[:s]]
+        cycle = [[_pair(x[j], x[j + 1]), _pair(n - x[j], n - x[j + 1])] for j in range(s)]
+        odd = s % 2
+        for j in range(s - odd):
+            h[1 + j % 2].extend(cycle[j])
+        if odd:
+            h[0].extend(negation[1:s - 1] + cycle[s - 1])
+            h[1].append(negation[s - 1])
+            h[2].append(negation[0])
+        else:
+            h[0].extend(negation)
+    return tuple(tuple(sorted(f)) for f in h)  # type: ignore[return-value]
+
+
 @lru_cache(maxsize=0)  # keeps nothing; cache_info() still counts the calls
 def factorise_component(d: int) -> Factors:
     """The three factors (M_0, M_1, M_2) of a 1-factorisation of the unit
-    Cayley graph mod d (vertices the units, edges {x,-x} and {x,-2x}), with
-    the weight properties described in the module docstring (f(d) there
-    reduces to: M_0 has 2*phi(d)/|X| nonzero-weight edges when
-    |X| = 2 mod 4, none when |X| = 0 mod 4, and dually for zero weights in
-    M_1 union M_2).  No graph is built or checked here: the factors of
-    G(n) that :func:`factorise_G` assembles from them go through
-    :func:`verify_factorisation_properties`.
-
-    Walk x_i = (-2)^i mod d from x_0 = 1 to the first x_s in {1, -1}; then
-    X = <-1,-2>_d = {+-x_i : i < s} has 2s elements.  The component on X is
-    the cycle(s) through the edges {x_j, x_(j+1)}, {-x_j, -x_(j+1)} plus the
-    negation matching {x_i, -x_i}: the matching goes to M_0 and the cycle
-    edges alternate into M_1/M_2.  When s is odd (|X| = 2 mod 4) the
-    alternation cannot close, so the last cycle edge pair goes to M_0 in
-    exchange for the negation edges at x_0 (to M_2) and x_(s-1) (to M_1).
-    The cosets aX of the units are translated copies.
+    Cayley graph mod d (vertices the units, edges {x,-x} and {x,-2x}): the
+    orbit walk of the module docstring with the units as starts.  The orbits
+    are the cosets of X = <-1,-2>_d, so M_0 has 2*phi(d)/|X| nonzero-weight
+    edges when |X| = 2 mod 4, none when |X| = 0 mod 4, and dually for zero
+    weights in M_1 union M_2.
 
     d = 3 is rejected: there X = {1,2} and the graph is a single edge, which
     has no decomposition into three perfect matchings.  Every other odd d has
@@ -84,62 +114,18 @@ def factorise_component(d: int) -> Factors:
         raise ValueError(f"d must be an odd integer >= 3, got {d}")
     if d == 3:
         raise ValueError("d=3 is degenerate: the unit Cayley graph is a single edge")
-
-    x = [1, d - 2]
-    while x[-1] not in (1, d - 1):
-        x.append(x[-1] * (d - 2) % d)
-    s = len(x) - 1
-    x_set = {p for xi in x[:s] for p in (xi, d - xi)}
-    if len(x_set) != 2 * s:
-        raise RuntimeError(f"|<-1,-2>_{d}| mismatch: {len(x_set)} != {2 * s}")
-
-    def negation(i: int) -> Edge:
-        return _pair(x[i], d - x[i])
-
-    def cycle(j: int) -> list[Edge]:
-        return [_pair(x[j], x[j + 1]), _pair(d - x[j], d - x[j + 1])]
-
-    h: list[list[Edge]] = [[], [], []]
-    odd = s % 2
-    for j in range(s - odd):
-        h[1 + j % 2].extend(cycle(j))
-    if odd:
-        h[0] = [negation(i) for i in range(1, s - 1)] + cycle(s - 1)
-        h[1].append(negation(s - 1))
-        h[2].append(negation(0))
-    else:
-        h[0] = [negation(i) for i in range(s)]
-
-    units = [a for a in range(1, d) if math.gcd(a, d) == 1]
-    reps = []
-    covered: set[int] = set()
-    for a in units:
-        if a not in covered:
-            reps.append(a)
-            covered.update(a * p % d for p in x_set)
-    if len(reps) * 2 * s != len(units):
-        raise RuntimeError(f"coset count mismatch mod {d}")
-
-    return tuple(  # type: ignore[return-value]
-        tuple(sorted(_pair(a * u % d, a * v % d) for a in reps for u, v in hi))
-        for hi in h)
+    return _orbit_factors(d, (a for a in range(1, d) if math.gcd(a, d) == 1))
 
 
 def factorise_G(n: int) -> OneFactorisation:
-    """1-factorisation of G(n), n = 1 mod 6 and n >= 7, assembled from the
-    per-divisor component factorisations via x -> (n/d) x, which maps units
-    mod d onto the elements of additive order d.  The result is unchecked
-    here: :func:`verify_factorisation_properties` is the one check, and
-    callers that rely on the properties run it."""
+    """1-factorisation of G(n), n = 1 mod 6 and n >= 7: the (-2)-orbit walk
+    of the module docstring over every nonzero residue.  The result is
+    unchecked here beyond the walk's own orbit check:
+    :func:`verify_factorisation_properties` is the one check, and callers
+    that rely on the properties run it."""
     if n % 6 != 1 or n < 7:
         raise ValueError(f"n must be 1 mod 6 and >= 7, got {n}")
-    factors: list[list[Edge]] = [[], [], []]
-    for d in divisors_gt1(n):
-        mult = n // d  # 0 < u < v < d, so 0 < mult*u < mult*v < n
-        for i, factor in enumerate(factorise_component(d)):
-            factors[i].extend((mult * u, mult * v) for u, v in factor)
-    return OneFactorisation(
-        n=n, factors=tuple(tuple(sorted(f)) for f in factors))  # type: ignore[arg-type]
+    return OneFactorisation(n=n, factors=_orbit_factors(n, range(1, n)))
 
 
 def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> VerificationReport:

@@ -46,6 +46,7 @@ __all__ = [
     "number_profile",
     "scan_exceptions",
     "scan_profiles",
+    "scan_rows",
     "subgroup_order",
 ]
 
@@ -261,13 +262,13 @@ def scan_profiles(limit: int) -> list[ScanRow]:
     ``limit`` above :data:`SCAN_LIMIT_MAX` raises ValueError before anything
     is allocated.  Memory grows linearly with ``limit``, about 100 bytes per
     unit of ``limit``, most of it the row list: max RSS 116 MB at 10^6 and
-    316 MB at 3*10^6, so about 1 GB at the cap.  :func:`scan_exceptions` and
-    :func:`negative_psi_scan` run the same sieve but keep no row list.
+    316 MB at 3*10^6, so about 1 GB at the cap.  :func:`scan_rows` yields the
+    same rows one at a time and keeps no list.
     """
-    return list(_scan_rows(limit))
+    return list(scan_rows(limit))
 
 
-def _scan_rows(limit: int) -> Iterator[ScanRow]:
+def scan_rows(limit: int) -> Iterator[ScanRow]:
     """The rows of :func:`scan_profiles`, ascending by n, one at a time."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
@@ -316,9 +317,9 @@ def _scan_rows(limit: int) -> Iterator[ScanRow]:
 
 def scan_exceptions(limit: int) -> list[int]:
     """All n = 1 or 5 mod 6 with 1 < n <= limit and psi*(n) <= 0, ascending."""
-    return [row.n for row in _scan_rows(limit) if row.psi_star <= 0]
+    return [row.n for row in scan_rows(limit) if row.psi_star <= 0]
 
 
 def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
     """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
-    return [(row.n, row.psi) for row in _scan_rows(limit) if row.psi < 0]
+    return [(row.n, row.psi) for row in scan_rows(limit) if row.psi < 0]

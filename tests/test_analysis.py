@@ -83,6 +83,15 @@ def test_class_cap_budget(sts9_grid):
     assert enum.status == INCONCLUSIVE and len(enum.classes) == 2
 
 
+@pytest.mark.parametrize("caps", [{"max_classes": 0}, {"max_classes": -3},
+                                  {"max_seconds": float("nan")}],
+                         ids=["classes-0", "classes-neg", "seconds-nan"])
+def test_budget_refuses_caps_it_cannot_honour(caps):
+    # A class cap below 1 still returns one class; a NaN time cap never fires.
+    with pytest.raises(ValueError):
+        SearchBudget(**caps)
+
+
 # ---------------------------------------------------------------------------
 # max disjoint parallel classes
 

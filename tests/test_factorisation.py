@@ -231,6 +231,18 @@ def test_component_decomposition_under_scaling():
             assert restricted == _cayley_edges(d, _units(d)), (n, d)
 
 
+def test_factorise_G_equals_scaled_components():
+    # A second route to the factors of G(n): the elements of additive order
+    # d are n/d times the units mod d, so the component factors mod each
+    # d | n, scaled by n/d, must give factorise_G(n) edge for edge.
+    for n in range(7, 998, 6):
+        factors: list[list[tuple[int, int]]] = [[], [], []]
+        for d in divisors_gt1(n):
+            for i, factor in enumerate(factorise_component(d)):
+                factors[i].extend((n // d * u, n // d * v) for u, v in factor)
+        assert factorise_G(n).factors == tuple(tuple(sorted(f)) for f in factors), n
+
+
 def test_format_factorisation():
     text = format_factorisation(factorise_G(7))
     lines = text.splitlines()
