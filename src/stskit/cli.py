@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .analysis import (
@@ -38,6 +39,7 @@ from .constructions import (
     random_permutation,
     sts33_fixture,
     wilson_schreiber,
+    wilson_schreiber_triples,
 )
 from .core import (
     VerificationReport,
@@ -50,7 +52,7 @@ from .core import (
 )
 from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
 from .generator import GenerationError, batch_seed, colouring_survey, random_sts
-from .numtheory import f_of, number_profile, scan_rows
+from .numtheory import ScanRow, f_of, number_profile, scan_rows
 from .rng import substream
 
 SCHEMA = "stskit-report/1"
@@ -83,21 +85,24 @@ def _read_system(path: str):
     return parse_sts(_read_text(path))
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: Callable[[], str]) -> None:
+    """Write ``text()`` to ``path``; without a path the text is not built."""
     if path is not None:
-        Path(path).write_text(text)
+        Path(path).write_text(text())
 
 
 def _verdict(report: VerificationReport) -> str:
     return "ok" if report.ok else f"FAILED: {report.first_violation}"
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          lines: Callable[[], Iterable[str]]) -> None:
+    """Print the ``--json`` report or the text lines.  Both come as
+    zero-argument callables, so that only the one printed is built."""
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload))
+        print(json.dumps({"schema": SCHEMA, **payload()}))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -107,33 +112,44 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
 
 def _cmd_numtheory_profile(args) -> int:
     p = number_profile(args.n)
-    payload = {
+    _emit(args, lambda: {
         "command": "numtheory profile", "n": p.n, "phi": p.phi,
         "sub_order": p.sub_order, "g": p.g, "f": p.f, "psi": p.psi,
         "psi_star": p.psi_star, "divisors_gt1": list(p.divisors_gt1),
-    }
-    lines = [f"n={p.n}", f"phi={p.phi}", f"sub_order={p.sub_order}",
-             f"g={p.g}", f"f={p.f}", f"psi={p.psi}", f"psi_star={p.psi_star}",
-             "divisors_gt1=" + ",".join(str(d) for d in p.divisors_gt1)]
-    _emit(args, payload, lines)
+    }, lambda: [f"n={p.n}", f"phi={p.phi}", f"sub_order={p.sub_order}",
+                f"g={p.g}", f"f={p.f}", f"psi={p.psi}", f"psi_star={p.psi_star}",
+                "divisors_gt1=" + ",".join(str(d) for d in p.divisors_gt1)])
     return EXIT_OK
+
+
+# The rows each kind of 'numtheory scan' prints.
+_SCAN_KINDS: dict[str, Callable[[ScanRow], bool]] = {
+    "all": lambda r: True,
+    "negative-psi": lambda r: r.psi < 0,
+    "exceptions": lambda r: r.psi_star <= 0,
+}
 
 
 def _cmd_numtheory_scan(args) -> int:
     kind = "all" if args.all else "negative-psi" if args.negative_psi else "exceptions"
-    picked, exceptions = [], []
-    for r in scan_rows(args.limit):
-        if r.psi_star <= 0:
-            exceptions.append(r.n)
-        if args.all or (r.psi < 0 if args.negative_psi else r.psi_star <= 0):
-            picked.append(r)
-    payload = {
-        "command": "numtheory scan", "limit": args.limit, "kind": kind,
-        "rows": [list(r) for r in picked],
-        "exceptions": exceptions,
-    }
-    lines = ["n\tphi\tf\tpsi\tpsi_star"]
-    lines.extend(f"{r.n}\t{r.phi}\t{r.f}\t{r.psi}\t{r.psi_star}" for r in picked)
+    picks = _SCAN_KINDS[kind]
+    rows = scan_rows(args.limit)  # one pass, by the report or by the text
+
+    def payload() -> dict:
+        picked, exceptions = [], []
+        for r in rows:
+            if r.psi_star <= 0:
+                exceptions.append(r.n)
+            if picks(r):
+                picked.append(r)  # a row serialises as its list of fields
+        return {"command": "numtheory scan", "limit": args.limit, "kind": kind,
+                "rows": picked, "exceptions": exceptions}
+
+    def lines() -> Iterator[str]:
+        yield "n\tphi\tf\tpsi\tpsi_star"
+        for r in filter(picks, rows):
+            yield f"{r.n}\t{r.phi}\t{r.f}\t{r.psi}\t{r.psi_star}"
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -141,38 +157,29 @@ def _cmd_numtheory_scan(args) -> int:
 def _cmd_factorise(args) -> int:
     fact = factorise_G(args.n)
     report = verify_factorisation_properties(fact, f_of(args.n))
-    text = format_factorisation(fact)
-    _write(args.out, text)
+    _write(args.out, lambda: format_factorisation(fact))
     edges = sum(len(f) for f in fact.factors)
-    payload = {
+    _emit(args, lambda: {
         "command": "factorise", "n": args.n, "edges": edges,
         "factor_sizes": [len(f) for f in fact.factors],
         "verified": report.ok, "out": args.out,
-    }
-    lines = [f"G({args.n}): {edges} edges in 3 factors of "
-             f"{len(fact.factors[0])}, verify {_verdict(report)}"]
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    else:
-        lines.append(text.rstrip("\n"))
-    _emit(args, payload, lines)
+    }, lambda: [f"G({args.n}): {edges} edges in 3 factors of "
+                f"{len(fact.factors[0])}, verify {_verdict(report)}",
+                f"wrote {args.out}" if args.out else format_factorisation(fact).rstrip("\n")])
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _construct_payload(args, labelled, what: str) -> int:
     system = labelled.system
     report = verify_sts(system)
-    _write(args.out, format_sts(system))
-    payload = {
+    _write(args.out, lambda: format_sts(system))
+    _emit(args, lambda: {
         "command": what, "v": system.v, "triples": system.b,
         "verified": report.ok, "out": args.out,
         "families": {name: len(idx) for name, idx in labelled.families.items()},
-    }
-    lines = [f"{labelled.tag}: order {system.v}, {system.b} triples, "
-             f"verify {_verdict(report)}"]
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    _emit(args, payload, lines)
+    }, lambda: [f"{labelled.tag}: order {system.v}, {system.b} triples, "
+                f"verify {_verdict(report)}",
+                *([f"wrote {args.out}"] if args.out else [])])
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -198,42 +205,44 @@ def _cmd_fixture(args) -> int:
     labelled, colouring = sts33_fixture()
     report = verify_sts(labelled.system)
     creport = verify_colouring(labelled.system, colouring)
-    _write(args.out, format_sts(labelled.system))
-    _write(args.colouring_out, format_colouring(colouring))
+    _write(args.out, lambda: format_sts(labelled.system))
+    _write(args.colouring_out, lambda: format_colouring(colouring))
     ok = report.ok and creport.ok
-    payload = {
+    _emit(args, lambda: {
         "command": "fixture sts33", "v": 33, "triples": labelled.system.b,
         "classes": creport.n_classes, "verified": ok,
         "out": args.out, "colouring_out": args.colouring_out,
-    }
-    lines = [f"sts33 fixture: 176 triples, colouring with {creport.n_classes} classes, "
-             f"verify {'ok' if ok else 'FAILED'}"]
-    for path in (args.out, args.colouring_out):
-        if path:
-            lines.append(f"wrote {path}")
-    _emit(args, payload, lines)
+    }, lambda: [f"sts33 fixture: 176 triples, colouring with {creport.n_classes} classes, "
+                f"verify {'ok' if ok else 'FAILED'}",
+                *(f"wrote {path}" for path in (args.out, args.colouring_out) if path)])
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
     system = _read_system(args.infile)
     report = verify_sts(system)
-    payload = {
-        "command": "verify", "v": system.v, "triples": system.b,
-        "ok": report.ok, "first_violation": report.first_violation,
-        "violations": report.violation_count,
-    }
-    lines = [f"order {system.v}, {system.b} triples: {_verdict(report)}"]
-    ok = report.ok
+    creport = None
     if args.colouring is not None:
         colouring = parse_colouring(_read_text(args.colouring), system)
         creport = verify_colouring(system, colouring)
-        payload["colouring_ok"] = creport.ok
-        payload["classes"] = creport.n_classes
-        lines.append(f"colouring with {creport.n_classes} classes: {_verdict(creport)}")
-        ok = ok and creport.ok
+
+    def payload() -> dict:
+        out = {
+            "command": "verify", "v": system.v, "triples": system.b,
+            "ok": report.ok, "first_violation": report.first_violation,
+            "violations": report.violation_count,
+        }
+        if creport is not None:
+            out.update(colouring_ok=creport.ok, classes=creport.n_classes)
+        return out
+
+    def lines() -> Iterator[str]:
+        yield f"order {system.v}, {system.b} triples: {_verdict(report)}"
+        if creport is not None:
+            yield f"colouring with {creport.n_classes} classes: {_verdict(creport)}"
+
     _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report.ok and (creport is None or creport.ok) else EXIT_FAIL
 
 
 def _cmd_analyze_pcs(args) -> int:
@@ -241,27 +250,24 @@ def _cmd_analyze_pcs(args) -> int:
     budget = _budget(args)
     if args.max_disjoint:
         result = max_disjoint_pcs(system, budget)
-        payload = {
+        _emit(args, lambda: {
             "command": "analyze pcs", "v": system.v,
             "parallel_classes": result.n_parallel_classes,
             "max_disjoint": result.size, "upper_bound": result.upper_bound,
             "status": result.status, "nodes": result.nodes,
-            "witness": [list(c.indices) for c in result.witness],
-        }
-        lines = [f"{result.n_parallel_classes} parallel classes; max disjoint "
-                 f"{result.size} (upper bound {result.upper_bound}, {result.status})"]
+            "witness": [c.indices for c in result.witness],
+        }, lambda: [f"{result.n_parallel_classes} parallel classes; max disjoint "
+                    f"{result.size} (upper bound {result.upper_bound}, {result.status})"])
         status = result.status
     else:
         enum = enumerate_parallel_classes(system, budget)
-        payload = {
+        _emit(args, lambda: {
             "command": "analyze pcs", "v": system.v,
             "parallel_classes": len(enum.classes), "status": enum.status,
             "nodes": enum.nodes,
-            "classes": [list(c.indices) for c in enum.classes],
-        }
-        lines = [f"{len(enum.classes)} parallel classes ({enum.status})"]
+            "classes": [c.indices for c in enum.classes],
+        }, lambda: [f"{len(enum.classes)} parallel classes ({enum.status})"])
         status = enum.status
-    _emit(args, payload, lines)
     return EXIT_OK if status == COMPLETE else EXIT_INCONCLUSIVE
 
 
@@ -283,14 +289,12 @@ def _cmd_analyze_chi(args) -> int:
             raise ValueError("--heuristic requires --target")
         colouring = chromatic_index_heuristic(system, **opts)
         ok = colouring is not None
-        payload = {
+        _emit(args, lambda: {
             "command": "analyze chi", "mode": "heuristic", "v": system.v,
             "target": args.target, "success": ok,
             "classes": colouring.n_classes if ok else None,
-        }
-        lines = [f"heuristic target {args.target}: "
-                 f"{'success with ' + str(colouring.n_classes) + ' classes' if ok else 'failure'}"]
-        _emit(args, payload, lines)
+        }, lambda: [f"heuristic target {args.target}: " + (
+            f"success with {colouring.n_classes} classes" if ok else "failure")])
         return EXIT_OK if ok else EXIT_FAIL
 
     witness = None
@@ -301,18 +305,15 @@ def _cmd_analyze_chi(args) -> int:
         cert = pc_bound_mod3_auto(system)
     result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
                                    upper_witness=witness)
-    payload = {
+    complete = result.status == COMPLETE
+    _emit(args, lambda: {
         "command": "analyze chi", "mode": "exact", "v": system.v,
         "lower": result.lower, "upper": result.upper,
         "status": result.status, "nodes": result.nodes,
-        "value": result.lower if result.status == COMPLETE else None,
-    }
-    if result.status == COMPLETE:
-        lines = [f"chromatic index {result.value}"]
-    else:
-        lines = [f"chromatic index in [{result.lower}, {result.upper}] (inconclusive)"]
-    _emit(args, payload, lines)
-    return EXIT_OK if result.status == COMPLETE else EXIT_INCONCLUSIVE
+        "value": result.lower if complete else None,
+    }, lambda: [f"chromatic index {result.value}" if complete else
+                f"chromatic index in [{result.lower}, {result.upper}] (inconclusive)"])
+    return EXIT_OK if complete else EXIT_INCONCLUSIVE
 
 
 def _cmd_analyze_bound(args) -> int:
@@ -320,36 +321,31 @@ def _cmd_analyze_bound(args) -> int:
     if args.method == "mod3":
         cert = pc_bound_mod3_auto(system)
     else:
-        n = system.v - 2
+        v = system.v
+        n = v - 2
         if n % 6 != 1:
-            raise ValueError(f"ws bound needs order v with v-2 = 1 mod 6, got v={system.v}")
-        fact = factorise_G(n)
-        canonical = wilson_schreiber(n, fact)
-        if canonical.system != system:
+            raise ValueError(f"ws bound needs order v with v-2 = 1 mod 6, got v={v}")
+        # The triple count first: it caps the work below by the file's size.
+        fact = factorise_G(n) if system.b == v * (v - 1) // 6 else None
+        if fact is None or system.triples != wilson_schreiber_triples(fact):
             raise ValueError("input system is not the canonical construction "
-                             f"of order {system.v}; the ws bound does not apply")
+                             f"of order {v}; the ws bound does not apply")
         cert = pc_bound_ws(fact)
-    payload = {
+    _emit(args, lambda: {
         "command": "analyze bound", "v": system.v, "method": cert.method,
-        "bound": cert.bound,
-        "witness": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in cert.witness.items()},
-    }
-    lines = [f"at most {cert.bound} disjoint parallel classes ({cert.method})"]
-    _emit(args, payload, lines)
+        "bound": cert.bound, "witness": cert.witness,
+    }, lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
     return EXIT_OK
 
 
 def _cmd_theorem1(args) -> int:
     report = theorem1_pipeline(args.v)
-    payload = {
+    _emit(args, lambda: {
         "command": "theorem1", "v": report.v, "route": report.route,
         "holds": report.holds, "chi_lower": report.chi_lower,
         "chi_exact": report.chi_exact, "pc_bound": report.pc_bound,
         "f": report.f_value, "message": report.message,
-    }
-    lines = [f"v={report.v} [{report.route}] {report.message}"]
-    _emit(args, payload, lines)
+    }, lambda: [f"v={report.v} [{report.route}] {report.message}"])
     if report.holds is None:
         return EXIT_INCONCLUSIVE
     return EXIT_OK if report.holds else EXIT_FAIL
@@ -369,29 +365,28 @@ def _cmd_generate(args) -> int:
             path = out / f"sts-v{args.v}-{idx}.sts"
             path.write_text(format_sts(system))
             written.append(str(path))
-    payload = {
+    _emit(args, lambda: {
         "command": "generate", "v": args.v, "count": args.count,
         "seed": args.seed, "triples": orders, "files": written,
-    }
-    lines = [f"generated {args.count} system(s) of order {args.v}"]
-    lines.extend(f"wrote {p}" for p in written)
-    _emit(args, payload, lines)
+    }, lambda: [f"generated {args.count} system(s) of order {args.v}",
+                *(f"wrote {p}" for p in written)])
     return EXIT_OK
 
 
 def _cmd_survey(args) -> int:
     result = colouring_survey(args.v, args.count, args.seed, **_passed(args, "restarts"))
-    payload = {
+    def lines() -> Iterator[str]:
+        yield f"order {args.v} (m={result.m}), {args.count} systems:"
+        for label in ("m", "m+1", "m+2", "fail"):
+            yield f"  {label}: {result.counts[label]}"
+        if result.generator_failures:
+            yield f"  generator failures: {result.generator_failures}"
+
+    _emit(args, lambda: {
         "command": "survey colouring", "v": result.v, "m": result.m,
         "count": args.count, "seed": args.seed, "counts": result.counts,
         "generator_failures": result.generator_failures,
-    }
-    lines = [f"order {args.v} (m={result.m}), {args.count} systems:"]
-    lines.extend(f"  {label}: {result.counts[label]}"
-                 for label in ("m", "m+1", "m+2", "fail"))
-    if result.generator_failures:
-        lines.append(f"  generator failures: {result.generator_failures}")
-    _emit(args, payload, lines)
+    }, lines)
     return EXIT_OK
 
 

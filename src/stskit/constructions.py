@@ -30,6 +30,7 @@ __all__ = [
     "sts33_fixture",
     "verify_cyclic",
     "wilson_schreiber",
+    "wilson_schreiber_triples",
 ]
 
 
@@ -120,15 +121,31 @@ class LabelledSTS:
 
 
 def _family_indices(system: TripleSystem, groups: dict) -> dict:
-    """Each group of triples (any point order), under its key in ``groups``,
-    as the sorted tuple of their indices in ``system``."""
-    index = {t: i for i, t in enumerate(system.triples)}
-    return {name: tuple(sorted(index[tuple(sorted(t))] for t in triples))
-            for name, triples in groups.items()}
+    """Each group of triples (each sorted, as in ``system``), under its key in
+    ``groups``, as the sorted tuple of their indices in ``system``."""
+    index = {t: i for i, t in enumerate(system.triples)}.__getitem__
+    return {name: tuple(sorted(map(index, triples))) for name, triples in groups.items()}
 
 
 # ---------------------------------------------------------------------------
 # order n+2 from a 1-factorisation of G(n)
+
+
+def wilson_schreiber_triples(fact: OneFactorisation) -> tuple[tuple[int, int, int], ...]:
+    """The canonical triple list of ``wilson_schreiber(fact.n, fact)``,
+    without its families."""
+    n = fact.n
+    triples: list[tuple[int, int, int]] = []
+    for a in range(1, n):
+        # a < b < c < n with a+b+c = n (so b < (n-a)/2) or 2n (so b > n-a).
+        triples += [(a - 1, b - 1, n - a - b - 1) for b in range(a + 1, (n - a + 1) // 2)]
+        triples += [(a - 1, b - 1, 2 * n - a - b - 1)
+                    for b in range(max(a + 1, n + 1 - a), (2 * n - a + 1) // 2)]
+    triples.append((n - 1, n, n + 1))
+    for i, factor in enumerate(fact.factors):
+        triples += [tuple(sorted((u - 1, v - 1, n - 1 + i))) for u, v in factor]
+    triples.sort()
+    return tuple(triples)
 
 
 def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledSTS:
@@ -147,24 +164,14 @@ def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledST
         fact = factorise_G(n)
     if fact.n != n:
         raise ValueError(f"factorisation is for G({fact.n}), not G({n})")
-    inf = [n - 1, n, n + 1]
-
-    zero_sum = []
-    for a in range(1, n):
-        for b_ in range(a + 1, n):
-            c = (-(a + b_)) % n
-            if c > b_:
-                zero_sum.append((a - 1, b_ - 1, c - 1))
-    infinity = [(inf[0], inf[1], inf[2])]
-    for i, factor in enumerate(fact.factors):
-        infinity.extend(tuple(sorted((u - 1, v - 1, inf[i]))) for u, v in factor)
-
-    system = TripleSystem.from_triples(n + 2, zero_sum + infinity)
+    triples = wilson_schreiber_triples(fact)
     return LabelledSTS(
-        system=system,
+        system=TripleSystem(n + 2, triples),
         tag="wilson-schreiber",
         params={"n": n},
-        families=_family_indices(system, {"zero-sum": zero_sum, "infinity": infinity}),
+        # A triple's last point is an infinity point exactly when it has one.
+        families={"zero-sum": tuple(i for i, t in enumerate(triples) if t[2] < n - 1),
+                  "infinity": tuple(i for i, t in enumerate(triples) if t[2] >= n - 1)},
     )
 
 

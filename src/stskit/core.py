@@ -82,28 +82,35 @@ class TripleSystem:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.v < 1:
-            raise ValueError(f"v must be positive, got {self.v}")
+        v = self.v
+        if v < 1:
+            raise ValueError(f"v must be positive, got {v}")
         prev = None
         for t in self.triples:
-            if len(t) != 3:
-                raise ValueError(f"triple {t} does not have 3 entries")
-            if not all(isinstance(p, int) and 0 <= p < self.v for p in t):
-                raise ValueError(f"triple {t} has a point outside 0..{self.v - 1}")
-            if not (t[0] <= t[1] <= t[2]):
-                raise ValueError(f"triple {t} is not sorted; use from_triples")
-            if prev is not None:
+            try:
+                a, b, c = t
+            except ValueError:
+                raise ValueError(f"triple {t} does not have 3 entries") from None
+            if not (type(a) is type(b) is type(c) is int and 0 <= a <= b <= c < v):
+                self._check_points(t)
+            if prev is not None and t <= prev:
                 if t == prev:
                     raise ValueError(f"duplicate triple {t}")
-                if t < prev:
-                    raise ValueError("triple list is not sorted; use from_triples")
+                raise ValueError("triple list is not sorted; use from_triples")
             prev = t
+
+    def _check_points(self, t: tuple[int, int, int]) -> None:
+        """The point checks of ``__post_init__`` one by one, for a triple
+        that fails its one-comparison fast path (int subclasses pass)."""
+        if not all(isinstance(p, int) and 0 <= p < self.v for p in t):
+            raise ValueError(f"triple {t} has a point outside 0..{self.v - 1}")
+        if not (t[0] <= t[1] <= t[2]):
+            raise ValueError(f"triple {t} is not sorted; use from_triples")
 
     @classmethod
     def from_triples(cls, v: int, triples: Iterable[Sequence[int]]) -> "TripleSystem":
         """Canonicalise and build: sorts within each triple and sorts the list."""
-        canon = sorted(tuple(sorted(t)) for t in triples)
-        return cls(v, tuple(canon))  # type: ignore[arg-type]
+        return cls(v, tuple(sorted(map(tuple, map(sorted, triples)))))  # type: ignore[arg-type]
 
     @property
     def b(self) -> int:
@@ -192,26 +199,36 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     if v < 3:
         raise ValueError(f"order {v} too small to verify")
     hit = Violations()
-    clean: list[tuple[int, int, int]] = []
-    for t in system.triples:
-        if t[0] == t[1] or t[1] == t[2]:
-            hit(f"malformed triple {t}: repeated point")
-        else:
-            clean.append(t)
+    triples = system.triples
+    malformed = [t for t in triples if t[0] == t[1] or t[1] == t[2]]
+    for t in malformed:
+        hit(f"malformed triple {t}: repeated point")
+    clean = [t for t in triples if t[0] != t[1] != t[2]] if malformed else triples
 
-    seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for t in clean:
-        for pair in combinations(t, 2):
-            other = seen.get(pair)
-            if other is None:
-                seen[pair] = t
-            else:
-                hit(f"pair {{{pair[0]},{pair[1]}}} covered twice (triples {other} and {t})")
+    # Each pair {x,y}, x < y, as the integer x*v+y: pair order is key order.
+    keys: set[int] = set()
+    add = keys.add
+    for a, b, c in clean:
+        add(a * v + b)
+        add(a * v + c)
+        add(b * v + c)
+    if len(keys) < 3 * len(clean):
+        # Some pair is covered twice: re-scan to name both triples each time.
+        seen: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for t in clean:
+            for pair in combinations(t, 2):
+                other = seen.get(pair)
+                if other is None:
+                    seen[pair] = t
+                else:
+                    hit(f"pair {{{pair[0]},{pair[1]}}} covered twice (triples {other} and {t})")
 
-    missing = v * (v - 1) // 2 - len(seen)
+    missing = v * (v - 1) // 2 - len(keys)
     if missing > 0:
-        # Report the first uncovered pair; the count covers all of them.
-        pair = next(p for p in combinations(range(v), 2) if p not in seen)
+        # Report the first uncovered pair; the count covers all of them.  The
+        # walk passes only covered pairs before it, so it takes at most
+        # len(keys) + 1 steps and holds nothing sized by v.
+        pair = next((x, y) for x in range(v) for y in range(x + 1, v) if x * v + y not in keys)
         hit(f"pair {{{pair[0]},{pair[1]}}} not covered", missing)
 
     expected, rem = divmod(v * (v - 1), 6)
@@ -271,23 +288,37 @@ def format_sts(system: TripleSystem) -> str:
 
 
 def parse_sts(text: str) -> TripleSystem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("STS v="):
+    lines = text.splitlines()
+    body = filter(str.strip, lines)
+    head = next(body, "")
+    if not head.startswith("STS v="):
         raise ValueError("not an STS file: expected first line 'STS v=<v>'")
     try:
-        v = int(lines[0][len("STS v="):])
+        v = int(head[len("STS v="):])
     except ValueError:
-        raise ValueError(f"bad STS header {lines[0]!r}") from None
-    triples = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+        raise ValueError(f"bad STS header {head!r}") from None
+    try:
+        return TripleSystem.from_triples(
+            v, ((int(a), int(b), int(c)) for a, b, c in map(str.split, body)))
+    except ValueError:
+        # A line that is not three integers stops the pass; name the first.
+        _raise_first_bad_line(lines)
+        raise
+
+
+def _raise_first_bad_line(lines: list[str]) -> None:
+    """Raise the error for the first body line of an STS file that is not
+    three integers; lines are numbered among the non-blank lines."""
+    body = filter(str.strip, lines)
+    next(body)  # the header
+    for lineno, ln in enumerate(body, start=2):
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 point indices, got {ln!r}")
         try:
-            triples.append(tuple(int(p) for p in parts))
+            list(map(int, parts))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer point in {ln!r}") from None
-    return TripleSystem.from_triples(v, triples)
 
 
 def format_colouring(colouring: Colouring) -> str:

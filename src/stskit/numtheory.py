@@ -269,11 +269,16 @@ def scan_profiles(limit: int) -> list[ScanRow]:
 
 
 def scan_rows(limit: int) -> Iterator[ScanRow]:
-    """The rows of :func:`scan_profiles`, ascending by n, one at a time."""
+    """The rows of :func:`scan_profiles`, ascending by n, one at a time.
+    A bad ``limit`` raises ValueError at the call, before the first row."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if limit > SCAN_LIMIT_MAX:
         raise ValueError(f"limit must be <= {SCAN_LIMIT_MAX}, got {limit}")
+    return _sieve_rows(limit)
+
+
+def _sieve_rows(limit: int) -> Iterator[ScanRow]:
     spf = smallest_prime_factor_sieve(limit)
     # Per n coprime to 6: phi(n), ord_n(-2), and the 2-part shared by the
     # orders of -2 modulo the prime powers of n (1 when one of them is odd

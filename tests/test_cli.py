@@ -140,6 +140,44 @@ def test_analyze_bound_ws_rejects_noncanonical(tmp_path, capsys):
     assert code == 2 and "canonical" in err
 
 
+@pytest.mark.parametrize("header", ["STS v=1503", "STS v=100000005"])
+def test_analyze_bound_ws_refuses_wrong_count_before_building(tmp_path, capsys, monkeypatch,
+                                                              header):
+    # The triple count settles it: G(n) is never factorised, nor the
+    # canonical system built, whatever order the header claims.
+    from stskit import cli
+
+    def never(*_args):
+        raise AssertionError("built the canonical system for a file it refuses")
+
+    for name in ("factorise_G", "wilson_schreiber", "wilson_schreiber_triples"):
+        monkeypatch.setattr(cli, name, never)
+    path = tmp_path / "short.sts"
+    path.write_text(f"{header}\n0 1 2\n")
+    code, out, err = run(capsys, "analyze", "bound", "--in", str(path), "--method", "ws")
+    v = header.split("=")[1]
+    assert (code, out) == (2, "")
+    assert err == (f"error: input system is not the canonical construction of order {v}; "
+                   "the ws bound does not apply\n")
+
+
+@pytest.mark.parametrize("kind", [(), ("--all",), ("--negative-psi",)])
+def test_numtheory_scan_text_and_json_agree(capsys, kind):
+    code, text, _ = run(capsys, "numtheory", "scan", "--limit", "600", *kind)
+    assert code == 0
+    code, out, _ = run(capsys, "numtheory", "scan", "--limit", "600", *kind, "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert text.splitlines() == ["n\tphi\tf\tpsi\tpsi_star",
+                                 *("\t".join(map(str, r)) for r in rows)]
+
+
+def test_numtheory_scan_bad_limit_prints_nothing(capsys):
+    # The limit is checked before the text header goes out.
+    code, out, err = run(capsys, "numtheory", "scan", "--limit", "2")
+    assert (code, out) == (2, "") and "limit must be >= 3" in err
+
+
 def test_theorem1_exit_codes(capsys):
     code, out, _ = run(capsys, "theorem1", "--v", "15", "--json")
     assert code == 0

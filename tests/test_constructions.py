@@ -19,7 +19,7 @@ from stskit import (
     verify_sts,
     wilson_schreiber,
 )
-from stskit.constructions import random_permutation
+from stskit.constructions import random_permutation, wilson_schreiber_triples
 from stskit.rng import substream
 
 
@@ -98,6 +98,17 @@ def test_ws_zero_sum_family_sums_to_zero():
         labelled = wilson_schreiber(n)
         for i in labelled.families["zero-sum"]:
             assert sum(p + 1 for p in labelled.system.triples[i]) % n == 0
+
+
+@pytest.mark.parametrize("n", [7, 13, 19, 25, 31, 37, 97])
+def test_ws_zero_sum_family_is_every_zero_sum_triple(n):
+    # The per-a ranges of b against the definition: all 3-subsets of
+    # Z_n \ {0} with zero sum, points shifted down by one.
+    labelled = wilson_schreiber(n)
+    triples = labelled.system.triples
+    assert {triples[i] for i in labelled.families["zero-sum"]} == {
+        tuple(p - 1 for p in c) for c in combinations(range(1, n), 3) if sum(c) % n == 0}
+    assert wilson_schreiber_triples(factorise_G(n)) == triples
 
 
 def test_ws_rejects_tampered_factorisation():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,7 @@ from stskit import (
     Colouring,
     PartialParallelClass,
     TripleSystem,
+    VerificationReport,
     format_colouring,
     format_sts,
     m_lower,
@@ -41,6 +44,34 @@ def test_duplicate_triples_are_a_hard_error():
 def test_out_of_range_point_rejected():
     with pytest.raises(ValueError):
         TripleSystem.from_triples(7, [(0, 1, 7)])
+
+
+@pytest.mark.parametrize("v, triples, message", [
+    (0, (), "v must be positive, got 0"),
+    (7, ((0, 1),), "triple (0, 1) does not have 3 entries"),
+    (7, ((0, 1, 2, 3),), "triple (0, 1, 2, 3) does not have 3 entries"),
+    (7, ((0, 1, 7),), "triple (0, 1, 7) has a point outside 0..6"),
+    (7, ((-1, 0, 1),), "triple (-1, 0, 1) has a point outside 0..6"),
+    (7, ((0, 1, 2.0),), "triple (0, 1, 2.0) has a point outside 0..6"),
+    (7, ((0, "1", 2),), "triple (0, '1', 2) has a point outside 0..6"),
+    # Out of range is checked before order, and both before the list order.
+    (7, ((3, 1, 9),), "triple (3, 1, 9) has a point outside 0..6"),
+    (7, ((0, 2, 1),), "triple (0, 2, 1) is not sorted; use from_triples"),
+    (7, ((0, 1, 2), (0, 2, 1)), "triple (0, 2, 1) is not sorted; use from_triples"),
+    (7, ((0, 1, 2), (0, 1, 2)), "duplicate triple (0, 1, 2)"),
+    (7, ((0, 1, 3), (0, 1, 2)), "triple list is not sorted; use from_triples"),
+    # The first bad triple wins.
+    (7, ((0, 1, 2), (0, 1), (0, 1, 9)), "triple (0, 1) does not have 3 entries"),
+])
+def test_triple_system_constructor_errors(v, triples, message):
+    with pytest.raises(ValueError) as exc:
+        TripleSystem(v, triples)
+    assert str(exc.value) == message
+
+
+def test_int_subclass_points_are_accepted():
+    # bool is an int: it passes the point checks, as it always has.
+    assert TripleSystem(3, ((False, True, 2),)).triples == ((0, 1, 2),)
 
 
 def test_index_of_roundtrip(fano):
@@ -87,6 +118,22 @@ def test_malformed_triple_reported():
     report = verify_sts(system)
     assert not report.ok
     assert "repeated point" in report.first_violation
+
+
+def test_verify_sts_memory_is_set_by_the_triples_not_v():
+    # One triple under a large order: the search for the first uncovered
+    # pair stops at once and allocates nothing sized by v.
+    v = 2_000_003
+    system = TripleSystem(v, ((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        report = verify_sts(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.first_violation == "pair {0,3} not covered"
+    assert report.violation_count == v * (v - 1) // 2 - 3 + 1
+    assert peak < 1_000_000
 
 
 def test_wrong_order_residue_never_ok():
@@ -248,11 +295,29 @@ def test_colouring_format_roundtrip(sts9_grid):
     assert format_colouring(again) == text
 
 
-@pytest.mark.parametrize("text", [
-    "", "BAD\n", "STS v=x\n", "STS v=7\n0 1\n", "STS v=7\n0 1 a\n",
-])
+# Each malformed file and the error it must raise.
+_PARSE_ERRORS = {
+    "": "not an STS file",
+    "\n  \n": "not an STS file",
+    "BAD\n": "not an STS file",
+    "STS v=x\n": "bad STS header 'STS v=x'",
+    "STS v=7\n0 1\n": "line 2: expected 3 point indices, got '0 1'",
+    "STS v=7\n0 1 a\n": "line 2: non-integer point in '0 1 a'",
+    "STS v=7\n0 1 2 3\n": "line 2: expected 3 point indices, got '0 1 2 3'",
+    # The first bad line wins, whichever its kind; blank lines are not counted.
+    "STS v=7\n0 1 2\n0 1\n0 1 a\n": "line 3: expected 3",
+    "STS v=7\n0 1 2\n0 1 a\n0 1\n": "line 3: non-integer",
+    "STS v=7\n\n0 1 2\n  \n0 1 a\n0 1\n": "line 3: non-integer point in '0 1 a'",
+    # Conversion errors come before the checks of the system itself.
+    "STS v=7\n0 1 9\n0 1\n": "line 3: expected 3",
+    "STS v=7\n0 1 9\n": "triple (0, 1, 9) has a point outside 0..6",
+    "STS v=7\n0 1 2\n2 1 0\n": "duplicate triple",
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_sts_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(_PARSE_ERRORS[text])):
         parse_sts(text)
 
 
@@ -318,6 +383,43 @@ def test_parse_colouring_raises_only_value_error(text):
 # oracles
 
 
+def _verify_sts_reference(system: TripleSystem) -> VerificationReport:
+    """verify_sts as it was written first, with one pair -> triple dict: the
+    reference for its report, first violation and count included."""
+    v = system.v
+    first, count = None, 0
+
+    def hit(msg, times=1):
+        nonlocal first, count
+        count += times
+        first = first or msg
+
+    clean = []
+    for t in system.triples:
+        if t[0] == t[1] or t[1] == t[2]:
+            hit(f"malformed triple {t}: repeated point")
+        else:
+            clean.append(t)
+    seen = {}
+    for t in clean:
+        for pair in combinations(t, 2):
+            other = seen.get(pair)
+            if other is None:
+                seen[pair] = t
+            else:
+                hit(f"pair {{{pair[0]},{pair[1]}}} covered twice (triples {other} and {t})")
+    missing = v * (v - 1) // 2 - len(seen)
+    if missing > 0:
+        pair = next(p for p in combinations(range(v), 2) if p not in seen)
+        hit(f"pair {{{pair[0]},{pair[1]}}} not covered", missing)
+    expected, rem = divmod(v * (v - 1), 6)
+    if rem != 0:
+        hit(f"order {v} admits no Steiner triple system (v(v-1)/6 is not an integer)")
+    elif len(system.triples) != expected:
+        hit(f"triple count {len(system.triples)} != v(v-1)/6 = {expected}")
+    return VerificationReport(first_violation=first, violation_count=count)
+
+
 def _sts_oracle(v, triples):
     if any(len(set(t)) != 3 for t in triples):
         return False
@@ -338,28 +440,41 @@ _orders = st.sampled_from([7, 9, 13, 15])
 _seeds = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(v=_orders, seed=_seeds, data=st.data())
 def test_verify_sts_matches_oracle_on_perturbed_systems(v, seed, data):
     triples = [list(t) for t in random_sts(v, seed).triples]
-    kind = data.draw(st.sampled_from(["none", "swap-point", "drop", "add", "duplicate"]))
+    kind = data.draw(st.sampled_from(["none", "swap-point", "swap-points", "drop", "add",
+                                      "duplicate", "malformed"]))
     i = data.draw(st.integers(0, len(triples) - 1))
-    if kind == "swap-point":
-        k = data.draw(st.integers(0, 2))
-        triples[i][k] = data.draw(st.sampled_from([p for p in range(v) if p != triples[i][k]]))
+    if kind in ("swap-point", "swap-points"):
+        # One changed point doubles two pairs; several give several
+        # duplicate pairs, and may repeat a point within a triple.
+        for _ in range(1 if kind == "swap-point" else data.draw(st.integers(2, 5))):
+            j, k = data.draw(st.integers(0, len(triples) - 1)), data.draw(st.integers(0, 2))
+            triples[j][k] = data.draw(st.sampled_from(
+                [p for p in range(v) if p != triples[j][k]]))
     elif kind == "drop":
         del triples[i]
     elif kind == "add":
         triples.append(data.draw(st.lists(st.integers(0, v - 1), min_size=3, max_size=3)))
     elif kind == "duplicate":
         triples.append(list(reversed(triples[i])))
+    elif kind == "malformed":
+        for j in data.draw(st.sets(st.integers(0, len(triples) - 1), min_size=1, max_size=3)):
+            p, q = data.draw(st.lists(st.integers(0, v - 1), min_size=2, max_size=2))
+            triples[j] = [p, p, q]
     canon = sorted(tuple(sorted(t)) for t in triples)
     if len(set(canon)) < len(canon):
         with pytest.raises(ValueError, match="duplicate"):
             TripleSystem.from_triples(v, triples)
         return
     system = TripleSystem.from_triples(v, triples)
-    assert verify_sts(system).ok == _sts_oracle(v, system.triples) == (kind == "none")
+    report = verify_sts(system)
+    assert report.ok == _sts_oracle(v, system.triples)
+    if kind != "swap-points":  # four changed points can make a Pasch switch
+        assert report.ok == (kind == "none")
+    assert report == _verify_sts_reference(system)
 
 
 @settings(max_examples=60, deadline=None)
