@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constructions import sts33_fixture
 from .core import (
@@ -264,16 +264,24 @@ def pc_bound_mod3(system: TripleSystem, weights: Sequence[int]) -> PCBoundCertif
     distinct zero-sum triples, so their number is at most
     floor(t0 / (v/3 mod 3)) where t0 counts zero-sum triples."""
     v = system.v
+    if v % 3 == 0:  # else _weighting_bound refuses the order first
+        if len(weights) != v or any(w not in (0, 1, 2) for w in weights):
+            raise ValueError("weights must assign one of 0,1,2 to every point")
+        if sum(weights) % 3 != 0:
+            raise ValueError("total point weight must be 0 mod 3")
+    return _weighting_bound(system, weights.__getitem__)
+
+
+def _weighting_bound(system: TripleSystem, weight: Callable[[int], int]) -> PCBoundCertificate:
+    """:func:`pc_bound_mod3` under ``weight`` (0, 1 or 2 per point, total 0 mod 3),
+    decided on the triples; the v weights are listed only for the witness."""
+    v = system.v
     if v % 3 != 0:
         raise ValueError(f"weighting bound needs v divisible by 3, got {v}")
-    if len(weights) != v or any(w not in (0, 1, 2) for w in weights):
-        raise ValueError("weights must assign one of 0,1,2 to every point")
-    if sum(weights) % 3 != 0:
-        raise ValueError("total point weight must be 0 mod 3")
     t0 = 0
     s = None
     for t in system.triples:
-        w = (weights[t[0]] + weights[t[1]] + weights[t[2]]) % 3
+        w = (weight(t[0]) + weight(t[1]) + weight(t[2])) % 3
         if w == 0:
             t0 += 1
         elif s is None:
@@ -288,7 +296,7 @@ def pc_bound_mod3(system: TripleSystem, weights: Sequence[int]) -> PCBoundCertif
     return PCBoundCertificate(
         bound=t0 // a_min,
         method="mod3-weighting",
-        witness={"weights": tuple(weights), "s": s, "t0": t0, "a_min": a_min},
+        witness={"weights": tuple(map(weight, range(v))), "s": s, "t0": t0, "a_min": a_min},
     )
 
 
@@ -297,14 +305,11 @@ def pc_bound_mod3_auto(system: TripleSystem) -> PCBoundCertificate:
     weighting: the point mod 3 (cyclic layouts), then the point's third of
     the range (layered layouts such as Bose systems).  Either, when
     admissible, proves a correct bound."""
-    v = system.v
-    candidates = [[p % 3 for p in range(v)]]
-    if v % 3 == 0:
-        candidates.append([p // (v // 3) for p in range(v)])
+    third = system.v // 3  # used only once the order is known to be 0 mod 3
     last_error: Exception | None = None
-    for weights in candidates:
+    for rule in (lambda p: p % 3, lambda p: p // third):
         try:
-            return pc_bound_mod3(system, weights)
+            return _weighting_bound(system, rule)
         except ValueError as e:
             last_error = e
     raise ValueError(f"no admissible mod-3 weighting found: {last_error}")
@@ -425,11 +430,9 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
                     break
         if used < k:
             best_free |= 1 << used
-        if best_free:
+        if best_free:  # always at the root, where class 0 is free (k >= 1)
             del unplaced[bisect_left(unplaced, (best,))]
             stack.append([best, best_free, used])
-        elif not stack:
-            return None
         # Place the top frame's next class, backtracking past exhausted frames.
         while True:
             frame = stack[-1]
@@ -464,14 +467,23 @@ def chromatic_index_exact(system: TripleSystem,
                           upper_witness: Colouring | None = None) -> ChiResult:
     """Exact chromatic index by iterated k-colourability branch-and-bound.
 
-    The lower bound starts at the counting bound for the order and is raised
-    to (v+3)/2 when a disjoint-PC certificate with bound < (v+3)/6 is
-    supplied; a verified witness colouring caps the upper bound.  If the
-    budget runs out the result is the interval bracketing the value."""
-    v = system.v
-    lower = m_lower(v)
-    if pc_certificate is not None and v % 6 == 3:
-        lower = max(lower, chi_lower_from_certificate(v, pc_certificate))
+    The lower bound starts at ceil(b / floor(v/3)) (a class holds at most v/3
+    triples), the counting bound for the order on a Steiner system.  A
+    disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
+    counting needs all v(v-1)/6 triples, any other count refuses it.  A
+    verified witness colouring caps the upper bound.  If the budget runs out
+    the result is the interval bracketing the value."""
+    v, b = system.v, system.b
+    m_lower(v)  # refuses the order
+    bad = next((t for t in system.triples if t[0] == t[1] or t[1] == t[2]), None)
+    if bad is not None:
+        raise ValueError(f"triple {bad} repeats a point; no colour class can hold it")
+    lower = -(-b // max(v // 3, 1))  # at v = 1 a class holds the one triple there is
+    if pc_certificate is not None:
+        if b != v * (v - 1) // 6:
+            raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")
+        if v % 6 == 3:
+            lower = chi_lower_from_certificate(v, pc_certificate)
 
     if upper_witness is not None:
         report = verify_colouring(system, upper_witness)
@@ -516,13 +528,15 @@ def chromatic_index_heuristic(system: TripleSystem,
     classes involved, so the list (and with it every random draw of the
     walk) is the one a full rescan would give.  Returns a verified colouring
     on success, None on failure; failure proves nothing.  A target below the
-    counting bound or fewer than one restart raises ValueError."""
-    v = system.v
+    counting bound or above b (no colouring needs more classes than triples),
+    or fewer than one restart, raises ValueError."""
+    v, b = system.v, system.b
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    b = system.b
+    if target > b:
+        raise ValueError(f"target {target} above the triple count {b}")
     triples = system.triples
     iterations = max(4000, 250 * b)
     on_point: list[list[int]] = [[] for _ in range(v)]

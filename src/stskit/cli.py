@@ -132,13 +132,13 @@ _SCAN_KINDS: dict[str, Callable[[ScanRow], bool]] = {
 
 def _cmd_numtheory_scan(args) -> int:
     kind = "all" if args.all else "negative-psi" if args.negative_psi else "exceptions"
-    picks = _SCAN_KINDS[kind]
+    picks, is_exception = _SCAN_KINDS[kind], _SCAN_KINDS["exceptions"]
     rows = scan_rows(args.limit)  # one pass, by the report or by the text
 
     def payload() -> dict:
         picked, exceptions = [], []
         for r in rows:
-            if r.psi_star <= 0:
+            if is_exception(r):
                 exceptions.append(r.n)
             if picks(r):
                 picked.append(r)  # a row serialises as its list of fields

@@ -4,15 +4,15 @@ symmetric Latin squares, the half-sum cyclic Latin square, and an embedded
 order-33 system with an explicit 18-class colouring.
 
 Constructed systems come back as :class:`LabelledSTS`: the canonical
-:class:`~stskit.core.TripleSystem` plus the distinguished triple families
-the bound arguments need.  Each construction's docstring gives its map from
-natural point names to internal points.
+:class:`~stskit.core.TripleSystem` plus the triple families each construction
+is made of (``construct --json`` reports their sizes).  Each construction's
+docstring gives its map from natural point names to internal points.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Colouring, PartialParallelClass, TripleSystem
@@ -116,8 +116,7 @@ class LabelledSTS:
 
     system: TripleSystem
     tag: str
-    params: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
+    families: dict
 
 
 def _family_indices(system: TripleSystem, groups: dict) -> dict:
@@ -132,8 +131,8 @@ def _family_indices(system: TripleSystem, groups: dict) -> dict:
 
 
 def wilson_schreiber_triples(fact: OneFactorisation) -> tuple[tuple[int, int, int], ...]:
-    """The canonical triple list of ``wilson_schreiber(fact.n, fact)``,
-    without its families."""
+    """The canonical triple list of the order-(n+2) system built on ``fact``,
+    a 1-factorisation of G(n) with n = ``fact.n`` (see :func:`wilson_schreiber`)."""
     n = fact.n
     triples: list[tuple[int, int, int]] = []
     for a in range(1, n):
@@ -148,7 +147,7 @@ def wilson_schreiber_triples(fact: OneFactorisation) -> tuple[tuple[int, int, in
     return tuple(triples)
 
 
-def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledSTS:
+def wilson_schreiber(n: int) -> LabelledSTS:
     """Steiner triple system of order n+2 on Z_n \\ {0} plus three extra
     points inf_0, inf_1, inf_2.
 
@@ -156,19 +155,15 @@ def wilson_schreiber(n: int, fact: OneFactorisation | None = None) -> LabelledST
     {x, y, inf_i} for every edge {x,y} of the i-th factor of a
     1-factorisation of G(n), plus {inf_0, inf_1, inf_2}.  The zero-sum family
     misses exactly the pairs that form edges of G(n), which is why any
-    1-factorisation completes the system.
+    1-factorisation completes the system; this one uses ``factorise_G(n)``,
+    and :func:`wilson_schreiber_triples` takes any other.
 
     Internal point order: 1..n-1 map to 0..n-2, then inf_0, inf_1, inf_2.
     """
-    if fact is None:
-        fact = factorise_G(n)
-    if fact.n != n:
-        raise ValueError(f"factorisation is for G({fact.n}), not G({n})")
-    triples = wilson_schreiber_triples(fact)
+    triples = wilson_schreiber_triples(factorise_G(n))
     return LabelledSTS(
         system=TripleSystem(n + 2, triples),
         tag="wilson-schreiber",
-        params={"n": n},
         # A triple's last point is an infinity point exactly when it has one.
         families={"zero-sum": tuple(i for i, t in enumerate(triples) if t[2] < n - 1),
                   "infinity": tuple(i for i, t in enumerate(triples) if t[2] >= n - 1)},
@@ -215,7 +210,6 @@ def bose(l0: LatinSquare, l1: LatinSquare, l2: LatinSquare) -> LabelledSTS:
     return LabelledSTS(
         system=system,
         tag="bose",
-        params={"n": n},
         families=_family_indices(system, layers),
     )
 
@@ -243,8 +237,8 @@ def verify_cyclic(labelled: LabelledSTS) -> bool:
     """
     if labelled.tag != "bose":
         raise ValueError("cyclicity check is defined for Bose-built systems")
-    n = labelled.params["n"]
-    v = 3 * n
+    v = labelled.system.v
+    n = v // 3
 
     def rho(p: int) -> int:
         x, i = p % n, p // n
@@ -317,7 +311,6 @@ def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
     labelled = LabelledSTS(
         system=system,
         tag="sts33-fixture",
-        params={},
         families=_family_indices(system, {"spine": spine, "developed": developed}),
     )
 

@@ -12,7 +12,6 @@ state their map onto 0..v-1, see :mod:`stskit.constructions`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -91,7 +90,8 @@ class TripleSystem:
                 a, b, c = t
             except ValueError:
                 raise ValueError(f"triple {t} does not have 3 entries") from None
-            if not (type(a) is type(b) is type(c) is int and 0 <= a <= b <= c < v):
+            if not (type(t) is tuple and type(a) is type(b) is type(c) is int
+                    and 0 <= a <= b <= c < v):
                 self._check_points(t)
             if prev is not None and t <= prev:
                 if t == prev:
@@ -100,12 +100,14 @@ class TripleSystem:
             prev = t
 
     def _check_points(self, t: tuple[int, int, int]) -> None:
-        """The point checks of ``__post_init__`` one by one, for a triple
-        that fails its one-comparison fast path (int subclasses pass)."""
+        """The checks of ``__post_init__`` one by one, for a triple that
+        fails its one-comparison fast path (int and tuple subclasses pass)."""
         if not all(isinstance(p, int) and 0 <= p < self.v for p in t):
             raise ValueError(f"triple {t} has a point outside 0..{self.v - 1}")
         if not (t[0] <= t[1] <= t[2]):
             raise ValueError(f"triple {t} is not sorted; use from_triples")
+        if not isinstance(t, tuple):
+            raise ValueError(f"triple {t} is not a tuple; use from_triples")
 
     @classmethod
     def from_triples(cls, v: int, triples: Iterable[Sequence[int]]) -> "TripleSystem":
@@ -115,14 +117,6 @@ class TripleSystem:
     @property
     def b(self) -> int:
         return len(self.triples)
-
-    def index_of(self, triple: Sequence[int]) -> int:
-        """Index of a triple (any order of its points) in the canonical list."""
-        key = tuple(sorted(triple))
-        i = bisect_left(self.triples, key)
-        if i < len(self.triples) and self.triples[i] == key:
-            return i
-        raise KeyError(f"triple {key} not in system")
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,14 @@ def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
     target = v * (v - 1) // 6
 
     live: list[set[int]] = [set(range(v)) - {x} for x in range(v)]
+    # Each triple holds its 3 pairs here: a new triple's pairs with x are
+    # uncovered, and the pair it shares with a blocking triple is freed first.
     pair_triple: dict[tuple[int, int], tuple[int, int, int]] = {}
-    triples: set[tuple[int, int, int]] = set()
 
     def pair(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
     def add(t: tuple[int, int, int]) -> None:
-        triples.add(t)
         for i in range(3):
             for j in range(i + 1, 3):
                 pair_triple[pair(t[i], t[j])] = t
@@ -52,7 +52,6 @@ def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
                 live[t[j]].discard(t[i])
 
     def remove(t: tuple[int, int, int]) -> None:
-        triples.remove(t)
         for i in range(3):
             for j in range(i + 1, 3):
                 del pair_triple[pair(t[i], t[j])]
@@ -60,11 +59,11 @@ def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
                 live[t[j]].add(t[i])
 
     steps = 0
-    while len(triples) < target:
+    while len(pair_triple) < 3 * target:
         steps += 1
         if steps > max_steps:
             raise GenerationError(
-                f"order {v}, seed {seed}: {len(triples)}/{target} triples "
+                f"order {v}, seed {seed}: {len(pair_triple) // 3}/{target} triples "
                 f"after {max_steps} steps")
         candidates = [x for x in range(v) if live[x]]
         x = rng.choice(candidates)
@@ -74,7 +73,7 @@ def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
             remove(blocking)
         add(tuple(sorted((x, y, z))))
 
-    return TripleSystem.from_triples(v, triples)
+    return TripleSystem.from_triples(v, set(pair_triple.values()))
 
 
 @dataclass(frozen=True)

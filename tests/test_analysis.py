@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -134,6 +135,7 @@ def test_mod3_bound_bose15():
     cert = pc_bound_mod3_auto(labelled.system)
     assert cert.bound == 2
     assert cert.witness["t0"] == 5 and cert.witness["a_min"] == 2
+    assert cert.witness["weights"] == (0,) * 5 + (1,) * 5 + (2,) * 5  # the thirds rule
 
 
 def test_mod3_bound_fixture():
@@ -161,6 +163,22 @@ def test_mod3_bound_rejects_bad_weightings(sts9_grid):
         pc_bound_mod3(system, swapped)
     with pytest.raises(ValueError, match="no bound"):
         pc_bound_mod3(system, [0] * 15)
+
+
+def test_mod3_auto_memory_is_set_by_the_triples_not_v():
+    # Both candidate weightings are refused on the one triple, before any
+    # list of v weights is built.
+    system = TripleSystem(3_000_003, ((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            pc_bound_mod3_auto(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("no admissible mod-3 weighting found: every triple has "
+                              "zero weight-sum; the weighting yields no bound")
+    assert peak < 1_000_000
     # v/3 divisible by 3 leaves the zero-sum count unconstrained (a_min = 0).
     toy = TripleSystem.from_triples(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6)])
     with pytest.raises(ValueError, match="divisible by 3"):
@@ -277,9 +295,21 @@ def _fixed_order_chromatic_index(system):
     return k
 
 
+def _bose15_minus(*classes):
+    """Bose(5) without the given classes of its exact 9-colouring: a
+    system with fewer than v(v-1)/6 triples."""
+    system = bose_half_sum(5).system
+    colouring = chromatic_index_exact(system).colouring
+    gone = {i for c in classes for i in colouring.classes[c].indices}
+    return TripleSystem(15, tuple(t for i, t in enumerate(system.triples) if i not in gone))
+
+
 def test_chi_exact_matches_fixed_order_oracle(fano, sts9_grid):
+    # The Bose(5) cuts have 31, 21 and 21 triples, indices 8, 6 and 6; the
+    # counting bound for order 15 (7) is too high for the last two.
     systems = [fano, sts9_grid, *(random_sts(13, seed=s) for s in range(1, 9)),
-               *(random_sts(15, seed=s) for s in (8, 16, 21))]
+               *(random_sts(15, seed=s) for s in (8, 16, 21)),
+               _bose15_minus(0), _bose15_minus(0, 1, 2), _bose15_minus(1, 2, 3)]
     for system in systems:
         result = chromatic_index_exact(system)
         assert result.value == _fixed_order_chromatic_index(system)
@@ -319,6 +349,23 @@ def test_chi_exact_rejects_foreign_certificate(sts9_grid):
         chromatic_index_exact(sts9_grid, pc_certificate=bogus)
 
 
+def test_chi_exact_refuses_certificate_without_all_triples():
+    # Bose(5) less one colour class still fits its thirds weighting, but the
+    # certificate's count of 35 triples fails: it used to report a complete 9.
+    system = _bose15_minus(0)
+    cert = pc_bound_mod3_auto(system)
+    with pytest.raises(ValueError, match="needs all v\\(v-1\\)/6 triples; the system has 31"):
+        chromatic_index_exact(system, pc_certificate=cert)
+    assert chromatic_index_exact(system).value == 8
+
+
+def test_chi_exact_refuses_repeated_point():
+    # No class can hold (0, 0, 1); a "complete" answer would be a colouring
+    # that verify_colouring rejects.
+    with pytest.raises(ValueError, match="repeats a point"):
+        chromatic_index_exact(TripleSystem(7, ((0, 0, 1),)))
+
+
 def test_chi_heuristic_bose15_target9():
     labelled = bose_half_sum(5)
     colouring = chromatic_index_heuristic(labelled.system, 9, seed=1)
@@ -339,6 +386,13 @@ def test_chi_heuristic_fano_fails_below_seven(fano):
 def test_chi_heuristic_rejects_target_below_bound(sts9_grid):
     with pytest.raises(ValueError):
         chromatic_index_heuristic(sts9_grid, 3)
+
+
+def test_chi_heuristic_rejects_target_above_triple_count(sts9_grid):
+    # b classes always suffice; a larger target would only cost memory.
+    assert chromatic_index_heuristic(sts9_grid, 12, seed=1) is not None
+    with pytest.raises(ValueError, match="target 13 above the triple count 12"):
+        chromatic_index_heuristic(sts9_grid, 13)
 
 
 def test_chi_heuristic_deterministic():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from stskit import format_sts, random_sts
+from stskit import bose, conjugate_square, format_sts, half_sum_square, random_sts
+from stskit.constructions import random_permutation
+from stskit.rng import substream
 from stskit.cli import main
 
 
@@ -18,6 +20,11 @@ def test_numtheory_profile(capsys):
     code, out, _ = run(capsys, "numtheory", "profile", "--n", "49")
     assert code == 0
     assert "f=2" in out and "psi_star=12" in out
+    code, out, _ = run(capsys, "numtheory", "profile", "--n", "49", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "stskit-report/1", "command": "numtheory profile", "n": 49, "phi": 42,
+        "sub_order": 42, "g": 1, "f": 2, "psi": 24, "psi_star": 12, "divisors_gt1": [7, 49]}
 
 
 def test_numtheory_scan_exceptions(capsys):
@@ -52,6 +59,32 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and "ok" in out
 
 
+def test_construct_json_reports_families(tmp_path, capsys):
+    code, out, _ = run(capsys, "construct", "wilson-schreiber", "--n", "13", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "stskit-report/1", "command": "construct wilson-schreiber", "v": 15,
+        "triples": 35, "verified": True, "out": None,
+        "families": {"zero-sum": 16, "infinity": 19}}
+
+
+def test_construct_bose_conjugate_seed(tmp_path, capsys):
+    # The seed picks the three conjugating permutations, as bose() is fed them.
+    base = half_sum_square(5)
+    for seed in (0, 3):
+        path = tmp_path / f"b{seed}.sts"
+        code, out, _ = run(capsys, "construct", "bose", "--n", "5", "--square", "conjugate",
+                           "--seed", str(seed), "--out", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert payload["families"] == {"spine": 5, "layer0": 10, "layer1": 10, "layer2": 10}
+        perms = (random_permutation(5, substream(seed, "bose", i)) for i in range(3))
+        expected = bose(*(conjugate_square(base, perm) for perm in perms))
+        assert path.read_text() == format_sts(expected.system)
+    assert (tmp_path / "b0.sts").read_text() != (tmp_path / "b3.sts").read_text()
+
+
 def test_verify_reports_failure(tmp_path, capsys):
     path = tmp_path / "bad.sts"
     path.write_text("STS v=7\n0 1 3\n")
@@ -67,6 +100,18 @@ def test_fixture_and_colouring_files(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "--in", str(spath), "--colouring", str(cpath))
     assert code == 0 and "18 classes: ok" in out
+    code, out, _ = run(capsys, "verify", "--in", str(spath), "--colouring", str(cpath),
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "stskit-report/1", "command": "verify", "v": 33, "triples": 176,
+        "ok": True, "first_violation": None, "violations": 0, "colouring_ok": True,
+        "classes": 18}
+    code, out, _ = run(capsys, "fixture", "sts33", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "stskit-report/1", "command": "fixture sts33", "v": 33, "triples": 176,
+        "classes": 18, "verified": True, "out": None, "colouring_out": None}
 
 
 def test_analyze_chi_exact_fano(tmp_path, capsys, fano, monkeypatch):
@@ -117,6 +162,46 @@ def test_analyze_pcs_max_disjoint(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["max_disjoint"] == 1 and payload["status"] == "complete"
+
+
+def test_analyze_pcs_enumeration(tmp_path, capsys):
+    path = tmp_path / "b15.sts"
+    run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
+    code, out, _ = run(capsys, "analyze", "pcs", "--in", str(path))
+    assert (code, out) == (0, "11 parallel classes (complete)\n")
+    code, out, _ = run(capsys, "analyze", "pcs", "--in", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["parallel_classes"], payload["status"]) == (11, "complete")
+    assert len(payload["classes"]) == 11
+    assert payload["classes"][0] == [0, 15, 20, 22, 25]
+
+
+def test_analyze_chi_heuristic_reaches_target(tmp_path, capsys):
+    path = tmp_path / "b15.sts"
+    run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
+    chi = ("analyze", "chi", "--in", str(path), "--heuristic", "--target", "9")
+    code, out, _ = run(capsys, *chi)
+    assert (code, out) == (0, "heuristic target 9: success with 9 classes\n")
+    code, out, _ = run(capsys, *chi, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "stskit-report/1", "command": "analyze chi", "mode": "heuristic",
+        "v": 15, "target": 9, "success": True, "classes": 9}
+
+
+def test_analyze_chi_refusals_on_bose15(tmp_path, capsys):
+    # One triple short of Bose(5): the mod-3 certificate counts on all 35.
+    path, short = tmp_path / "b15.sts", tmp_path / "b15-short.sts"
+    run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
+    short.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    code, out, err = run(capsys, "analyze", "chi", "--in", str(short), "--exact",
+                         "--mod3-lower")
+    assert (code, out) == (2, "") and "v(v-1)/6 triples; the system has 34" in err
+    # No colouring needs more than b = 35 classes.
+    code, out, err = run(capsys, "analyze", "chi", "--in", str(path), "--heuristic",
+                         "--target", "36")
+    assert (code, out) == (2, "") and "above the triple count 35" in err
 
 
 def test_analyze_bound_ws_and_mod3(tmp_path, capsys):

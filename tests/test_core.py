@@ -74,11 +74,18 @@ def test_int_subclass_points_are_accepted():
     assert TripleSystem(3, ((False, True, 2),)).triples == ((0, 1, 2),)
 
 
-def test_index_of_roundtrip(fano):
-    for i, t in enumerate(fano.triples):
-        assert fano.index_of(t) == i
-    with pytest.raises(KeyError):
-        fano.index_of((0, 1, 2))
+def test_triples_must_be_tuples():
+    # A list triple would compare unequal to its tuple and is unhashable.
+    with pytest.raises(ValueError, match="not a tuple; use from_triples"):
+        TripleSystem(3, ([0, 1, 2],))
+    with pytest.raises(ValueError, match="not a tuple"):
+        TripleSystem(7, ((0, 1, 2), [0, 1, 3]))
+    assert TripleSystem.from_triples(3, ([0, 1, 2],)) == TripleSystem(3, ((0, 1, 2),))
+
+    class Triple(tuple):
+        pass
+
+    assert TripleSystem(3, (Triple((0, 1, 2)),)).triples == ((0, 1, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,7 @@ def test_singleton_classes_always_verify(fano):
 
 
 def test_intersecting_triples_in_one_class_rejected(fano):
-    i, j = fano.index_of((0, 1, 3)), fano.index_of((1, 2, 4))
+    i, j = fano.triples.index((0, 1, 3)), fano.triples.index((1, 2, 4))
     rest = [k for k in range(fano.b) if k not in (i, j)]
     classes = [PartialParallelClass(tuple(sorted((i, j))))]
     classes += [PartialParallelClass((k,)) for k in rest]
