@@ -461,6 +461,14 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
                 return None
 
 
+def _refuse_repeated_point(system: TripleSystem) -> None:
+    """Raise ValueError at the first triple with a repeated point: no colour
+    class can hold it, so no colouring search can succeed."""
+    bad = next((t for t in system.triples if t[0] == t[1] or t[1] == t[2]), None)
+    if bad is not None:
+        raise ValueError(f"triple {bad} repeats a point; no colour class can hold it")
+
+
 def chromatic_index_exact(system: TripleSystem,
                           budget: SearchBudget = DEFAULT_BUDGET,
                           pc_certificate: PCBoundCertificate | None = None,
@@ -475,9 +483,7 @@ def chromatic_index_exact(system: TripleSystem,
     the result is the interval bracketing the value."""
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
-    bad = next((t for t in system.triples if t[0] == t[1] or t[1] == t[2]), None)
-    if bad is not None:
-        raise ValueError(f"triple {bad} repeats a point; no colour class can hold it")
+    _refuse_repeated_point(system)
     lower = -(-b // max(v // 3, 1))  # at v = 1 a class holds the one triple there is
     if pc_certificate is not None:
         if b != v * (v - 1) // 6:
@@ -529,7 +535,8 @@ def chromatic_index_heuristic(system: TripleSystem,
     walk) is the one a full rescan would give.  Returns a verified colouring
     on success, None on failure; failure proves nothing.  A target below the
     counting bound or above b (no colouring needs more classes than triples),
-    or fewer than one restart, raises ValueError."""
+    fewer than one restart, or a triple with a repeated point raises
+    ValueError."""
     v, b = system.v, system.b
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
@@ -537,6 +544,7 @@ def chromatic_index_heuristic(system: TripleSystem,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if target > b:
         raise ValueError(f"target {target} above the triple count {b}")
+    _refuse_repeated_point(system)
     triples = system.triples
     iterations = max(4000, 250 * b)
     on_point: list[list[int]] = [[] for _ in range(v)]

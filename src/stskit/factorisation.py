@@ -23,6 +23,12 @@ order, gives a 1-factorisation {G_0, G_1, G_2} of G(n) in which
 with f the divisor-sum function from :mod:`stskit.numtheory`.  These three
 properties are what the downstream parallel-class bound consumes, and
 :func:`verify_factorisation_properties` re-checks them from scratch.
+
+Both steps keep the per-edge Python work small.  The walk collects each
+orbit once and builds its edges in bulk from that list.  The verifier
+decides with one cheap pass of set and list checks; its per-edge walk,
+which names the first violation and counts them all, runs only when that
+pass finds a fault, so a report is the same whichever path made it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .core import VerificationReport, Violations
@@ -44,6 +52,9 @@ __all__ = [
 
 Edge = tuple[int, int]
 Factors = tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]
+
+
+_first = itemgetter(0)
 
 
 def _pair(u: int, v: int) -> Edge:
@@ -69,32 +80,54 @@ def _orbit_factors(n: int, starts: Iterable[int]) -> Factors:
     edges at x_0 (to factor 2) and x_(s-1) (to factor 1).  An orbit with
     fewer than 2s points, or one that meets a point already seen, raises
     RuntimeError.
+
+    Each orbit is collected once, with its negation list; its edges are then
+    built in bulk, by zipping the orbit with itself shifted by one (the
+    cycle edges, sliced alternately into factors 1 and 2) and with its
+    negation (the negation edges).
     """
-    h: list[list[Edge]] = [[], [], []]
+    h0: list[Edge] = []
+    h1: list[Edge] = []
+    h2: list[Edge] = []
     seen: set[int] = set()
+    m = n - 2
     for a in starts:
         if a in seen:
             continue
-        x = [a, a * (n - 2) % n]
-        while x[-1] not in (a, n - a):
-            x.append(x[-1] * (n - 2) % n)
-        s = len(x) - 1
-        orbit = {p for xi in x[:s] for p in (xi, n - xi)}
+        x = [a]  # x_0 .. x_(s-1); y ends as x_s, the first of a, -a again
+        y = a * m % n
+        while y != a and y != n - a:
+            x.append(y)
+            y = y * m % n
+        s = len(x)
+        neg = [n - p for p in x]
+        orbit = set(x)
+        orbit.update(neg)
         if len(orbit) != 2 * s or not seen.isdisjoint(orbit):
             raise RuntimeError(f"the (-2)-orbit of {a} mod {n} is not a fresh cycle")
         seen |= orbit
-        negation = [_pair(xi, n - xi) for xi in x[:s]]
-        cycle = [[_pair(x[j], x[j + 1]), _pair(n - x[j], n - x[j + 1])] for j in range(s)]
+        negation = [(p, q) if p < q else (q, p) for p, q in zip(x, neg)]
+        x.append(y)
+        neg.append(n - y)
+        # cycle[j] = {x_j, x_(j+1)} and ncycle[j] = {-x_j, -x_(j+1)}, j < s
+        cycle = [(p, q) if p < q else (q, p) for p, q in zip(x, x[1:])]
+        ncycle = [(p, q) if p < q else (q, p) for p, q in zip(neg, neg[1:])]
         odd = s % 2
-        for j in range(s - odd):
-            h[1 + j % 2].extend(cycle[j])
+        h1 += cycle[0:s - odd:2]
+        h1 += ncycle[0:s - odd:2]
+        h2 += cycle[1:s - odd:2]
+        h2 += ncycle[1:s - odd:2]
         if odd:
-            h[0].extend(negation[1:s - 1] + cycle[s - 1])
-            h[1].append(negation[s - 1])
-            h[2].append(negation[0])
+            h0 += negation[1:s - 1]
+            h0 += (cycle[s - 1], ncycle[s - 1])
+            h1.append(negation[s - 1])
+            h2.append(negation[0])
         else:
-            h[0].extend(negation)
-    return tuple(tuple(sorted(f)) for f in h)  # type: ignore[return-value]
+            h0 += negation
+    # A matching has one edge per smaller endpoint, so that key alone sorts
+    # the edges as tuples would, without comparing tuples.
+    return (tuple(sorted(h0, key=_first)), tuple(sorted(h1, key=_first)),
+            tuple(sorted(h2, key=_first)))
 
 
 @lru_cache(maxsize=0)  # keeps nothing; cache_info() still counts the calls
@@ -128,6 +161,37 @@ def factorise_G(n: int) -> OneFactorisation:
     return OneFactorisation(n=n, factors=_orbit_factors(n, range(1, n)))
 
 
+def _cheap_pass_ok(n: int, factors: Factors, f_n: int) -> bool:
+    """True when the factors meet every check of
+    :func:`verify_factorisation_properties`, decided with set and list work
+    instead of a per-edge report loop; False on any fault.  n is 1 mod 6."""
+    if len(factors) != 3:
+        return False
+    half = (n - 1) // 2
+    vertices = set(range(1, n))
+    keys: set[int] = set()
+    classes = []
+    zeros = []
+    for factor in factors:
+        # (n-1)/2 edges whose endpoints are all of 1..n-1: a perfect matching
+        # of the vertices, every endpoint in range.
+        if len(factor) != half or set(chain.from_iterable(factor)) != vertices:
+            return False
+        weights = [(u + v) % n for u, v in factor]
+        # The edge rule with w = u+v: v = -2u is w = -u, u = -2v is w = -v.
+        if [1 for (u, v), w in zip(factor, weights) if w and w + u != n and w + v != n]:
+            return False
+        keys.update([u * n + v if u < v else v * n + u for u, v in factor])
+        nonzero = {w if w + w < n else n - w for w in weights}
+        nonzero.discard(0)
+        classes.append(nonzero)
+        zeros.append(weights.count(0))
+    c0, c1, c2 = classes
+    return (len(keys) == 3 * half
+            and c0.isdisjoint(c1) and c0.isdisjoint(c2) and c1.isdisjoint(c2)
+            and half - zeros[0] == 2 * f_n == zeros[1] + zeros[2])
+
+
 def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> VerificationReport:
     """Re-check, from scratch, everything the parallel-class bound needs:
 
@@ -146,11 +210,22 @@ def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> Verific
     at most three neighbours, -x, -2x and -x/2.  Three edge-disjoint perfect
     matchings inside G(n) give every vertex three distinct neighbours, so
     together they are all of G(n).
+
+    One cheap pass decides whether all five hold.  Per factor it checks
+    the edge count (n-1)/2, the endpoint set {1..n-1} (matching, cover and
+    range in one) and the edge rule, written with w = u+v as w = 0, w = -u
+    or w = -v.  Across the factors, the integer edge keys u*n+v (u < v)
+    number 3(n-1)/2, the nonzero weight classes min(w, n-w) of the factors
+    are pairwise disjoint, and both counts are 2 f_n.  Only when that pass
+    finds a fault does the per-edge walk below run, to name the first
+    violation and count them all.
     """
     n = fact.n
     hit = Violations()
     if n % 6 != 1 or n < 7:
         hit(f"n must be 1 mod 6 and >= 7, got {n}")
+        return hit.report()
+    if _cheap_pass_ok(n, fact.factors, f_n):
         return hit.report()
     if len(fact.factors) != 3:
         hit(f"{len(fact.factors)} factors, expected 3")

@@ -334,9 +334,16 @@ def test_chi_exact_deeper_than_recursion_limit():
 
 
 def test_chi_exact_rejects_bad_witness(sts9_grid):
-    labelled, colouring = sts33_fixture()
-    with pytest.raises(ValueError):
-        chromatic_index_exact(sts9_grid, upper_witness=colouring)
+    # A colouring of the grid's own triples with one class removed leaves
+    # three triples in no class.
+    colouring = chromatic_index_exact(sts9_grid).colouring
+    short = replace(colouring, classes=colouring.classes[1:])
+    with pytest.raises(ValueError, match="witness colouring invalid"):
+        chromatic_index_exact(sts9_grid, upper_witness=short)
+    # A colouring of another system is refused before it is checked.
+    labelled, foreign = sts33_fixture()
+    with pytest.raises(ValueError, match="different system"):
+        chromatic_index_exact(sts9_grid, upper_witness=foreign)
 
 
 def test_chi_exact_rejects_foreign_certificate(sts9_grid):
@@ -393,6 +400,13 @@ def test_chi_heuristic_rejects_target_above_triple_count(sts9_grid):
     assert chromatic_index_heuristic(sts9_grid, 12, seed=1) is not None
     with pytest.raises(ValueError, match="target 13 above the triple count 12"):
         chromatic_index_heuristic(sts9_grid, 13)
+
+
+def test_chi_heuristic_refuses_repeated_point():
+    # It used to run all 12 restarts to a failure on a triple no class holds.
+    system = TripleSystem(7, ((0, 0, 1), (2, 3, 4), (2, 5, 6), (3, 5, 6)))
+    with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
+        chromatic_index_heuristic(system, 4)
 
 
 def test_chi_heuristic_deterministic():

@@ -204,6 +204,14 @@ def test_analyze_chi_refusals_on_bose15(tmp_path, capsys):
     assert (code, out) == (2, "") and "above the triple count 35" in err
 
 
+def test_analyze_chi_heuristic_refuses_repeated_point(tmp_path, capsys):
+    path = tmp_path / "repeat.sts"
+    path.write_text("STS v=7\n0 0 1\n2 3 4\n2 5 6\n3 5 6\n")
+    code, out, err = run(capsys, "analyze", "chi", "--in", str(path), "--heuristic",
+                         "--target", "4")
+    assert (code, out) == (2, "") and "triple (0, 0, 1) repeats a point" in err
+
+
 def test_analyze_bound_ws_and_mod3(tmp_path, capsys):
     ws = tmp_path / "s15.sts"
     run(capsys, "construct", "wilson-schreiber", "--n", "13", "--out", str(ws))

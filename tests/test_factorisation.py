@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stskit import (
     f_of,
@@ -13,7 +16,8 @@ from stskit import (
     subgroup_order,
     verify_factorisation_properties,
 )
-from stskit.factorisation import format_factorisation
+from stskit.core import VerificationReport
+from stskit.factorisation import OneFactorisation, _cheap_pass_ok, format_factorisation
 from stskit.numtheory import divisors_gt1, euler_phi
 
 
@@ -262,3 +266,149 @@ def test_factorise_G_output_is_pinned():
         digest.update(format_factorisation(factorise_G(n)).encode())
     assert digest.hexdigest() == (
         "957ab3671edcc6314fd27bab02e30fd06a2ed080d02090c565bd0b88fe41db19")
+
+
+def test_factorise_component_output_is_pinned():
+    # The same for the divisor components: every odd d in 5..301, so that
+    # the walk over the units mod d is pinned edge for edge too.
+    digest = hashlib.sha256()
+    for d in range(5, 302, 2):
+        fact = OneFactorisation(n=d, factors=factorise_component(d))
+        digest.update(format_factorisation(fact).encode())
+    assert digest.hexdigest() == (
+        "a97d61965110debabd585c4dc703f526e2d446741cd0b9d63ae633a6233f1cef")
+
+
+# ---------------------------------------------------------------------------
+# the verifier against its first, per-edge form
+
+
+def _verify_factorisation_reference(fact, f_n: int) -> VerificationReport:
+    """verify_factorisation_properties as it was written first, one per-edge
+    walk with an edge -> factor dict: the reference for its report, first
+    violation and count included."""
+    n = fact.n
+    first, count = None, 0
+
+    def hit(msg):
+        nonlocal first, count
+        count += 1
+        first = first or msg
+
+    if n % 6 != 1 or n < 7:
+        hit(f"n must be 1 mod 6 and >= 7, got {n}")
+        return VerificationReport(first_violation=first, violation_count=count)
+    if len(fact.factors) != 3:
+        hit(f"{len(fact.factors)} factors, expected 3")
+    owner = {}
+    weight_class_factor = {}
+    nonzero_in_0 = zero_in_12 = 0
+    for i, factor in enumerate(fact.factors):
+        touched = set()
+        for edge in factor:
+            u, v = edge
+            if u in touched or v in touched:
+                hit(f"factor {i} is not a matching at edge {edge}")
+            touched.update(edge)
+            if not (0 < u < n and 0 < v < n
+                    and ((u + v) % n == 0 or (2 * u + v) % n == 0 or (u + 2 * v) % n == 0)):
+                hit(f"edge {edge} of factor {i} is not an edge of G({n})")
+            j = owner.setdefault((min(u, v), max(u, v)), i)
+            if j != i:
+                hit(f"edge {edge} is in factors {j} and {i}")
+            w = (u + v) % n
+            if w == 0:
+                if i:
+                    zero_in_12 += 1
+                continue
+            if i == 0:
+                nonzero_in_0 += 1
+            key = min(w, n - w)
+            prev = weight_class_factor.setdefault(key, (i, edge))
+            if prev[0] != i:
+                hit(f"edges {prev[1]} and {edge} have opposite weights "
+                    f"but sit in factors {prev[0]} and {i}")
+        if len(touched) != n - 1:
+            hit(f"factor {i} does not cover every vertex")
+    if nonzero_in_0 != 2 * f_n:
+        hit(f"factor 0 has {nonzero_in_0} nonzero-weight edges, expected {2 * f_n}")
+    if zero_in_12 != 2 * f_n:
+        hit(f"factors 1+2 have {zero_in_12} zero-weight edges, expected {2 * f_n}")
+    return VerificationReport(first_violation=first, violation_count=count)
+
+
+_PERTURBATIONS = ["none", "swap", "reverse", "endpoint", "drop", "duplicate",
+                  "zero-to-0", "wrong-f", "two-factors", "four-factors", "other-n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(range(7, 200, 6)), data=st.data())
+def test_verify_matches_reference_on_perturbed_factorisations(n, data):
+    factors = [list(f) for f in factorise_G(n).factors]
+    f_n, order = f_of(n), n
+    kinds = data.draw(st.lists(st.sampled_from(_PERTURBATIONS), min_size=1, max_size=3))
+    for kind in kinds:
+        i = data.draw(st.sampled_from([j for j, f in enumerate(factors) if f]))
+        k = data.draw(st.integers(0, len(factors[i]) - 1))
+        if kind == "swap":  # trade edges between two factors
+            j = data.draw(st.integers(0, len(factors) - 1))
+            if factors[j]:
+                m = data.draw(st.integers(0, len(factors[j]) - 1))
+                factors[i][k], factors[j][m] = factors[j][m], factors[i][k]
+        elif kind == "reverse":  # the same edge, written (v, u)
+            u, v = factors[i][k]
+            factors[i][k] = (v, u)
+        elif kind == "endpoint":  # in range, out of range, or unchanged
+            u, v = factors[i][k]
+            factors[i][k] = (u, data.draw(st.integers(-1, n + 1)))
+        elif kind == "drop":
+            del factors[i][k]
+        elif kind == "duplicate":
+            factors[data.draw(st.integers(0, len(factors) - 1))].append(factors[i][k])
+        elif kind == "zero-to-0":  # a zero-weight edge of factors 1, 2 into factor 0
+            zero = [(j, e) for j, f in enumerate(factors[1:3], 1) for e in f
+                    if (e[0] + e[1]) % n == 0]
+            if zero:
+                j, e = data.draw(st.sampled_from(zero))
+                factors[j].remove(e)
+                factors[0].append(e)
+        elif kind == "wrong-f":
+            f_n += data.draw(st.sampled_from([-1, 1, 2]))
+        elif kind == "two-factors":
+            factors = factors[:2]
+        elif kind == "four-factors":
+            factors.append(list(factors[i]))
+        elif kind == "other-n":  # not 1 mod 6, too small, or the next valid order
+            order = data.draw(st.sampled_from([n + 1, n + 2, n + 4, n + 5, n + 6, 1]))
+    fact = OneFactorisation(n=order, factors=tuple(tuple(f) for f in factors))
+    report = verify_factorisation_properties(fact, f_n)
+    assert report == _verify_factorisation_reference(fact, f_n)
+    if set(kinds) <= {"none", "reverse"}:
+        assert report.ok
+    if order % 6 == 1 and order >= 7:  # the cheap pass alone decides ok
+        assert _cheap_pass_ok(order, fact.factors, f_n) == report.ok
+
+
+def _perfect_matchings(edges, vertices):
+    """Every perfect matching of the graph, each as a sorted edge tuple."""
+    if not vertices:
+        return [()]
+    x = min(vertices)
+    return [tuple(sorted((e,) + rest))
+            for e in edges if x in e and set(e) <= vertices
+            for rest in _perfect_matchings(edges, vertices - set(e))]
+
+
+@pytest.mark.parametrize("n", [7, 13])
+def test_verify_matches_reference_on_every_triple_of_matchings(n):
+    # Every ordered triple of perfect matchings of G(n): the 1-factorisations
+    # with and without the weight properties, and triples sharing edges.
+    matchings = _perfect_matchings(sorted(_cayley_edges(n, range(1, n))), set(range(1, n)))
+    oks = 0
+    for triple in itertools.product(matchings, repeat=3):
+        fact = OneFactorisation(n=n, factors=triple)
+        report = verify_factorisation_properties(fact, f_of(n))
+        assert report == _verify_factorisation_reference(fact, f_n=f_of(n)), triple
+        assert _cheap_pass_ok(n, triple, f_of(n)) == report.ok
+        oks += report.ok
+    assert oks >= 1
