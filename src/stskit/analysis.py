@@ -78,7 +78,7 @@ class _BudgetStop(Exception):
 
 
 class _Meter:
-    """Node counter with a coarse wall-clock check every 4096 nodes."""
+    """Node counter; reads the clock at every node, from the call's start."""
 
     __slots__ = ("nodes", "max_nodes", "deadline")
 
@@ -92,7 +92,7 @@ class _Meter:
         if self.nodes >= self.max_nodes:
             raise _BudgetStop
         self.nodes += 1
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise _BudgetStop
 
 
@@ -111,22 +111,22 @@ def enumerate_parallel_classes(system: TripleSystem,
                                budget: SearchBudget = DEFAULT_BUDGET) -> PCEnumeration:
     """All parallel classes (v/3 disjoint triples covering every point), by
     exact-cover search branching on the uncovered point with the fewest
-    admissible triples.  Each node carries the bitset of live triples (those
-    disjoint from every chosen one), so a point's candidates are its triple
-    bitset masked by the live set.  Output sorted lexicographically by
-    triple indices."""
+    admissible triples.  Each node carries the bitset of live triples; a
+    point's candidates are its incidence bitset masked by it, and a chosen
+    triple clears its three points' bitsets from it.  The clock is read at
+    every node from the call's start.  Output sorted lexicographically."""
+    meter = _Meter(budget)
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
+    _refuse_repeated_point(system)
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
     on_point = [0] * v  # bitset of the triples through each point
     for i, t in enumerate(system.triples):
         for p in t:
             on_point[p] |= 1 << i
-    clash = [on_point[a] | on_point[b] | on_point[c] for a, b, c in system.triples]
     full = (1 << v) - 1
     above = system.b + 1  # more candidates than any point has: the first point is taken
-    meter = _Meter(budget)
     tick = meter.tick
     found: list[tuple[int, ...]] = []
 
@@ -152,8 +152,9 @@ def enumerate_parallel_classes(system: TripleSystem,
             low = best & -best
             best ^= low
             i = low.bit_length() - 1
+            a, b, c = system.triples[i]
             chosen.append(i)
-            rec(covered | masks[i], live & ~clash[i], chosen)
+            rec(covered | masks[i], live & ~(on_point[a] | on_point[b] | on_point[c]), chosen)
             chosen.pop()
 
     status = COMPLETE
@@ -463,7 +464,7 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
 
 def _refuse_repeated_point(system: TripleSystem) -> None:
     """Raise ValueError at the first triple with a repeated point: no colour
-    class can hold it, so no colouring search can succeed."""
+    class or parallel class can hold it, so no search can succeed."""
     bad = next((t for t in system.triples if t[0] == t[1] or t[1] == t[2]), None)
     if bad is not None:
         raise ValueError(f"triple {bad} repeats a point; no colour class can hold it")
@@ -481,6 +482,7 @@ def chromatic_index_exact(system: TripleSystem,
     counting needs all v(v-1)/6 triples, any other count refuses it.  A
     verified witness colouring caps the upper bound.  If the budget runs out
     the result is the interval bracketing the value."""
+    meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
     _refuse_repeated_point(system)
@@ -503,7 +505,6 @@ def chromatic_index_exact(system: TripleSystem,
         raise ValueError(f"lower bound {lower} exceeds witness upper bound {upper}; "
                          f"the certificate does not apply to this system")
 
-    meter = _Meter(budget)
     try:
         while lower < upper:
             assign = _search_k_colouring(system, lower, meter)
@@ -530,13 +531,13 @@ def chromatic_index_heuristic(system: TripleSystem,
     runs a min-conflicts repair walk: pick a conflicted triple, move it to
     the class where it clashes least (random tie-break, occasional random
     kick).  The ascending list of conflicted triples is kept incrementally:
-    a move refreshes only the moved triple and its neighbours in the two
-    classes involved, so the list (and with it every random draw of the
-    walk) is the one a full rescan would give.  Returns a verified colouring
-    on success, None on failure; failure proves nothing.  A target below the
-    counting bound or above b (no colouring needs more classes than triples),
-    fewer than one restart, or a triple with a repeated point raises
-    ValueError."""
+    a move refreshes the triples of the two classes involved on the moved
+    triple's per-point incidence lists (itself among them), so the list
+    (and with it every random draw) is the one a full rescan would give.
+    Returns a verified colouring on success, None on failure; failure proves
+    nothing.  A target below the counting bound or above b (no colouring
+    needs more classes than triples), fewer than one restart, or a triple
+    with a repeated point raises ValueError."""
     v, b = system.v, system.b
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
@@ -551,7 +552,6 @@ def chromatic_index_heuristic(system: TripleSystem,
     for i, t in enumerate(triples):
         for p in t:
             on_point[p].append(i)
-    neighbours = [{j for p in t for j in on_point[p]} - {i} for i, t in enumerate(triples)]
 
     for r in range(restarts):
         rng = substream(seed, "chi-heur", r)
@@ -610,10 +610,10 @@ def chromatic_index_heuristic(system: TripleSystem,
             lb[new] += 1
             lc[new] += 1
             if new != old:
-                refresh(i)
-                for j in neighbours[i]:
-                    if assign[j] == old or assign[j] == new:
-                        refresh(j)
+                for p in triples[i]:
+                    for j in on_point[p]:  # i itself is in all three lists
+                        if assign[j] == old or assign[j] == new:
+                            refresh(j)
     return None
 
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from stskit import (
     verify_colouring,
     wilson_schreiber,
 )
+from stskit import analysis
 from stskit.analysis import COMPLETE, INCONCLUSIVE
 
 
@@ -82,6 +84,30 @@ def test_enumeration_budget_is_inconclusive_not_fatal(sts9_grid):
 def test_class_cap_budget(sts9_grid):
     enum = enumerate_parallel_classes(sts9_grid, SearchBudget(max_classes=2))
     assert enum.status == INCONCLUSIVE and len(enum.classes) == 2
+
+
+def test_enumeration_refuses_repeated_point():
+    # It used to report the four triples as a parallel class of STS(9).
+    system = TripleSystem(9, ((0, 0, 1), (2, 3, 4), (5, 6, 7), (8, 8, 8)))
+    for search in (enumerate_parallel_classes, max_disjoint_pcs):
+        with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
+            search(system)
+
+
+@pytest.mark.parametrize("search", [
+    lambda: enumerate_parallel_classes(random_sts(27, seed=1)),
+    lambda: max_disjoint_pcs(wilson_schreiber(25).system),
+    lambda: chromatic_index_exact(random_sts(15, seed=1)),
+], ids=["enumerate", "max-disjoint", "chi-exact"])
+def test_time_cap_is_read_at_every_node(monkeypatch, search):
+    # Each reading of the clock comes ten default time caps after the one
+    # before, so the deadline has passed at the first node of every search;
+    # a clock read every 4096 nodes let them run on that long.
+    clock = count(0, 10 * SearchBudget().max_seconds)
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=clock.__next__))
+    result = search()
+    assert result.status == INCONCLUSIVE
+    assert result.nodes <= 2
 
 
 @pytest.mark.parametrize("caps", [{"max_classes": 0}, {"max_classes": -3},
@@ -183,6 +209,24 @@ def test_mod3_auto_memory_is_set_by_the_triples_not_v():
     toy = TripleSystem.from_triples(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6)])
     with pytest.raises(ValueError, match="divisible by 3"):
         pc_bound_mod3(toy, [1, 1, 1, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("n,search", [
+    (301, lambda system: enumerate_parallel_classes(system, SearchBudget(max_nodes=1))),
+    (151, lambda system: chromatic_index_heuristic(system, 153, restarts=1)),
+], ids=["enumerate", "chi-heuristic"])
+def test_search_memory_is_linear_in_the_triples(n, search):
+    # Clashes come from the per-point incidence lists.  A table of clashing
+    # triples per triple peaked at 31.6 MB (enumeration bitsets) and 33.4 MB
+    # (heuristic neighbour sets) on these systems.
+    system = wilson_schreiber(n).system
+    tracemalloc.start()
+    try:
+        search(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("n,expected", [(13, 1), (7, 4), (127, 28)])

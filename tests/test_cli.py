@@ -327,14 +327,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "construct", "bose", "--n", "5", *square, "--seed", "2")
         assert code == 2 and "only" in err, square
     # Values that would otherwise read as answers: an empty report, a
-    # heuristic failure, a scan that allocates without bound, or a time cap
-    # that never fires.
+    # heuristic failure, a scan that allocates without bound, a time cap
+    # that never fires, or a "parallel class" holding a triple (0, 0, 1).
+    repeat = tmp_path / "repeat.sts"
+    repeat.write_text("STS v=9\n0 0 1\n2 3 4\n5 6 7\n8 8 8\n")
     for argv in ((*chi, "--heuristic", "--target", "7", "--restarts", "0"),
                  ("generate", "--v", "9", "--count", "-1"),
                  ("survey", "colouring", "--v", "9", "--count", "-1"),
                  ("survey", "colouring", "--v", "9", "--count", "0", "--restarts", "0"),
                  ("numtheory", "scan", "--limit", "10000001"),
-                 ("analyze", "pcs", "--in", str(path), "--budget-seconds", "nan")):
+                 ("analyze", "pcs", "--in", str(path), "--budget-seconds", "nan"),
+                 ("analyze", "pcs", "--in", str(repeat))):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err, argv
 
