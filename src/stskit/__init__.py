@@ -25,7 +25,6 @@ from .constructions import (
     bose_half_sum,
     conjugate_square,
     half_sum_square,
-    is_shift_invariant,
     sts33_fixture,
     verify_cyclic,
     wilson_schreiber,

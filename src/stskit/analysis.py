@@ -107,6 +107,15 @@ class PCEnumeration:
     nodes: int
 
 
+def _incidence(system: TripleSystem) -> list[list[int]]:
+    """Each point's triple indices, ascending."""
+    on_point: list[list[int]] = [[] for _ in range(system.v)]
+    for i, t in enumerate(system.triples):
+        for p in t:
+            on_point[p].append(i)
+    return on_point
+
+
 def enumerate_parallel_classes(system: TripleSystem,
                                budget: SearchBudget = DEFAULT_BUDGET) -> PCEnumeration:
     """All parallel classes (v/3 disjoint triples covering every point), by
@@ -119,12 +128,13 @@ def enumerate_parallel_classes(system: TripleSystem,
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
-    _refuse_repeated_point(system)
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
-    on_point = [0] * v  # bitset of the triples through each point
-    for i, t in enumerate(system.triples):
-        for p in t:
-            on_point[p] |= 1 << i
+    on_point: list[int] = []  # bitset of the triples through each point, built linearly
+    for ids in _incidence(system):
+        buf = bytearray((system.b + 7) // 8)
+        for i in ids:
+            buf[i >> 3] |= 1 << (i & 7)
+        on_point.append(int.from_bytes(buf, "little"))
     full = (1 << v) - 1
     above = system.b + 1  # more candidates than any point has: the first point is taken
     tick = meter.tick
@@ -462,14 +472,6 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
                 return None
 
 
-def _refuse_repeated_point(system: TripleSystem) -> None:
-    """Raise ValueError at the first triple with a repeated point: no colour
-    class or parallel class can hold it, so no search can succeed."""
-    bad = next((t for t in system.triples if t[0] == t[1] or t[1] == t[2]), None)
-    if bad is not None:
-        raise ValueError(f"triple {bad} repeats a point; no colour class can hold it")
-
-
 def chromatic_index_exact(system: TripleSystem,
                           budget: SearchBudget = DEFAULT_BUDGET,
                           pc_certificate: PCBoundCertificate | None = None,
@@ -485,8 +487,7 @@ def chromatic_index_exact(system: TripleSystem,
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
-    _refuse_repeated_point(system)
-    lower = -(-b // max(v // 3, 1))  # at v = 1 a class holds the one triple there is
+    lower = -(-b // max(v // 3, 1))  # for v < 3 there are no triples, so b = 0
     if pc_certificate is not None:
         if b != v * (v - 1) // 6:
             raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")
@@ -536,8 +537,8 @@ def chromatic_index_heuristic(system: TripleSystem,
     (and with it every random draw) is the one a full rescan would give.
     Returns a verified colouring on success, None on failure; failure proves
     nothing.  A target below the counting bound or above b (no colouring
-    needs more classes than triples), fewer than one restart, or a triple
-    with a repeated point raises ValueError."""
+    needs more classes than triples) or fewer than one restart raises
+    ValueError."""
     v, b = system.v, system.b
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
@@ -545,13 +546,9 @@ def chromatic_index_heuristic(system: TripleSystem,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if target > b:
         raise ValueError(f"target {target} above the triple count {b}")
-    _refuse_repeated_point(system)
     triples = system.triples
     iterations = max(4000, 250 * b)
-    on_point: list[list[int]] = [[] for _ in range(v)]
-    for i, t in enumerate(triples):
-        for p in t:
-            on_point[p].append(i)
+    on_point = _incidence(system)
 
     for r in range(restarts):
         rng = substream(seed, "chi-heur", r)

@@ -25,7 +25,6 @@ __all__ = [
     "bose_half_sum",
     "conjugate_square",
     "half_sum_square",
-    "is_shift_invariant",
     "random_permutation",
     "sts33_fixture",
     "verify_cyclic",
@@ -252,13 +251,6 @@ def verify_cyclic(labelled: LabelledSTS) -> bool:
         orbit.add(p)
         p = rho(p)
     return len(orbit) == v
-
-
-def is_shift_invariant(system: TripleSystem) -> bool:
-    """True iff p -> p+1 mod v maps the triple set onto itself."""
-    v = system.v
-    return _is_automorphism(system, lambda p: (p + 1) % v)
-
 
 
 # ---------------------------------------------------------------------------

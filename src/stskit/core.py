@@ -71,10 +71,9 @@ class TripleSystem:
     """A set of 3-subsets ("triples") of the points 0..v-1, in canonical order.
 
     The constructor enforces only well-formedness: point labels in range,
-    each triple sorted, the list sorted, and no duplicate triples (duplicates
-    are a hard error, never merged).  Whether the system is actually Steiner
-    is the job of :func:`verify_sts`, which can also report malformed triples
-    with repeated points coming from hand-built or parsed data.
+    each triple three distinct points in ascending order, the list sorted,
+    and no duplicate triples (duplicates are a hard error, never merged).
+    Whether the system is actually Steiner is the job of :func:`verify_sts`.
     """
 
     v: int
@@ -91,7 +90,7 @@ class TripleSystem:
             except ValueError:
                 raise ValueError(f"triple {t} does not have 3 entries") from None
             if not (type(t) is tuple and type(a) is type(b) is type(c) is int
-                    and 0 <= a <= b <= c < v):
+                    and 0 <= a < b < c < v):
                 self._check_points(t)
             if prev is not None and t <= prev:
                 if t == prev:
@@ -106,6 +105,8 @@ class TripleSystem:
             raise ValueError(f"triple {t} has a point outside 0..{self.v - 1}")
         if not (t[0] <= t[1] <= t[2]):
             raise ValueError(f"triple {t} is not sorted; use from_triples")
+        if t[0] == t[1] or t[1] == t[2]:
+            raise ValueError(f"triple {t} repeats a point")
         if not isinstance(t, tuple):
             raise ValueError(f"triple {t} is not a tuple; use from_triples")
 
@@ -185,31 +186,27 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     """Check the Steiner property: every pair in exactly one triple, and the
     triple count v(v-1)/6.
 
-    Reports the first violation found (malformed triple, duplicate pair with
-    both offending triples, uncovered pair, or wrong triple count) plus a
-    total violation count.
+    Reports the first violation found (duplicate pair with both offending
+    triples, uncovered pair, or wrong triple count) plus a total violation
+    count.
     """
     v = system.v
     if v < 3:
         raise ValueError(f"order {v} too small to verify")
     hit = Violations()
     triples = system.triples
-    malformed = [t for t in triples if t[0] == t[1] or t[1] == t[2]]
-    for t in malformed:
-        hit(f"malformed triple {t}: repeated point")
-    clean = [t for t in triples if t[0] != t[1] != t[2]] if malformed else triples
 
     # Each pair {x,y}, x < y, as the integer x*v+y: pair order is key order.
     keys: set[int] = set()
     add = keys.add
-    for a, b, c in clean:
+    for a, b, c in triples:
         add(a * v + b)
         add(a * v + c)
         add(b * v + c)
-    if len(keys) < 3 * len(clean):
+    if len(keys) < 3 * len(triples):
         # Some pair is covered twice: re-scan to name both triples each time.
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for t in clean:
+        for t in triples:
             for pair in combinations(t, 2):
                 other = seen.get(pair)
                 if other is None:
@@ -228,8 +225,8 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     expected, rem = divmod(v * (v - 1), 6)
     if rem != 0:
         hit(f"order {v} admits no Steiner triple system (v(v-1)/6 is not an integer)")
-    elif len(system.triples) != expected:
-        hit(f"triple count {len(system.triples)} != v(v-1)/6 = {expected}")
+    elif len(triples) != expected:
+        hit(f"triple count {len(triples)} != v(v-1)/6 = {expected}")
 
     return hit.report()
 

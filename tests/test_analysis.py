@@ -87,11 +87,10 @@ def test_class_cap_budget(sts9_grid):
 
 
 def test_enumeration_refuses_repeated_point():
-    # It used to report the four triples as a parallel class of STS(9).
-    system = TripleSystem(9, ((0, 0, 1), (2, 3, 4), (5, 6, 7), (8, 8, 8)))
-    for search in (enumerate_parallel_classes, max_disjoint_pcs):
-        with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
-            search(system)
+    # Four triples that would pass as a parallel class of STS(9) if (0, 0, 1)
+    # were a triple: the system cannot be built, so no search sees it.
+    with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
+        TripleSystem(9, ((0, 0, 1), (2, 3, 4), (5, 6, 7), (8, 8, 8)))
 
 
 @pytest.mark.parametrize("search", [
@@ -411,10 +410,9 @@ def test_chi_exact_refuses_certificate_without_all_triples():
 
 
 def test_chi_exact_refuses_repeated_point():
-    # No class can hold (0, 0, 1); a "complete" answer would be a colouring
-    # that verify_colouring rejects.
-    with pytest.raises(ValueError, match="repeats a point"):
-        chromatic_index_exact(TripleSystem(7, ((0, 0, 1),)))
+    # No class can hold (0, 0, 1); the system holding it cannot be built.
+    with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
+        TripleSystem(7, ((0, 0, 1),))
 
 
 def test_chi_heuristic_bose15_target9():
@@ -447,10 +445,9 @@ def test_chi_heuristic_rejects_target_above_triple_count(sts9_grid):
 
 
 def test_chi_heuristic_refuses_repeated_point():
-    # It used to run all 12 restarts to a failure on a triple no class holds.
-    system = TripleSystem(7, ((0, 0, 1), (2, 3, 4), (2, 5, 6), (3, 5, 6)))
+    # No class holds (0, 0, 1); the system holding it cannot be built.
     with pytest.raises(ValueError, match=r"triple \(0, 0, 1\) repeats a point"):
-        chromatic_index_heuristic(system, 4)
+        TripleSystem(7, ((0, 0, 1), (2, 3, 4), (2, 5, 6), (3, 5, 6)))
 
 
 def test_chi_heuristic_deterministic():

@@ -212,6 +212,24 @@ def test_analyze_chi_heuristic_refuses_repeated_point(tmp_path, capsys):
     assert (code, out) == (2, "") and "triple (0, 0, 1) repeats a point" in err
 
 
+def test_every_reader_refuses_a_repeated_point(tmp_path, capsys):
+    # Bose(5) with its last triple replaced by (0, 0, 1).  Counting that
+    # triple, the mod-3 certificate would read "at most 3" where the system
+    # has t0 = 5 and bound 2; the file is malformed for every command.
+    bose, path, cols = tmp_path / "b15.sts", tmp_path / "b15-repeat.sts", tmp_path / "b15.cols"
+    run(capsys, "construct", "bose", "--n", "5", "--out", str(bose))
+    path.write_text("".join(bose.read_text().splitlines(keepends=True)[:-1]) + "0 0 1\n")
+    cols.write_text("COLOURING v=15 k=35\n" + "".join(f"{i}\n" for i in range(35)))
+    for argv in (("verify",), ("verify", "--colouring", str(cols)),
+                 ("analyze", "bound", "--method", "mod3"), ("analyze", "bound", "--method", "ws"),
+                 ("analyze", "pcs"), ("analyze", "pcs", "--max-disjoint"),
+                 ("analyze", "chi", "--exact"), ("analyze", "chi", "--heuristic", "--target", "7")):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, "--in", str(path), *json_flag)
+            assert (code, out) == (2, ""), argv + json_flag
+            assert "error: triple (0, 0, 1) repeats a point" in err, argv + json_flag
+
+
 def test_analyze_bound_ws_and_mod3(tmp_path, capsys):
     ws = tmp_path / "s15.sts"
     run(capsys, "construct", "wilson-schreiber", "--n", "13", "--out", str(ws))

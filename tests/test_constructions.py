@@ -13,14 +13,13 @@ from stskit import (
     conjugate_square,
     factorise_G,
     half_sum_square,
-    is_shift_invariant,
     sts33_fixture,
     verify_colouring,
     verify_cyclic,
     verify_sts,
     wilson_schreiber,
 )
-from stskit.constructions import random_permutation, wilson_schreiber_triples
+from stskit.constructions import _is_automorphism, random_permutation, wilson_schreiber_triples
 from stskit.rng import substream
 
 
@@ -217,7 +216,7 @@ def test_fixture_developed_triples_sum_to_one_mod3():
 
 def test_fixture_is_cyclic_under_shift():
     labelled, _ = sts33_fixture()
-    assert is_shift_invariant(labelled.system)
+    assert _is_automorphism(labelled.system, lambda p: (p + 1) % 33)
 
 
 def test_fixture_class_sizes():

@@ -62,6 +62,10 @@ def test_out_of_range_point_rejected():
     (7, ((0, 1, 3), (0, 1, 2)), "triple list is not sorted; use from_triples"),
     # The first bad triple wins.
     (7, ((0, 1, 2), (0, 1), (0, 1, 9)), "triple (0, 1) does not have 3 entries"),
+    # A 3-subset has three distinct points; order is checked first.
+    (7, ((0, 0, 1),), "triple (0, 0, 1) repeats a point"),
+    (7, ((0, 1, 2), (3, 5, 5)), "triple (3, 5, 5) repeats a point"),
+    (7, ((1, 0, 0),), "triple (1, 0, 0) is not sorted; use from_triples"),
 ])
 def test_triple_system_constructor_errors(v, triples, message):
     with pytest.raises(ValueError) as exc:
@@ -121,10 +125,12 @@ def test_uncovered_pair_and_count_violations():
 
 
 def test_malformed_triple_reported():
-    system = TripleSystem(7, ((0, 0, 1), (2, 3, 4)))
-    report = verify_sts(system)
-    assert not report.ok
-    assert "repeated point" in report.first_violation
+    # A repeated point is refused where triples enter, so verify_sts never
+    # sees one; from_triples sorts first and still refuses it.
+    with pytest.raises(ValueError, match=r"^triple \(0, 0, 1\) repeats a point$"):
+        TripleSystem(7, ((0, 0, 1), (2, 3, 4)))
+    with pytest.raises(ValueError, match=r"^triple \(0, 1, 1\) repeats a point$"):
+        TripleSystem.from_triples(7, [(2, 3, 4), (1, 0, 1)])
 
 
 def test_verify_sts_memory_is_set_by_the_triples_not_v():
@@ -319,6 +325,7 @@ _PARSE_ERRORS = {
     "STS v=7\n0 1 9\n0 1\n": "line 3: expected 3",
     "STS v=7\n0 1 9\n": "triple (0, 1, 9) has a point outside 0..6",
     "STS v=7\n0 1 2\n2 1 0\n": "duplicate triple",
+    "STS v=7\n0 1 2\n1 0 0\n": "triple (0, 0, 1) repeats a point",
 }
 
 
@@ -471,9 +478,14 @@ def test_verify_sts_matches_oracle_on_perturbed_systems(v, seed, data):
         for j in data.draw(st.sets(st.integers(0, len(triples) - 1), min_size=1, max_size=3)):
             p, q = data.draw(st.lists(st.integers(0, v - 1), min_size=2, max_size=2))
             triples[j] = [p, p, q]
+    # from_triples refuses the first triple, in canonical order, that
+    # repeats a point or repeats the triple before it.
     canon = sorted(tuple(sorted(t)) for t in triples)
-    if len(set(canon)) < len(canon):
-        with pytest.raises(ValueError, match="duplicate"):
+    bad = next((t for t, prev in zip(canon, [None, *canon]) if len(set(t)) < 3 or t == prev),
+               None)
+    if bad is not None:
+        with pytest.raises(ValueError, match="repeats a point" if len(set(bad)) < 3
+                           else "duplicate"):
             TripleSystem.from_triples(v, triples)
         return
     system = TripleSystem.from_triples(v, triples)
