@@ -25,18 +25,17 @@ properties are what the downstream parallel-class bound consumes, and
 :func:`verify_factorisation_properties` re-checks them from scratch.
 
 Both steps keep the per-edge Python work small.  The walk collects each
-orbit once and builds its edges in bulk from that list.  The verifier
-decides with one cheap pass of set and list checks; its per-edge walk,
-which names the first violation and counts them all, runs only when that
-pass finds a fault, so a report is the same whichever path made it.
+orbit once and builds its edges in bulk from that list.  The verifier is
+one pass of set and list checks that seeks a witness only for a failed one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable
 
@@ -56,9 +55,9 @@ Factors = tuple[tuple[Edge, ...], tuple[Edge, ...], tuple[Edge, ...]]
 
 _first = itemgetter(0)
 
-
-def _pair(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+# The largest n factorise_G builds, since G(n) is held in memory: a cold
+# `stskit theorem1 --v 999999` (n = 999,997) peaks near 455 MB.
+MAX_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -151,45 +150,33 @@ def factorise_component(d: int) -> Factors:
 
 
 def factorise_G(n: int) -> OneFactorisation:
-    """1-factorisation of G(n), n = 1 mod 6 and n >= 7: the (-2)-orbit walk
-    of the module docstring over every nonzero residue.  The result is
-    unchecked here beyond the walk's own orbit check:
+    """1-factorisation of G(n), n = 1 mod 6 and 7 <= n <= MAX_N: the
+    (-2)-orbit walk of the module docstring over every nonzero residue.  The
+    result is unchecked here beyond the walk's own orbit check:
     :func:`verify_factorisation_properties` is the one check, and callers
     that rely on the properties run it."""
-    if n % 6 != 1 or n < 7:
-        raise ValueError(f"n must be 1 mod 6 and >= 7, got {n}")
+    if n % 6 != 1 or not 7 <= n <= MAX_N:
+        raise ValueError(f"n must be 1 mod 6 with 7 <= n <= {MAX_N}, got {n}")
     return OneFactorisation(n=n, factors=_orbit_factors(n, range(1, n)))
 
 
-def _cheap_pass_ok(n: int, factors: Factors, f_n: int) -> bool:
-    """True when the factors meet every check of
-    :func:`verify_factorisation_properties`, decided with set and list work
-    instead of a per-edge report loop; False on any fault.  n is 1 mod 6."""
-    if len(factors) != 3:
-        return False
-    half = (n - 1) // 2
-    vertices = set(range(1, n))
-    keys: set[int] = set()
-    classes = []
-    zeros = []
-    for factor in factors:
-        # (n-1)/2 edges whose endpoints are all of 1..n-1: a perfect matching
-        # of the vertices, every endpoint in range.
-        if len(factor) != half or set(chain.from_iterable(factor)) != vertices:
-            return False
-        weights = [(u + v) % n for u, v in factor]
-        # The edge rule with w = u+v: v = -2u is w = -u, u = -2v is w = -v.
-        if [1 for (u, v), w in zip(factor, weights) if w and w + u != n and w + v != n]:
-            return False
-        keys.update([u * n + v if u < v else v * n + u for u, v in factor])
-        nonzero = {w if w + w < n else n - w for w in weights}
-        nonzero.discard(0)
-        classes.append(nonzero)
-        zeros.append(weights.count(0))
-    c0, c1, c2 = classes
-    return (len(keys) == 3 * half
-            and c0.isdisjoint(c1) and c0.isdisjoint(c2) and c1.isdisjoint(c2)
-            and half - zeros[0] == 2 * f_n == zeros[1] + zeros[2])
+def _matching_fault(i: int, factor, vertices: set[int]) -> str:
+    """Name factor ``i``'s least repeated, missing or out-of-range vertex."""
+    ends = Counter(chain.from_iterable(factor))
+    x = min(x for x in ends.keys() | vertices if ends[x] != 1 or x not in vertices)
+    kind = "a matching" if ends[x] > 1 else f"a perfect matching of 1..{len(vertices)}"
+    return f"factor {i} is not {kind} at vertex {x}"
+
+
+def _shared_edge(factors) -> str | None:
+    """The first edge, in factor order, that an earlier factor holds too."""
+    owner: dict[Edge, int] = {}
+    for i, factor in enumerate(factors):
+        for u, v in factor:
+            j = owner.setdefault((u, v) if u < v else (v, u), i)
+            if j != i:
+                return f"edge {(u, v)} is in factors {j} and {i}"
+    return None
 
 
 def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> VerificationReport:
@@ -211,60 +198,48 @@ def verify_factorisation_properties(fact: OneFactorisation, f_n: int) -> Verific
     matchings inside G(n) give every vertex three distinct neighbours, so
     together they are all of G(n).
 
-    One cheap pass decides whether all five hold.  Per factor it checks
-    the edge count (n-1)/2, the endpoint set {1..n-1} (matching, cover and
-    range in one) and the edge rule, written with w = u+v as w = 0, w = -u
-    or w = -v.  Across the factors, the integer edge keys u*n+v (u < v)
-    number 3(n-1)/2, the nonzero weight classes min(w, n-w) of the factors
-    are pairwise disjoint, and both counts are 2 f_n.  Only when that pass
-    finds a fault does the per-edge walk below run, to name the first
-    violation and count them all.
+    One pass of set and list checks, in this order: n; the factor count;
+    per factor, (n-1)/2 edges on the endpoint set {1..n-1} (matching, cover
+    and range in one), then the edge rule as w = 0, -u or -v for w = u+v;
+    across factors, distinct edge keys u*n+v (u < v), disjoint nonzero
+    weight classes min(w, n-w), and the two counts.  Only a failed check
+    seeks a witness (a vertex, edge or weight class).  ``first_violation``
+    names the first failed check; ``violation_count`` counts failed checks,
+    not edges (callers read only ``ok`` and ``first_violation``).
     """
-    n = fact.n
+    n, factors = fact.n, fact.factors
     hit = Violations()
     if n % 6 != 1 or n < 7:
         hit(f"n must be 1 mod 6 and >= 7, got {n}")
         return hit.report()
-    if _cheap_pass_ok(n, fact.factors, f_n):
-        return hit.report()
-    if len(fact.factors) != 3:
-        hit(f"{len(fact.factors)} factors, expected 3")
-    owner: dict[Edge, int] = {}
-    weight_class_factor: dict[int, tuple[int, Edge]] = {}
-    nonzero_in_0 = zero_in_12 = 0
-    for i, factor in enumerate(fact.factors):
-        touched: set[int] = set()
-        for edge in factor:
-            u, v = edge
-            if u in touched or v in touched:
-                hit(f"factor {i} is not a matching at edge {edge}")
-            touched.update(edge)
-            if not (0 < u < n and 0 < v < n
-                    and ((u + v) % n == 0 or (2 * u + v) % n == 0 or (u + 2 * v) % n == 0)):
-                hit(f"edge {edge} of factor {i} is not an edge of G({n})")
-            j = owner.setdefault(_pair(u, v), i)
-            if j != i:
-                hit(f"edge {edge} is in factors {j} and {i}")
-            w = (u + v) % n
-            if w == 0:
-                if i:
-                    zero_in_12 += 1
-                continue
-            if i == 0:
-                nonzero_in_0 += 1
-            key = min(w, n - w)
-            prev = weight_class_factor.setdefault(key, (i, edge))
-            if prev[0] != i:
-                hit(f"edges {prev[1]} and {edge} have opposite weights "
-                    f"but sit in factors {prev[0]} and {i}")
-        if len(touched) != n - 1:
-            hit(f"factor {i} does not cover every vertex")
-
+    if len(factors) != 3:
+        hit(f"{len(factors)} factors, expected 3")
+    vertices = set(range(1, n))
+    keys: set[int] = set()
+    classes, zeros = [], []
+    for i, factor in enumerate(factors):
+        if len(factor) != (n - 1) // 2 or set(chain.from_iterable(factor)) != vertices:
+            hit(_matching_fault(i, factor, vertices))
+        weights = [(u + v) % n for u, v in factor]
+        # The edge rule with w = u+v: v = -2u is w = -u, u = -2v is w = -v.
+        bad = [(u, v) for (u, v), w in zip(factor, weights) if w and w + u != n and w + v != n]
+        if bad:
+            hit(f"edge {bad[0]} of factor {i} is not an edge of G({n})")
+        keys.update([u * n + v if u < v else v * n + u for u, v in factor])
+        classes.append({w if w + w < n else n - w for w in weights if w})
+        zeros.append(weights.count(0))
+    # Distinct edges in range have distinct keys; a stray endpoint may not.
+    if len(keys) != sum(map(len, factors)) and (shared := _shared_edge(factors)):
+        hit(shared)
+    for j, i in combinations(range(len(classes)), 2):
+        if not classes[j].isdisjoint(classes[i]):
+            hit(f"weights +-{min(classes[j] & classes[i])} are split between factors {j} and {i}")
+            break
+    nonzero_in_0 = len(factors[0]) - zeros[0] if factors else 0
     if nonzero_in_0 != 2 * f_n:
         hit(f"factor 0 has {nonzero_in_0} nonzero-weight edges, expected {2 * f_n}")
-    if zero_in_12 != 2 * f_n:
-        hit(f"factors 1+2 have {zero_in_12} zero-weight edges, expected {2 * f_n}")
-
+    if sum(zeros[1:]) != 2 * f_n:
+        hit(f"factors 1+2 have {sum(zeros[1:])} zero-weight edges, expected {2 * f_n}")
     return hit.report()
 
 

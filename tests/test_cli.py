@@ -311,6 +311,11 @@ def test_generate_and_survey(tmp_path, capsys):
                        "--seed", "1", "--json")
     assert code == 0
     assert json.loads(out)["counts"]["m"] == 2
+    code, out, _ = run(capsys, "survey", "colouring", "--v", "9", "--count", "2",
+                       "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == ["order 9 (m=4), 2 systems:", "  m: 2", "  m+1: 0",
+                                "  m+2: 0", "  fail: 0"]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -345,17 +350,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "construct", "bose", "--n", "5", *square, "--seed", "2")
         assert code == 2 and "only" in err, square
     # Values that would otherwise read as answers: an empty report, a
-    # heuristic failure, a scan that allocates without bound, a time cap
-    # that never fires, or a "parallel class" holding a triple (0, 0, 1).
+    # heuristic failure, a scan or a factorisation that allocates without
+    # bound, a time cap that never fires, a "parallel class" holding a
+    # triple (0, 0, 1), a heuristic with no target, or a bound whose method
+    # does not fit the order (13 - 2 = 11 is not 1 mod 6, 13 is not 0 mod 3).
     repeat = tmp_path / "repeat.sts"
     repeat.write_text("STS v=9\n0 0 1\n2 3 4\n5 6 7\n8 8 8\n")
+    s13 = tmp_path / "s13.sts"
+    s13.write_text(format_sts(random_sts(13, seed=1)))
     for argv in ((*chi, "--heuristic", "--target", "7", "--restarts", "0"),
                  ("generate", "--v", "9", "--count", "-1"),
                  ("survey", "colouring", "--v", "9", "--count", "-1"),
                  ("survey", "colouring", "--v", "9", "--count", "0", "--restarts", "0"),
                  ("numtheory", "scan", "--limit", "10000001"),
                  ("analyze", "pcs", "--in", str(path), "--budget-seconds", "nan"),
-                 ("analyze", "pcs", "--in", str(repeat))):
+                 ("analyze", "pcs", "--in", str(repeat)),
+                 ("theorem1", "--v", "9999999"),
+                 ("factorise", "--n", "9999997"),
+                 (*chi, "--heuristic"),
+                 ("analyze", "bound", "--in", str(s13), "--method", "ws"),
+                 ("analyze", "bound", "--in", str(s13), "--method", "mod3")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err, argv
 
