@@ -196,7 +196,8 @@ def max_disjoint_pcs(system: TripleSystem,
     branch-and-bound set packing over the enumerated classes.
 
     Optimal when status is "complete"; on budget exhaustion reports the best
-    packing found together with the trivial remaining-class upper bound.
+    packing found with an upper bound: the trivial cap (v-1)/2, or the class
+    count when that is smaller and enumeration finished.
     The budget covers the whole call: packing gets what enumeration left."""
     meter = _Meter(budget)
     enum = enumerate_parallel_classes(system, budget)
@@ -237,8 +238,8 @@ def max_disjoint_pcs(system: TripleSystem,
             status = INCONCLUSIVE
     if status == COMPLETE:
         upper = len(best_sol)
-    elif enum.status == COMPLETE:
-        upper = k  # all classes known, packing unfinished
+    elif enum.status == COMPLETE:  # all classes known, packing unfinished
+        upper = min(k, (system.v - 1) // 2)
     else:
         upper = (system.v - 1) // 2  # enumeration unfinished: only the trivial cap
     return MaxDisjointResult(

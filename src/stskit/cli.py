@@ -52,7 +52,7 @@ from .core import (
 )
 from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
 from .generator import GenerationError, batch_seed, colouring_survey, random_sts
-from .numtheory import ScanRow, f_of, number_profile, scan_rows
+from .numtheory import SCAN_KINDS, f_of, number_profile, scan_rows
 from .rng import substream
 
 SCHEMA = "stskit-report/1"
@@ -122,17 +122,9 @@ def _cmd_numtheory_profile(args) -> int:
     return EXIT_OK
 
 
-# The rows each kind of 'numtheory scan' prints.
-_SCAN_KINDS: dict[str, Callable[[ScanRow], bool]] = {
-    "all": lambda r: True,
-    "negative-psi": lambda r: r.psi < 0,
-    "exceptions": lambda r: r.psi_star <= 0,
-}
-
-
 def _cmd_numtheory_scan(args) -> int:
     kind = "all" if args.all else "negative-psi" if args.negative_psi else "exceptions"
-    picks, is_exception = _SCAN_KINDS[kind], _SCAN_KINDS["exceptions"]
+    picks, is_exception = SCAN_KINDS[kind], SCAN_KINDS["exceptions"]
     rows = scan_rows(args.limit)  # one pass, by the report or by the text
 
     def payload() -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Colouring, PartialParallelClass, TripleSystem
-from .factorisation import OneFactorisation, factorise_G
+from .factorisation import MAX_WS_N, OneFactorisation, factorise_G
 
 __all__ = [
     "LabelledSTS",
@@ -158,7 +158,10 @@ def wilson_schreiber(n: int) -> LabelledSTS:
     and :func:`wilson_schreiber_triples` takes any other.
 
     Internal point order: 1..n-1 map to 0..n-2, then inf_0, inf_1, inf_2.
+    An n above ``factorisation.MAX_WS_N`` is refused before anything is built.
     """
+    if n > MAX_WS_N:
+        raise ValueError(f"n must be <= {MAX_WS_N}, got {n}")
     triples = wilson_schreiber_triples(factorise_G(n))
     return LabelledSTS(
         system=TripleSystem(n + 2, triples),

@@ -33,10 +33,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NumberProfile",
+    "SCAN_KINDS",
     "SCAN_LIMIT_MAX",
     "ScanRow",
     "divisors_gt1",
@@ -320,11 +321,19 @@ def _sieve_rows(limit: int) -> Iterator[ScanRow]:
                     f[m] += g
 
 
+# The rows each kind of scan keeps; `stskit numtheory scan` reads them here.
+SCAN_KINDS: dict[str, Callable[[ScanRow], bool]] = {
+    "all": lambda r: True,
+    "negative-psi": lambda r: r.psi < 0,
+    "exceptions": lambda r: r.psi_star <= 0,
+}
+
+
 def scan_exceptions(limit: int) -> list[int]:
     """All n = 1 or 5 mod 6 with 1 < n <= limit and psi*(n) <= 0, ascending."""
-    return [row.n for row in scan_rows(limit) if row.psi_star <= 0]
+    return [row.n for row in filter(SCAN_KINDS["exceptions"], scan_rows(limit))]
 
 
 def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
     """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
-    return [(row.n, row.psi) for row in scan_rows(limit) if row.psi < 0]
+    return [(row.n, row.psi) for row in filter(SCAN_KINDS["negative-psi"], scan_rows(limit))]

@@ -149,6 +149,7 @@ def test_max_disjoint_budget_covers_enumeration_and_packing():
     result = max_disjoint_pcs(wilson_schreiber(25).system, budget)
     assert result.nodes <= budget.max_nodes
     assert result.status == INCONCLUSIVE
+    assert result.upper_bound == 13  # (v-1)/2, not the class count
 
 
 # ---------------------------------------------------------------------------

@@ -350,10 +350,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "construct", "bose", "--n", "5", *square, "--seed", "2")
         assert code == 2 and "only" in err, square
     # Values that would otherwise read as answers: an empty report, a
-    # heuristic failure, a scan or a factorisation that allocates without
-    # bound, a time cap that never fires, a "parallel class" holding a
-    # triple (0, 0, 1), a heuristic with no target, or a bound whose method
-    # does not fit the order (13 - 2 = 11 is not 1 mod 6, 13 is not 0 mod 3).
+    # heuristic failure, a scan, a factorisation, a random system or a WS(n)
+    # that allocates without bound, a time cap that never fires, a "parallel
+    # class" holding a triple (0, 0, 1), a heuristic with no target, or a
+    # bound whose method does not fit the order (13 - 2 = 11 is not 1 mod 6,
+    # 13 is not 0 mod 3).
     repeat = tmp_path / "repeat.sts"
     repeat.write_text("STS v=9\n0 0 1\n2 3 4\n5 6 7\n8 8 8\n")
     s13 = tmp_path / "s13.sts"
@@ -367,6 +368,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ("analyze", "pcs", "--in", str(repeat)),
                  ("theorem1", "--v", "9999999"),
                  ("factorise", "--n", "9999997"),
+                 ("generate", "--v", "1003", "--count", "1"),
+                 ("survey", "colouring", "--v", "1003", "--count", "1"),
+                 ("construct", "wilson-schreiber", "--n", "1003"),
                  (*chi, "--heuristic"),
                  ("analyze", "bound", "--in", str(s13), "--method", "ws"),
                  ("analyze", "bound", "--in", str(s13), "--method", "mod3")):

@@ -20,6 +20,7 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.constructions import _is_automorphism, random_permutation, wilson_schreiber_triples
+from stskit.factorisation import MAX_WS_N
 from stskit.rng import substream
 
 
@@ -109,6 +110,15 @@ def test_ws_zero_sum_family_is_every_zero_sum_triple(n):
     assert {triples[i] for i in labelled.families["zero-sum"]} == {
         tuple(p - 1 for p in c) for c in combinations(range(1, n), 3) if sum(c) % n == 0}
     assert wilson_schreiber_triples(factorise_G(n)) == triples
+
+
+def test_ws_refuses_n_above_cap():
+    # The cap keeps WS(997), the order-999 system, and refuses before G(n) is
+    # built: WS(99997) would hold about 1.7 * 10^9 triples.
+    assert MAX_WS_N >= 997
+    for n in (MAX_WS_N + 6, 99_997):
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_WS_N}"):
+            wilson_schreiber(n)
 
 
 def test_ws_rejects_tampered_factorisation():
