@@ -51,12 +51,12 @@ from .factorisation import (
 )
 from .generator import GenerationError, colouring_survey, random_sts
 from .numtheory import (
+    SCAN_KINDS,
     NumberProfile,
     f_of,
-    negative_psi_scan,
     number_profile,
-    scan_exceptions,
     scan_profiles,
+    scan_rows,
     subgroup_order,
 )
 

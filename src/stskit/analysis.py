@@ -107,6 +107,14 @@ class PCEnumeration:
     nodes: int
 
 
+def _refuse_unused_points(system: TripleSystem) -> None:
+    """Refuse v > 3b: some point then lies on no triple, and a per-point
+    table would be sized by the header's v alone, not by the triples."""
+    if system.v > 3 * system.b:
+        raise ValueError(f"order {system.v} exceeds 3 x {system.b} triples: "
+                         "some point lies on no triple")
+
+
 def _incidence(system: TripleSystem) -> list[list[int]]:
     """Each point's triple indices, ascending."""
     on_point: list[list[int]] = [[] for _ in range(system.v)]
@@ -123,11 +131,13 @@ def enumerate_parallel_classes(system: TripleSystem,
     admissible triples.  Each node carries the bitset of live triples; a
     point's candidates are its incidence bitset masked by it, and a chosen
     triple clears its three points' bitsets from it.  The clock is read at
-    every node from the call's start.  Output sorted lexicographically."""
+    every node from the call's start.  Output sorted lexicographically.
+    A system with v > 3b (a point on no triple) is refused."""
     meter = _Meter(budget)
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
+    _refuse_unused_points(system)
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
     on_point: list[int] = []  # bitset of the triples through each point, built linearly
     for ids in _incidence(system):
@@ -305,6 +315,7 @@ def _weighting_bound(system: TripleSystem, weight: Callable[[int], int]) -> PCBo
     a_min = (v // 3) % 3
     if a_min == 0:
         raise ValueError("v/3 is divisible by 3; the weighting yields no bound")
+    _refuse_unused_points(system)  # before the witness lists v weights
     return PCBoundCertificate(
         bound=t0 // a_min,
         method="mod3-weighting",
@@ -483,12 +494,14 @@ def chromatic_index_exact(system: TripleSystem,
     triples), the counting bound for the order on a Steiner system.  A
     disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
     counting needs all v(v-1)/6 triples, any other count refuses it.  A
-    verified witness colouring caps the upper bound.  If the budget runs out
-    the result is the interval bracketing the value."""
+    system with v > 3b (a point on no triple) is refused.  A verified witness
+    colouring caps the upper bound.  If the budget runs out the result is
+    the interval bracketing the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
-    lower = -(-b // max(v // 3, 1))  # for v < 3 there are no triples, so b = 0
+    _refuse_unused_points(system)
+    lower = -(-b // (v // 3))
     if pc_certificate is not None:
         if b != v * (v - 1) // 6:
             raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")

@@ -85,10 +85,17 @@ def _read_system(path: str):
     return parse_sts(_read_text(path))
 
 
-def _write(path: str | None, text: Callable[[], str]) -> None:
-    """Write ``text()`` to ``path``; without a path the text is not built."""
+def _write(path: str | None, text: Callable[[], str], make_dir: bool = False) -> None:
+    """Write ``text()`` to ``path``; without a path the text is not built.
+    With ``make_dir`` the missing parent directories are made first."""
     if path is not None:
-        Path(path).write_text(text())
+        data = text()
+        try:
+            if make_dir:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_text(data)
+        except OSError as e:
+            raise ValueError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _verdict(report: VerificationReport) -> str:
@@ -352,11 +359,9 @@ def _cmd_generate(args) -> int:
         system = random_sts(args.v, batch_seed(args.seed, idx))
         orders.append(system.b)
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"sts-v{args.v}-{idx}.sts"
-            path.write_text(format_sts(system))
-            written.append(str(path))
+            path = str(Path(args.out_dir) / f"sts-v{args.v}-{idx}.sts")
+            _write(path, lambda: format_sts(system), make_dir=True)
+            written.append(path)
     _emit(args, lambda: {
         "command": "generate", "v": args.v, "count": args.count,
         "seed": args.seed, "triples": orders, "files": written,

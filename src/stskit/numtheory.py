@@ -13,7 +13,7 @@ and -2:
   from the factorised totient and then adjoins -1.  :func:`number_profile`
   takes phi, the order and g from it for each divisor of one n, and sums g
   over them.
-* :func:`scan_profiles` sieves a whole range.  It computes the order of -2
+* :func:`scan_rows` sieves a whole range.  It computes the order of -2
   only modulo prime powers q; for any other n = q*r (q the prime-power part
   of n at its smallest prime) the order is lcm(ord_q, ord_r), and -1 lies in
   <-2>_n exactly when every prime-power order is even with one shared
@@ -22,7 +22,9 @@ and -2:
   phi(d) - 18 g(d) to every multiple d*k with k = 1 or 5 mod 6.  By the time
   it reaches n, every divisor of n has contributed, so the row for n is
   complete; Gauss's identity (the totients of the divisors of n sum to n)
-  checks the sums.
+  checks the sums.  :data:`SCAN_KINDS` picks the rows each kind of scan
+  keeps, so a scan of one kind is ``filter(SCAN_KINDS[kind], scan_rows(limit))``.
+  :func:`scan_profiles` lists the same rows for the benchmark harness alone.
 
 The test suite checks the three routes against each other.
 """
@@ -43,9 +45,7 @@ __all__ = [
     "divisors_gt1",
     "euler_phi",
     "f_of",
-    "negative_psi_scan",
     "number_profile",
-    "scan_exceptions",
     "scan_profiles",
     "scan_rows",
     "subgroup_order",
@@ -240,7 +240,7 @@ def f_of(n: int) -> int:
 # range scans
 
 
-# The largest limit scan_profiles accepts.
+# The largest limit scan_rows accepts.
 SCAN_LIMIT_MAX = 10**7
 
 
@@ -253,25 +253,26 @@ class ScanRow(NamedTuple):
 
 
 def scan_profiles(limit: int) -> list[ScanRow]:
-    """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit.
+    """``list(scan_rows(limit))``.  The product reads :func:`scan_rows`; this
+    list stays only because the benchmark harness (``perfbench/``) calls and
+    traces it.  The list is most of its memory, about 100 bytes per unit of
+    ``limit``: max RSS 116 MB at 10^6 and 316 MB at 3*10^6, so about 1 GB at
+    the cap."""
+    return list(scan_rows(limit))
+
+
+def scan_rows(limit: int) -> Iterator[ScanRow]:
+    """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit,
+    ascending by n, one at a time.
 
     A multiplicative sieve (see the module docstring): ord_q(-2) is computed
     only for the prime powers q <= limit; every other n is q*r with r coprime
     to q, and its phi and order come from the two parts.  Each row is checked
     for parity/Lagrange and against Gauss's identity.
 
-    ``limit`` above :data:`SCAN_LIMIT_MAX` raises ValueError before anything
-    is allocated.  Memory grows linearly with ``limit``, about 100 bytes per
-    unit of ``limit``, most of it the row list: max RSS 116 MB at 10^6 and
-    316 MB at 3*10^6, so about 1 GB at the cap.  :func:`scan_rows` yields the
-    same rows one at a time and keeps no list.
+    A ``limit`` below 3 or above :data:`SCAN_LIMIT_MAX` raises ValueError at
+    the call, before anything is allocated.
     """
-    return list(scan_rows(limit))
-
-
-def scan_rows(limit: int) -> Iterator[ScanRow]:
-    """The rows of :func:`scan_profiles`, ascending by n, one at a time.
-    A bad ``limit`` raises ValueError at the call, before the first row."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if limit > SCAN_LIMIT_MAX:
@@ -327,13 +328,3 @@ SCAN_KINDS: dict[str, Callable[[ScanRow], bool]] = {
     "negative-psi": lambda r: r.psi < 0,
     "exceptions": lambda r: r.psi_star <= 0,
 }
-
-
-def scan_exceptions(limit: int) -> list[int]:
-    """All n = 1 or 5 mod 6 with 1 < n <= limit and psi*(n) <= 0, ascending."""
-    return [row.n for row in filter(SCAN_KINDS["exceptions"], scan_rows(limit))]
-
-
-def negative_psi_scan(limit: int) -> list[tuple[int, int]]:
-    """All (n, psi(n)) with psi(n) < 0 in the scan range, ascending by n."""
-    return [(row.n, row.psi) for row in filter(SCAN_KINDS["negative-psi"], scan_rows(limit))]

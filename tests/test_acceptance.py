@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 from stskit import (
+    SCAN_KINDS,
     SearchBudget,
     bose,
     bose_half_sum,
@@ -24,11 +25,10 @@ from stskit import (
     half_sum_square,
     max_disjoint_pcs,
     min_pc_for_low_chi,
-    negative_psi_scan,
     pc_bound_mod3_auto,
     pc_bound_ws,
     random_sts,
-    scan_exceptions,
+    scan_rows,
     sts33_fixture,
     subgroup_order,
     theorem1_pipeline,
@@ -51,7 +51,7 @@ def _report(name: str, started: float) -> None:
 
 def test_c01_negative_psi_table():
     t0 = time.perf_counter()
-    pairs = negative_psi_scan(100_000)
+    pairs = [(r.n, r.psi) for r in filter(SCAN_KINDS["negative-psi"], scan_rows(100_000))]
     elapsed = time.perf_counter() - t0
     assert pairs == [(7, -12), (11, -8), (31, -24), (43, -12), (127, -36)]
     assert elapsed < 60.0, f"scan took {elapsed:.1f}s"
@@ -60,7 +60,8 @@ def test_c01_negative_psi_table():
 
 def test_c02_exception_set():
     t0 = time.perf_counter()
-    assert scan_exceptions(100_000) == [7, 11, 19, 31, 43, 73, 127, 511]
+    exceptions = [r.n for r in filter(SCAN_KINDS["exceptions"], scan_rows(100_000))]
+    assert exceptions == [7, 11, 19, 31, 43, 73, 127, 511]
     _report("C2 psi* exception set exact to 10^5", t0)
 
 

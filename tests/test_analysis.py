@@ -211,6 +211,29 @@ def test_mod3_auto_memory_is_set_by_the_triples_not_v():
         pc_bound_mod3(toy, [1, 1, 1, 0, 0, 0, 0, 0, 0])
 
 
+def test_points_on_no_triple_are_refused_before_any_per_point_table():
+    # Two triples cover at most 6 of 3,000,003 points; the enumeration's
+    # incidence, the exact search's class bitsets and the mod-3 witness would
+    # each hold v entries.
+    system = TripleSystem(3_000_003, ((0, 1, 2), (0, 1, 3)))
+    calls = (enumerate_parallel_classes, max_disjoint_pcs, chromatic_index_exact,
+             lambda s: analysis._weighting_bound(s, lambda p: p % 3))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="exceeds 3 x 2 triples: some point lies"):
+                call(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # v = 3b is the largest order three disjoint triples can cover.
+    assert len(enumerate_parallel_classes(
+        TripleSystem(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))).classes) == 1
+    with pytest.raises(ValueError, match="order 9 exceeds 3 x 2 triples"):
+        chromatic_index_exact(TripleSystem(9, ((0, 1, 2), (3, 4, 5))))
+
+
 @pytest.mark.parametrize("n,search", [
     (301, lambda system: enumerate_parallel_classes(system, SearchBudget(max_nodes=1))),
     (151, lambda system: chromatic_index_heuristic(system, 153, restarts=1)),

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from stskit import bose, conjugate_square, format_sts, half_sum_square, random_sts
+from stskit import (
+    GenerationError,
+    bose,
+    conjugate_square,
+    format_sts,
+    half_sum_square,
+    random_sts,
+)
 from stskit.constructions import random_permutation
 from stskit.rng import substream
 from stskit.cli import main
@@ -27,7 +34,7 @@ def test_numtheory_profile(capsys):
         "sub_order": 42, "g": 1, "f": 2, "psi": 24, "psi_star": 12, "divisors_gt1": [7, 49]}
 
 
-def test_numtheory_scan_exceptions(capsys):
+def test_numtheory_scan_json_reports_the_exception_set(capsys):
     code, out, _ = run(capsys, "numtheory", "scan", "--limit", "600", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -376,6 +383,117 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ("analyze", "bound", "--in", str(s13), "--method", "mod3")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err, argv
+
+
+def test_analyze_refuses_a_header_beyond_the_triples(tmp_path, capsys):
+    # Two triples cover at most 6 points; nothing is sized by the header's v.
+    path = tmp_path / "huge.sts"
+    path.write_text("STS v=3000003\n0 1 2\n0 1 3\n")
+    for argv in (("analyze", "pcs"), ("analyze", "chi", "--exact"),
+                 ("analyze", "bound", "--method", "mod3")):
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "wilson-schreiber", "--n", "13", "--out", "{missing}/x.sts"),
+    ("fixture", "sts33", "--colouring-out", "{missing}/c"),
+    ("generate", "--v", "9", "--out-dir", "{file}"),
+], ids=["construct", "fixture", "generate"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=afile) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists() and afile.read_text() == ""
+
+
+def test_generate_count_0_creates_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    code, out, _ = run(capsys, "generate", "--v", "9", "--count", "0", "--out-dir", str(out_dir))
+    assert (code, out) == (0, "generated 0 system(s) of order 9\n")
+    assert not out_dir.exists()
+
+
+# Text output checked against the --json fields of the same call.
+
+
+def test_factorise_text_and_json_agree(tmp_path, capsys):
+    code, out, _ = run(capsys, "factorise", "--n", "13", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    head = (f"G(13): {payload['edges']} edges in 3 factors of "
+            f"{payload['factor_sizes'][0]}, verify ok")
+    code, text, _ = run(capsys, "factorise", "--n", "13")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == head
+    assert lines[1::7] == ["FACTOR 0", "FACTOR 1", "FACTOR 2"]
+    assert len(lines) == 1 + 3 + sum(payload["factor_sizes"])
+    path = tmp_path / "g13.txt"
+    code, text, _ = run(capsys, "factorise", "--n", "13", "--out", str(path))
+    assert (code, text) == (0, f"{head}\nwrote {path}\n")
+    assert path.read_text() == "\n".join(lines[1:]) + "\n"
+
+
+def test_analyze_pcs_max_disjoint_text_and_json_agree(tmp_path, capsys):
+    path = tmp_path / "b15.sts"
+    run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
+    pcs = ("analyze", "pcs", "--in", str(path), "--max-disjoint")
+    code, out, _ = run(capsys, *pcs, "--json")
+    assert code == 0
+    r = json.loads(out)
+    code, text, _ = run(capsys, *pcs)
+    assert (code, text) == (0, f"{r['parallel_classes']} parallel classes; max disjoint "
+                               f"{r['max_disjoint']} (upper bound {r['upper_bound']}, "
+                               f"{r['status']})\n")
+
+
+def test_analyze_chi_inconclusive_text_and_json_agree(tmp_path, capsys):
+    spath = tmp_path / "s33.sts"
+    run(capsys, "fixture", "sts33", "--out", str(spath))
+    chi = ("analyze", "chi", "--in", str(spath), "--exact", "--budget-nodes", "10")
+    code, out, _ = run(capsys, *chi, "--json")
+    assert code == 3
+    r = json.loads(out)
+    code, text, _ = run(capsys, *chi)
+    assert (code, text) == (3, f"chromatic index in [{r['lower']}, {r['upper']}] "
+                               "(inconclusive)\n")
+
+
+def test_generate_out_dir_text_and_json_agree(tmp_path, capsys):
+    gen = ("generate", "--v", "13", "--count", "2", "--seed", "4", "--out-dir", str(tmp_path))
+    code, out, _ = run(capsys, *gen, "--json")
+    assert code == 0
+    files = json.loads(out)["files"]
+    code, text, _ = run(capsys, *gen)
+    assert code == 0
+    assert text.splitlines() == ["generated 2 system(s) of order 13",
+                                 *(f"wrote {f}" for f in files)]
+
+
+def test_survey_generator_failure_text_and_json_agree(capsys, monkeypatch):
+    from stskit import generator
+
+    def fail_one(v, seed, **kwargs):
+        if seed == generator.batch_seed(1, 1):
+            raise GenerationError("stalled")
+        return random_sts(v, seed, **kwargs)
+
+    monkeypatch.setattr(generator, "random_sts", fail_one)
+    survey = ("survey", "colouring", "--v", "9", "--count", "3", "--seed", "1")
+    code, out, _ = run(capsys, *survey, "--json")
+    assert code == 0
+    r = json.loads(out)
+    assert r["generator_failures"] == 1
+    code, text, _ = run(capsys, *survey)
+    assert code == 0
+    assert text.splitlines() == [f"order 9 (m={r['m']}), 3 systems:",
+                                 *(f"  {k}: {r['counts'][k]}" for k in ("m", "m+1", "m+2", "fail")),
+                                 "  generator failures: 1"]
 
 
 def test_bare_invocation_prints_help(capsys):

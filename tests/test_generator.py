@@ -93,3 +93,18 @@ def test_survey_order13_reaches_m_or_m_plus_one():
     # Both order-13 systems have chromatic index 7 or 8.
     result = colouring_survey(13, count=4, seed=2)
     assert result.counts["m"] + result.counts["m+1"] == 4
+
+
+def test_survey_counts_heuristic_and_generator_failures(monkeypatch):
+    from stskit import generator
+
+    def fail_one(v, seed, **kwargs):
+        if seed == generator.batch_seed(5, 2):
+            raise GenerationError("stalled")
+        return random_sts(v, seed, **kwargs)
+
+    monkeypatch.setattr(generator, "random_sts", fail_one)
+    monkeypatch.setattr(generator, "chromatic_index_heuristic", lambda *a, **k: None)
+    result = colouring_survey(9, 4, seed=5)
+    assert result.counts == {"m": 0, "m+1": 0, "m+2": 0, "fail": 3}
+    assert result.generator_failures == 1

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stskit import (
+    SCAN_KINDS,
     f_of,
-    negative_psi_scan,
     number_profile,
-    scan_exceptions,
     scan_profiles,
+    scan_rows,
     subgroup_order,
 )
 from stskit.numtheory import (
@@ -117,20 +117,29 @@ def test_psi_star_identity():
 # scans
 
 
-def test_scan_exceptions_examples():
-    assert scan_exceptions(600) == [7, 11, 19, 31, 43, 73, 127, 511]
-    assert scan_exceptions(6) == []
+def _kind(kind: str, limit: int) -> list[ScanRow]:
+    return list(filter(SCAN_KINDS[kind], scan_rows(limit)))
 
 
-def test_negative_psi_scan_examples():
-    assert negative_psi_scan(200) == [(7, -12), (11, -8), (31, -24), (43, -12), (127, -36)]
-    assert negative_psi_scan(30) == [(7, -12), (11, -8)]
-    assert negative_psi_scan(5) == []
+def test_exceptions_kind_examples():
+    assert [r.n for r in _kind("exceptions", 600)] == [7, 11, 19, 31, 43, 73, 127, 511]
+    assert _kind("exceptions", 6) == []
+
+
+def test_negative_psi_kind_examples():
+    assert [(r.n, r.psi) for r in _kind("negative-psi", 200)] == [
+        (7, -12), (11, -8), (31, -24), (43, -12), (127, -36)]
+    assert [(r.n, r.psi) for r in _kind("negative-psi", 30)] == [(7, -12), (11, -8)]
+    assert _kind("negative-psi", 5) == []
+
+
+def test_scan_profiles_lists_scan_rows():
+    assert scan_profiles(600) == list(scan_rows(600))
 
 
 def test_scan_rows_are_consistent_with_profiles():
     for limit in (300, 5000):
-        rows = scan_profiles(limit)
+        rows = list(scan_rows(limit))
         assert [r.n for r in rows][:4] == [5, 7, 11, 13]
         for row in rows:
             p = number_profile(row.n)
@@ -140,7 +149,7 @@ def test_scan_rows_are_consistent_with_profiles():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=3, max_value=400))
 def test_scan_sweep_matches_per_n_profiles(limit):
-    rows = scan_profiles(limit)
+    rows = list(scan_rows(limit))
     profiles = [number_profile(n) for n in range(5, limit + 1) if n % 6 in (1, 5)]
     assert rows == [ScanRow(p.n, p.phi, p.f, p.psi, p.psi_star) for p in profiles]
     for row in rows:
@@ -152,7 +161,7 @@ def test_scan_sweep_matches_per_n_profiles(limit):
 def test_scan_sieve_matches_per_n_route_to_100000():
     # The range sieve takes phi and the order of -2 from prime powers; the
     # per-n route factorises phi(n) and calls pow for every n.
-    rows = scan_profiles(10**5)
+    rows = list(scan_rows(10**5))
     assert len(rows) == 33_332
     for row in rows:
         phi, _, g = _unit_profile(row.n)
@@ -161,12 +170,12 @@ def test_scan_sieve_matches_per_n_route_to_100000():
 
 def test_scan_rejects_tiny_limit():
     with pytest.raises(ValueError):
-        scan_profiles(2)
+        scan_rows(2)
 
 
 def test_scan_rejects_limit_above_cap():
     with pytest.raises(ValueError, match="<="):
-        scan_profiles(SCAN_LIMIT_MAX + 1)
+        scan_rows(SCAN_LIMIT_MAX + 1)
 
 
 def test_smallest_prime_factor_sieve():
