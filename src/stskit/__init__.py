@@ -1,63 +1,25 @@
 """Steiner triple systems with few parallel classes: constructions, bound
-certificates, and exact/heuristic chromatic-index computation."""
+certificates, and exact/heuristic chromatic-index computation.
 
-from .analysis import (
-    ChiResult,
-    MaxDisjointResult,
-    PCBoundCertificate,
-    PCEnumeration,
-    PipelineReport,
-    SearchBudget,
-    chi_lower_from_certificate,
-    chromatic_index_exact,
-    chromatic_index_heuristic,
-    enumerate_parallel_classes,
-    max_disjoint_pcs,
-    pc_bound_mod3,
-    pc_bound_mod3_auto,
-    pc_bound_ws,
-    theorem1_pipeline,
-)
-from .constructions import (
-    LabelledSTS,
-    LatinSquare,
-    bose,
-    bose_half_sum,
-    conjugate_square,
-    half_sum_square,
-    sts33_fixture,
-    verify_cyclic,
-    wilson_schreiber,
-)
-from .core import (
-    Colouring,
-    PartialParallelClass,
-    TripleSystem,
-    VerificationReport,
-    format_colouring,
-    format_sts,
-    m_lower,
-    min_pc_for_low_chi,
-    parse_colouring,
-    parse_sts,
-    verify_colouring,
-    verify_sts,
-)
-from .factorisation import (
-    OneFactorisation,
-    factorise_G,
-    factorise_component,
-    verify_factorisation_properties,
-)
-from .generator import GenerationError, colouring_survey, random_sts
-from .numtheory import (
-    SCAN_KINDS,
-    NumberProfile,
-    f_of,
-    number_profile,
-    scan_profiles,
-    scan_rows,
-    subgroup_order,
-)
+The package root imports nothing at start-up.  ``stskit.X`` and ``from stskit
+import X`` import the submodules in dependency order until one lists ``X`` in
+its ``__all__``, which is the one list of each module's public names.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("core", "numtheory", "factorisation", "constructions", "analysis", "generator")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [n for sub in _SUBMODULES for n in import_module(f"{__name__}.{sub}").__all__]
+    for sub in _SUBMODULES:
+        module = import_module(f"{__name__}.{sub}")
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,21 +53,16 @@ INCONCLUSIVE = "inconclusive"
 class SearchBudget:
     """Node/time caps for the exhaustive searches.
 
-    ``max_classes`` optionally caps how many parallel classes an enumeration
-    may collect before giving up.  Exceeding any cap yields an explicit
-    inconclusive status.  A NaN time cap or a class cap below 1 is refused:
-    the first would switch the clock off, the second still returns a class.
+    Exceeding either cap yields an explicit inconclusive status.  A NaN time
+    cap is refused: it would switch the clock off.
     """
 
     max_nodes: int = 100_000_000
     max_seconds: float = 60.0
-    max_classes: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_nodes < 0 or not self.max_seconds >= 0:  # NaN fails >= 0
             raise ValueError("budget limits must be nonnegative")
-        if self.max_classes is not None and self.max_classes < 1:
-            raise ValueError(f"max_classes must be >= 1, got {self.max_classes}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -154,8 +149,6 @@ def enumerate_parallel_classes(system: TripleSystem,
         tick()
         if covered == full:
             found.append(tuple(sorted(chosen)))
-            if budget.max_classes is not None and len(found) >= budget.max_classes:
-                raise _BudgetStop
             return
         best_n = above
         best = 0
@@ -329,13 +322,14 @@ def pc_bound_mod3_auto(system: TripleSystem) -> PCBoundCertificate:
     the range (layered layouts such as Bose systems).  Either, when
     admissible, proves a correct bound."""
     third = system.v // 3  # used only once the order is known to be 0 mod 3
-    last_error: Exception | None = None
-    for rule in (lambda p: p % 3, lambda p: p // third):
+    refusals = []
+    for name, rule in (("point mod 3", lambda p: p % 3),
+                       ("point's third of the range", lambda p: p // third)):
         try:
             return _weighting_bound(system, rule)
         except ValueError as e:
-            last_error = e
-    raise ValueError(f"no admissible mod-3 weighting found: {last_error}")
+            refusals.append(f"[{name}: {e}]")
+    raise ValueError("no admissible mod-3 weighting found " + " ".join(refusals))
 
 
 def pc_bound_ws(fact: OneFactorisation) -> PCBoundCertificate:

@@ -4,7 +4,8 @@ One binary, subcommand style.  Every leaf command (``theorem1``,
 ``numtheory profile``, ``analyze chi``, ...) takes ``--json`` for a report
 with a stable, versioned schema; group commands take no flags of their own.
 Exit codes: 0 success/verified, 1 verification failure or negative verdict,
-2 usage error, 3 budget-inconclusive or undecided.
+2 usage error, 3 budget-inconclusive or undecided.  Each handler imports
+what it uses, so a cold call loads only the modules its command needs.
 
 The searches run under :data:`stskit.analysis.DEFAULT_BUDGET` unless the
 ``--budget-nodes`` / ``--budget-seconds`` flags say otherwise.
@@ -19,41 +20,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import __version__
-from .analysis import (
-    COMPLETE,
-    DEFAULT_BUDGET,
-    SearchBudget,
-    chromatic_index_exact,
-    chromatic_index_heuristic,
-    enumerate_parallel_classes,
-    max_disjoint_pcs,
-    pc_bound_mod3_auto,
-    pc_bound_ws,
-    theorem1_pipeline,
-)
-from .constructions import (
-    bose,
-    bose_half_sum,
-    conjugate_square,
-    half_sum_square,
-    random_permutation,
-    sts33_fixture,
-    wilson_schreiber,
-    wilson_schreiber_triples,
-)
-from .core import (
-    VerificationReport,
-    format_colouring,
-    format_sts,
-    parse_colouring,
-    parse_sts,
-    verify_colouring,
-    verify_sts,
-)
-from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
-from .generator import GenerationError, batch_seed, colouring_survey, random_sts
-from .numtheory import SCAN_KINDS, f_of, number_profile, scan_rows
-from .rng import substream
 
 SCHEMA = "stskit-report/1"
 
@@ -69,7 +35,9 @@ def _passed(args: argparse.Namespace, *dests: str) -> dict:
     return {d: getattr(args, d) for d in dests if hasattr(args, d)}
 
 
-def _budget(args: argparse.Namespace) -> SearchBudget:
+def _budget(args: argparse.Namespace):
+    from .analysis import DEFAULT_BUDGET, SearchBudget
+
     return SearchBudget(max_nodes=getattr(args, "budget_nodes", DEFAULT_BUDGET.max_nodes),
                         max_seconds=getattr(args, "budget_seconds", DEFAULT_BUDGET.max_seconds))
 
@@ -82,6 +50,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_system(path: str):
+    from .core import parse_sts
+
     return parse_sts(_read_text(path))
 
 
@@ -98,7 +68,7 @@ def _write(path: str | None, text: Callable[[], str], make_dir: bool = False) ->
             raise ValueError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _verdict(report: VerificationReport) -> str:
+def _verdict(report) -> str:
     return "ok" if report.ok else f"FAILED: {report.first_violation}"
 
 
@@ -118,6 +88,8 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
 
 
 def _cmd_numtheory_profile(args) -> int:
+    from .numtheory import number_profile
+
     p = number_profile(args.n)
     _emit(args, lambda: {
         "command": "numtheory profile", "n": p.n, "phi": p.phi,
@@ -130,6 +102,8 @@ def _cmd_numtheory_profile(args) -> int:
 
 
 def _cmd_numtheory_scan(args) -> int:
+    from .numtheory import SCAN_KINDS, scan_rows
+
     kind = "all" if args.all else "negative-psi" if args.negative_psi else "exceptions"
     picks, is_exception = SCAN_KINDS[kind], SCAN_KINDS["exceptions"]
     rows = scan_rows(args.limit)  # one pass, by the report or by the text
@@ -154,6 +128,9 @@ def _cmd_numtheory_scan(args) -> int:
 
 
 def _cmd_factorise(args) -> int:
+    from .factorisation import factorise_G, format_factorisation, verify_factorisation_properties
+    from .numtheory import f_of
+
     fact = factorise_G(args.n)
     report = verify_factorisation_properties(fact, f_of(args.n))
     _write(args.out, lambda: format_factorisation(fact))
@@ -169,6 +146,8 @@ def _cmd_factorise(args) -> int:
 
 
 def _construct_payload(args, labelled, what: str) -> int:
+    from .core import format_sts, verify_sts
+
     system = labelled.system
     report = verify_sts(system)
     _write(args.out, lambda: format_sts(system))
@@ -183,10 +162,16 @@ def _construct_payload(args, labelled, what: str) -> int:
 
 
 def _cmd_construct_ws(args) -> int:
+    from .constructions import wilson_schreiber
+
     return _construct_payload(args, wilson_schreiber(args.n), "construct wilson-schreiber")
 
 
 def _cmd_construct_bose(args) -> int:
+    from .constructions import (bose, bose_half_sum, conjugate_square, half_sum_square,
+                                random_permutation)
+    from .rng import substream
+
     if args.square == "half-sum":
         if _passed(args, "seed"):
             raise ValueError("--seed applies to --square conjugate only")
@@ -201,6 +186,9 @@ def _cmd_construct_bose(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from .constructions import sts33_fixture
+    from .core import format_colouring, format_sts, verify_colouring, verify_sts
+
     labelled, colouring = sts33_fixture()
     report = verify_sts(labelled.system)
     creport = verify_colouring(labelled.system, colouring)
@@ -218,6 +206,8 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import parse_colouring, verify_colouring, verify_sts
+
     system = _read_system(args.infile)
     report = verify_sts(system)
     creport = None
@@ -245,6 +235,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze_pcs(args) -> int:
+    from .analysis import COMPLETE, enumerate_parallel_classes, max_disjoint_pcs
+
     system = _read_system(args.infile)
     budget = _budget(args)
     if args.max_disjoint:
@@ -278,6 +270,10 @@ _CHI_MODE_ONLY = {
 
 
 def _cmd_analyze_chi(args) -> int:
+    from .analysis import (COMPLETE, chromatic_index_exact, chromatic_index_heuristic,
+                           pc_bound_mod3_auto)
+    from .core import parse_colouring
+
     system = _read_system(args.infile)
     mode, other = ("heuristic", "exact") if args.heuristic else ("exact", "heuristic")
     for dest in _passed(args, *_CHI_MODE_ONLY[other]):
@@ -316,6 +312,10 @@ def _cmd_analyze_chi(args) -> int:
 
 
 def _cmd_analyze_bound(args) -> int:
+    from .analysis import pc_bound_mod3_auto, pc_bound_ws
+    from .constructions import wilson_schreiber_triples
+    from .factorisation import factorise_G
+
     system = _read_system(args.infile)
     if args.method == "mod3":
         cert = pc_bound_mod3_auto(system)
@@ -338,6 +338,8 @@ def _cmd_analyze_bound(args) -> int:
 
 
 def _cmd_theorem1(args) -> int:
+    from .analysis import theorem1_pipeline
+
     report = theorem1_pipeline(args.v)
     _emit(args, lambda: {
         "command": "theorem1", "v": report.v, "route": report.route,
@@ -351,6 +353,9 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .core import format_sts
+    from .generator import batch_seed, random_sts
+
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     written = []
@@ -371,6 +376,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from .generator import colouring_survey
+
     result = colouring_survey(args.v, args.count, args.seed, **_passed(args, "restarts"))
     def lines() -> Iterator[str]:
         yield f"order {args.v} (m={result.m}), {args.count} systems:"
@@ -513,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return handler(args)
-    except (ValueError, GenerationError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,7 +44,6 @@ from .core import VerificationReport, Violations
 __all__ = [
     "OneFactorisation",
     "factorise_G",
-    "factorise_component",
     "format_factorisation",
     "verify_factorisation_properties",
 ]
@@ -145,7 +144,9 @@ def factorise_component(d: int) -> Factors:
 
     d = 3 is rejected: there X = {1,2} and the graph is a single edge, which
     has no decomposition into three perfect matchings.  Every other odd d has
-    s >= 2, since s = 1 means -2 = +-1 mod d.
+    s >= 2, since s = 1 means -2 = +-1 mod d.  Only the tests and the
+    benchmark harness (through ``cache_info()``) call it; it is not in
+    ``__all__``.
     """
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be an odd integer >= 3, got {d}")

@@ -23,8 +23,9 @@ from .rng import derive_seed, substream
 __all__ = ["GenerationError", "SurveyResult", "batch_seed", "colouring_survey", "random_sts"]
 
 
-class GenerationError(RuntimeError):
-    """The climb hit its step cap before completing a system."""
+class GenerationError(ValueError):
+    """The climb hit its step cap before completing a system.  A
+    ``ValueError``, so the CLI reports it as a usage error (exit 2)."""
 
 
 # The largest order random_sts builds: the walk takes about v^2 log v steps

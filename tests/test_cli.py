@@ -263,13 +263,12 @@ def test_analyze_bound_ws_refuses_wrong_count_before_building(tmp_path, capsys, 
                                                               header):
     # The triple count settles it: G(n) is never factorised, nor the
     # canonical system built, whatever order the header claims.
-    from stskit import cli
-
     def never(*_args):
         raise AssertionError("built the canonical system for a file it refuses")
 
-    for name in ("factorise_G", "wilson_schreiber", "wilson_schreiber_triples"):
-        monkeypatch.setattr(cli, name, never)
+    for target in ("stskit.factorisation.factorise_G", "stskit.constructions.wilson_schreiber",
+                   "stskit.constructions.wilson_schreiber_triples"):
+        monkeypatch.setattr(target, never)
     path = tmp_path / "short.sts"
     path.write_text(f"{header}\n0 1 2\n")
     code, out, err = run(capsys, "analyze", "bound", "--in", str(path), "--method", "ws")
@@ -396,6 +395,19 @@ def test_analyze_refuses_a_header_beyond_the_triples(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_analyze_bound_mod3_names_each_weighting_refusal(tmp_path, capsys):
+    # The point-mod-3 weighting is admissible on the two triples and refused
+    # for v > 3b; the message names that, not only the last rule's reason.
+    path = tmp_path / "huge.sts"
+    path.write_text("STS v=999999993\n0 1 2\n0 1 3\n")
+    code, out, err = run(capsys, "analyze", "bound", "--in", str(path), "--method", "mod3")
+    assert (code, out) == (2, "")
+    assert err == ("error: no admissible mod-3 weighting found [point mod 3: order 999999993 "
+                   "exceeds 3 x 2 triples: some point lies on no triple] [point's third of "
+                   "the range: every triple has zero weight-sum; the weighting yields no "
+                   "bound]\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "wilson-schreiber", "--n", "13", "--out", "{missing}/x.sts"),
     ("fixture", "sts33", "--colouring-out", "{missing}/c"),
@@ -494,6 +506,15 @@ def test_survey_generator_failure_text_and_json_agree(capsys, monkeypatch):
     assert text.splitlines() == [f"order 9 (m={r['m']}), 3 systems:",
                                  *(f"  {k}: {r['counts'][k]}" for k in ("m", "m+1", "m+2", "fail")),
                                  "  generator failures: 1"]
+
+
+def test_generation_error_exits_2(capsys, monkeypatch):
+    def stall(v, seed):
+        raise GenerationError(f"order {v}: stalled")
+
+    monkeypatch.setattr("stskit.generator.random_sts", stall)
+    code, out, err = run(capsys, "generate", "--v", "9")
+    assert (code, out, err) == (2, "", "error: order 9: stalled\n")
 
 
 def test_bare_invocation_prints_help(capsys):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from stskit import (
     f_of,
     factorise_G,
-    factorise_component,
     subgroup_order,
     verify_factorisation_properties,
 )
 from stskit.core import VerificationReport
-from stskit.factorisation import OneFactorisation, format_factorisation
+from stskit.factorisation import OneFactorisation, factorise_component, format_factorisation
 from stskit.numtheory import divisors_gt1, euler_phi
 
 

@@ -10,7 +10,6 @@ from stskit import (
     SCAN_KINDS,
     f_of,
     number_profile,
-    scan_profiles,
     scan_rows,
     subgroup_order,
 )
@@ -22,6 +21,7 @@ from stskit.numtheory import (
     divisors_gt1,
     euler_phi,
     factorise,
+    scan_profiles,
     smallest_prime_factor_sieve,
 )
 
