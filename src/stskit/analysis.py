@@ -530,23 +530,45 @@ def chromatic_index_exact(system: TripleSystem,
                      colouring=best_col, nodes=meter.nodes)
 
 
+def _verified_colouring(system: TripleSystem, assign: Sequence[int]) -> Colouring:
+    """The colouring of ``assign``, checked by ``verify_colouring``."""
+    colouring = _colouring_from_assignment(system, assign)
+    report = verify_colouring(system, colouring)
+    if not report.ok:  # defensive; the walk only stops on a proper colouring
+        raise RuntimeError(f"heuristic produced invalid colouring: {report.first_violation}")
+    return colouring
+
+
 def chromatic_index_heuristic(system: TripleSystem,
                               target: int,
                               seed: int = 0,
                               restarts: int = 12) -> Colouring | None:
     """Try to colour the triples with at most ``target`` classes.
 
-    Each restart seeds the classes greedily in a random triple order and then
-    runs a min-conflicts repair walk: pick a conflicted triple, move it to
-    the class where it clashes least (random tie-break, occasional random
-    kick).  The ascending list of conflicted triples is kept incrementally:
-    a move refreshes the triples of the two classes involved on the moved
-    triple's per-point incidence lists (itself among them), so the list
-    (and with it every random draw) is the one a full rescan would give.
-    Returns a verified colouring on success, None on failure; failure proves
-    nothing.  A target below the counting bound or above b (no colouring
-    needs more classes than triples) or fewer than one restart raises
-    ValueError."""
+    The first-fit colouring of ``_greedy_colouring`` is returned at once
+    when it needs at most ``target`` classes, before any per-restart table
+    is built.  Otherwise each restart seeds the classes greedily in a random
+    triple order and runs TabuCol (Hertz and de Werra 1987) on the clash
+    graph, whose vertices are the triples and whose edges join triples
+    sharing a point.  The objective is the number of clashing pairs, the
+    sum over points and classes of C(load, 2), where ``load[p][c]`` counts
+    the triples of class c through point p; so moving triple i to class c
+    changes it by the loads of c at i's three points minus those of i's own
+    class (less 3).  Each move takes, over the conflicted triples (kept as
+    an ascending list refreshed around each move), the (triple, class) move
+    of least change; a tabu move counts only if it would beat the best
+    objective of the restart (aspiration), and ties go to the restart's
+    random stream.  After triple i leaves class c, the pair (i, c) is tabu
+    for ``randrange(10) + 0.6 * n`` moves, n the number of conflicted
+    triples after the move (the dynamic tenure of Galinier and Hao 1999);
+    the tabu state keeps only the pairs still tabu, at most one per move
+    made, never a b x target table.  A restart stops at a proper colouring
+    or after max(4000, 250 b) moves.
+
+    Returns a verified colouring on success, None on failure; failure
+    proves nothing.  A target below the counting bound or above b (no
+    colouring needs more classes than triples) or fewer than one restart
+    raises ValueError."""
     v, b = system.v, system.b
     if target < m_lower(v):
         raise ValueError(f"target {target} below the counting bound {m_lower(v)}")
@@ -554,9 +576,13 @@ def chromatic_index_heuristic(system: TripleSystem,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if target > b:
         raise ValueError(f"target {target} above the triple count {b}")
+    first_fit = _greedy_colouring(system)
+    if max(first_fit, default=-1) < target:
+        return _verified_colouring(system, first_fit)
     triples = system.triples
     iterations = max(4000, 250 * b)
     on_point = _incidence(system)
+    never = 4 * b  # above any class score
 
     for r in range(restarts):
         rng = substream(seed, "chi-heur", r)
@@ -565,8 +591,9 @@ def chromatic_index_heuristic(system: TripleSystem,
 
         assign = [-1] * b
         load = [[0] * target for _ in range(v)]  # per-point class usage
+        rows = [(load[a], load[b2], load[c2]) for a, b2, c2 in triples]
         for i in order:
-            la, lb, lc = (load[p] for p in triples[i])
+            la, lb, lc = rows[i]
             free = [c for c in range(target) if not (la[c] or lb[c] or lc[c])]
             c = rng.choice(free) if free else rng.randrange(target)
             assign[i] = c
@@ -575,8 +602,8 @@ def chromatic_index_heuristic(system: TripleSystem,
             lc[c] += 1
 
         def clash(i: int, c: int) -> int:
-            a, b2, c2 = triples[i]
-            return load[a][c] + load[b2][c] + load[c2][c]
+            la, lb, lc = rows[i]
+            return la[c] + lb[c] + lc[c]
 
         is_conflicted = [clash(i, assign[i]) > 3 for i in range(b)]
         conflicted = [i for i in range(b) if is_conflicted[i]]
@@ -590,35 +617,59 @@ def chromatic_index_heuristic(system: TripleSystem,
                 else:
                     del conflicted[bisect_left(conflicted, j)]
 
-        for _ in range(iterations):
+        clashes = sum(n * (n - 1) // 2 for row in load for n in row)
+        best = clashes
+        # triple -> {class it left: last move that class is tabu}, kept live
+        tabu: dict[int, dict[int, float]] = {}
+        for move in range(iterations):
             if not conflicted:
-                colouring = _colouring_from_assignment(system, assign)
-                report = verify_colouring(system, colouring)
-                if not report.ok:  # defensive; repair loop guarantees this
-                    raise RuntimeError(f"heuristic produced invalid colouring: "
-                                       f"{report.first_violation}")
-                return colouring
-            i = rng.choice(conflicted)
-            old = assign[i]
-            la, lb, lc = (load[p] for p in triples[i])
-            la[old] -= 1
-            lb[old] -= 1
-            lc[old] -= 1
-            if rng.random() < 0.08:
-                new = rng.randrange(target)
-            else:
+                break
+            best_delta = never
+            choices: list[tuple[int, int]] = []
+            floor = best - clashes  # a tabu move must take the objective below best
+            for i in conflicted:
+                la, lb, lc = rows[i]
                 scores = [x + y + z for x, y, z in zip(la, lb, lc)]
-                best = min(scores)
-                new = rng.choice([c for c, sc in enumerate(scores) if sc == best])
+                old = assign[i]
+                base = scores[old] - 3
+                scores[old] = never
+                held = tabu.get(i)
+                if held:
+                    bar = base + floor
+                    for c, until in held.items():
+                        if until >= move and scores[c] >= bar:
+                            scores[c] = never
+                low = min(scores)
+                delta = low - base
+                if delta > best_delta or low == never:
+                    continue
+                if delta < best_delta:
+                    best_delta = delta
+                    choices.clear()
+                c = -1
+                for _ in range(scores.count(low)):
+                    c = scores.index(low, c + 1)
+                    choices.append((i, c))
+            if not choices:  # every move is tabu: wait for a tenure to run out
+                continue
+            i, new = rng.choice(choices)
+            old = assign[i]
+            for row in rows[i]:
+                row[old] -= 1
+                row[new] += 1
             assign[i] = new
-            la[new] += 1
-            lb[new] += 1
-            lc[new] += 1
-            if new != old:
-                for p in triples[i]:
-                    for j in on_point[p]:  # i itself is in all three lists
+            refresh(i)
+            for p, row in zip(triples[i], rows[i]):
+                if row[old] or row[new] > 1:  # p is on another triple of old or new
+                    for j in on_point[p]:
                         if assign[j] == old or assign[j] == new:
                             refresh(j)
+            clashes += best_delta
+            best = min(best, clashes)
+            held = tabu[i] = {c: u for c, u in tabu.get(i, {}).items() if u > move}
+            held[old] = move + rng.randrange(10) + 0.6 * len(conflicted)
+        if not conflicted:
+            return _verified_colouring(system, assign)
     return None
 
 

@@ -7,6 +7,8 @@ from itertools import combinations, count
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stskit import (
     TripleSystem,
@@ -18,6 +20,7 @@ from stskit import (
     enumerate_parallel_classes,
     f_of,
     factorise_G,
+    m_lower,
     max_disjoint_pcs,
     pc_bound_mod3,
     pc_bound_mod3_auto,
@@ -230,7 +233,8 @@ def test_points_on_no_triple_are_refused_before_any_per_point_table():
 
 @pytest.mark.parametrize("n,search", [
     (301, lambda system: enumerate_parallel_classes(system, SearchBudget(max_nodes=1))),
-    (151, lambda system: chromatic_index_heuristic(system, 153, restarts=1)),
+    # First-fit needs 105 classes here, so the walk runs at 100.
+    (151, lambda system: chromatic_index_heuristic(system, 100, restarts=1)),
 ], ids=["enumerate", "chi-heuristic"])
 def test_search_memory_is_linear_in_the_triples(n, search):
     # Clashes come from the per-point incidence lists.  A table of clashing
@@ -475,6 +479,58 @@ def test_chi_heuristic_deterministic():
     assert a == b
 
 
+def test_chi_heuristic_returns_first_fit_before_building_tables():
+    # A sparse file: v = 3001 points on 1501 triples.  First-fit needs two
+    # classes; per-point class loads at target b would take about 54 MB.
+    v = 3001
+    system = TripleSystem.from_triples(
+        v, [(3 * i % v, (3 * i + 1) % v, (3 * i + 2) % v) for i in range(v // 2 + 1)])
+    tracemalloc.start()
+    try:
+        colouring = chromatic_index_heuristic(system, system.b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert colouring.n_classes == max(analysis._greedy_colouring(system)) + 1
+    assert verify_colouring(system, colouring).ok
+
+
+def test_chi_heuristic_reaches_v_plus_3_over_2_on_ws33():
+    system = wilson_schreiber(31).system
+    colouring = chromatic_index_heuristic(system, 18, seed=0)
+    assert colouring is not None and colouring.n_classes <= 18
+    assert verify_colouring(system, colouring).ok
+
+
+def test_chi_heuristic_witness_pins_ws39_without_search():
+    # The WS certificate of order 39 gives the lower bound (v+3)/2 = 21 and
+    # a 21-class colouring closes the bracket before any node is searched.
+    system = wilson_schreiber(37).system
+    colouring = chromatic_index_heuristic(system, 21, seed=0, restarts=1)
+    assert colouring is not None
+    result = chromatic_index_exact(system, pc_certificate=pc_bound_ws(factorise_G(37)),
+                                   upper_witness=colouring)
+    assert (result.status, result.value, result.nodes) == (COMPLETE, 21, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(v=st.sampled_from([7, 9, 13, 15, 19, 21, 25, 27]), seed=st.integers(0, 2**32 - 1),
+       restarts=st.integers(1, 2), data=st.data())
+def test_chi_heuristic_colourings_verify_and_repeat(v, seed, restarts, data):
+    system = random_sts(v, seed)
+    first_fit = max(analysis._greedy_colouring(system)) + 1
+    # From (v+3)/2 up the walk ends in a few hundred moves on these orders;
+    # below it a failing restart makes its full 250 b moves.
+    low = max(m_lower(v), (v + 3) // 2)
+    target = data.draw(st.integers(min(low, first_fit), first_fit))
+    colouring = chromatic_index_heuristic(system, target, seed=seed, restarts=restarts)
+    if colouring is not None:
+        assert colouring.n_classes <= target
+        assert verify_colouring(system, colouring).ok
+    assert chromatic_index_heuristic(system, target, seed=seed, restarts=restarts) == colouring
+
+
 # ---------------------------------------------------------------------------
 # the order-by-order pipeline
 
@@ -527,8 +583,9 @@ def _digest(records) -> str:
 
 # Each digest covers what one search returns, node counts included, so that
 # a faster search node must walk the same tree in the same order and a
-# faster repair move must draw the same random numbers.  One digest per
-# search lets a change of search order be re-pinned for that search alone.
+# faster TabuCol move must pick the same moves with the same random draws.
+# One digest per search lets a change of search order or of the colouring
+# walk be re-pinned for that search alone.
 
 
 def test_search_results_are_pinned():
@@ -563,7 +620,7 @@ def test_heuristic_results_are_pinned():
                                               seed=seed, restarts=restarts)
         records.append((None if colouring is None else [c.indices for c in colouring.classes],))
     assert _digest(records) == (
-        "e207ca228d674aa5918e860fdabf799ccbcc2c9d809c7078062ab354a0c7c6fe")
+        "29fac92d98ee12d72aefa9b81228293978abf2aa7738f37cc0fa00059d36eff1")
 
 
 def test_exact_results_are_pinned():
