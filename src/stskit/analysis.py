@@ -213,13 +213,12 @@ def max_disjoint_pcs(system: TripleSystem,
             masks[idx] |= 1 << i
 
     # Greedy seed, then depth-first packing with count + remaining pruning.
-    best: list[int] = []
+    best_sol: list[int] = []
     taken_mask = 0
     for idx in range(k):
         if masks[idx] & taken_mask == 0:
-            best.append(idx)
+            best_sol.append(idx)
             taken_mask |= masks[idx]
-    best_sol = list(best)
 
     def pack(cands: list[int], chosen: list[int]) -> None:
         nonlocal best_sol
@@ -383,20 +382,18 @@ class ChiResult:
 
 
 def _greedy_colouring(system: TripleSystem) -> list[int]:
-    """First-fit assignment: each triple, in index order, goes to the first
-    class holding none of its points."""
-    class_masks: list[int] = []
+    """First-fit assignment: each triple, in index order, goes to the lowest
+    class holding none of its points.  As in the exact search, ``pc[p]`` is
+    the bitset of the classes holding point p."""
+    pc = [0] * system.v
     assign = []
     for a, b, c in system.triples:
-        mask = 1 << a | 1 << b | 1 << c
-        for col, cm in enumerate(class_masks):
-            if cm & mask == 0:
-                class_masks[col] |= mask
-                break
-        else:
-            col = len(class_masks)
-            class_masks.append(mask)
-        assign.append(col)
+        used = pc[a] | pc[b] | pc[c]
+        low = ~used & (used + 1)
+        pc[a] |= low
+        pc[b] |= low
+        pc[c] |= low
+        assign.append(low.bit_length() - 1)
     return assign
 
 
@@ -487,10 +484,10 @@ def chromatic_index_exact(system: TripleSystem,
     The lower bound starts at ceil(b / floor(v/3)) (a class holds at most v/3
     triples), the counting bound for the order on a Steiner system.  A
     disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
-    counting needs all v(v-1)/6 triples, any other count refuses it.  A
-    system with v > 3b (a point on no triple) is refused.  A verified witness
-    colouring caps the upper bound.  If the budget runs out the result is
-    the interval bracketing the value."""
+    counting needs v = 3 mod 6 and all v(v-1)/6 triples, any other order or
+    count refuses it.  A system with v > 3b (a point on no triple) is
+    refused.  A verified witness colouring caps the upper bound.  If the
+    budget runs out the result is the interval bracketing the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
@@ -499,8 +496,7 @@ def chromatic_index_exact(system: TripleSystem,
     if pc_certificate is not None:
         if b != v * (v - 1) // 6:
             raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")
-        if v % 6 == 3:
-            lower = chi_lower_from_certificate(v, pc_certificate)
+        lower = chi_lower_from_certificate(v, pc_certificate)
 
     if upper_witness is not None:
         report = verify_colouring(system, upper_witness)

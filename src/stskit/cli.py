@@ -274,14 +274,15 @@ def _cmd_analyze_chi(args) -> int:
                            pc_bound_mod3_auto)
     from .core import parse_colouring
 
-    system = _read_system(args.infile)
+    # The options are checked before the file is read, which may be large.
     mode, other = ("heuristic", "exact") if args.heuristic else ("exact", "heuristic")
     for dest in _passed(args, *_CHI_MODE_ONLY[other]):
         raise ValueError(f"--{dest.replace('_', '-')} applies to --{other} only")
     opts = _passed(args, *_CHI_MODE_ONLY[mode])
+    if args.heuristic and "target" not in opts:
+        raise ValueError("--heuristic requires --target")
+    system = _read_system(args.infile)
     if args.heuristic:
-        if "target" not in opts:
-            raise ValueError("--heuristic requires --target")
         colouring = chromatic_index_heuristic(system, **opts)
         ok = colouring is not None
         _emit(args, lambda: {
@@ -292,12 +293,9 @@ def _cmd_analyze_chi(args) -> int:
             f"success with {colouring.n_classes} classes" if ok else "failure")])
         return EXIT_OK if ok else EXIT_FAIL
 
-    witness = None
-    if "witness_colouring" in opts:
-        witness = parse_colouring(_read_text(args.witness_colouring), system)
-    cert = None
-    if "mod3_lower" in opts:
-        cert = pc_bound_mod3_auto(system)
+    witness = (parse_colouring(_read_text(args.witness_colouring), system)
+               if "witness_colouring" in opts else None)
+    cert = pc_bound_mod3_auto(system) if "mod3_lower" in opts else None
     result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
                                    upper_witness=witness)
     complete = result.status == COMPLETE

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Colouring, PartialParallelClass, TripleSystem
-from .factorisation import MAX_WS_N, OneFactorisation, factorise_G
+from .factorisation import OneFactorisation, factorise_G
 
 __all__ = [
     "LabelledSTS",
@@ -31,6 +31,11 @@ __all__ = [
     "wilson_schreiber",
     "wilson_schreiber_triples",
 ]
+
+# The largest n wilson_schreiber builds, since it holds all (n+2)(n+1)/6
+# triples of the order-(n+2) system: a cold `stskit construct
+# wilson-schreiber --n 997` peaks near 83 MB, and n = 1999 near 285 MB.
+MAX_WS_N = 997
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,7 @@ def wilson_schreiber(n: int) -> LabelledSTS:
     and :func:`wilson_schreiber_triples` takes any other.
 
     Internal point order: 1..n-1 map to 0..n-2, then inf_0, inf_1, inf_2.
-    An n above ``factorisation.MAX_WS_N`` is refused before anything is built.
+    An n above :data:`MAX_WS_N` is refused before anything is built.
     """
     if n > MAX_WS_N:
         raise ValueError(f"n must be <= {MAX_WS_N}, got {n}")

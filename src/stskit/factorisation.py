@@ -58,11 +58,6 @@ _first = itemgetter(0)
 # `stskit theorem1 --v 999999` (n = 999,997) peaks near 455 MB.
 MAX_N = 10**6
 
-# The largest n constructions.wilson_schreiber builds, since it holds all
-# (n+2)(n+1)/6 triples of the order-(n+2) system: a cold `stskit construct
-# wilson-schreiber --n 997` peaks near 83 MB, and n = 1999 near 285 MB.
-MAX_WS_N = 997
-
 
 @dataclass(frozen=True)
 class OneFactorisation:

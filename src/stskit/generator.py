@@ -33,6 +33,10 @@ class GenerationError(ValueError):
 # 100 s and 67 MB max RSS on a 2-vCPU host.
 MAX_V = 999
 
+# The most climb steps random_sts takes before it gives up with
+# GenerationError.
+MAX_STEPS = 10_000_000
+
 
 def batch_seed(seed: int, index: int) -> int:
     """Seed of the ``index``-th system in a batch; shared by the generate
@@ -40,7 +44,7 @@ def batch_seed(seed: int, index: int) -> int:
     return derive_seed(seed, "survey", index)
 
 
-def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
+def random_sts(v: int, seed: int) -> TripleSystem:
     """A random Steiner triple system of order v, deterministic in ``seed``."""
     if v % 6 not in (1, 3) or not 7 <= v <= MAX_V:
         raise ValueError(f"order must be 1 or 3 mod 6 with 7 <= v <= {MAX_V}, got {v}")
@@ -53,10 +57,10 @@ def random_sts(v: int, seed: int, max_steps: int = 10_000_000) -> TripleSystem:
     steps = 0
     while candidates := list(compress(range(v), free)):
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise GenerationError(
                 f"order {v}, seed {seed}: {(v * (v - 1) - sum(free)) // 6}/"
-                f"{v * (v - 1) // 6} triples after {max_steps} steps")
+                f"{v * (v - 1) // 6} triples after {MAX_STEPS} steps")
         x = rng.choice(candidates)
         # x's partners are the -1 positions of its row, in ascending order.
         row, partners, i = third[x], [], -1

@@ -207,11 +207,20 @@ def _check_psi_star(n: int, f: int, psi_star: int) -> None:
         raise RuntimeError(f"psi*({n}) != {n}-1-18*f({n}); divisor sum is inconsistent")
 
 
+# The largest n number_profile takes, and the largest limit scan_rows takes.
+# number_profile trial-divides up to sqrt(n): its slowest n below the cap,
+# the prime 999,999,999,989, takes about 0.2 s, and 10^14+31 about 1.6-1.9 s.
+PROFILE_N_MAX = 10**12
+SCAN_LIMIT_MAX = 10**7
+
+
 @lru_cache(maxsize=8192)
 def number_profile(n: int) -> NumberProfile:
-    """Full :class:`NumberProfile` for n > 1 with n = 1 or 5 mod 6."""
+    """Full :class:`NumberProfile` for 1 < n <= PROFILE_N_MAX, n = 1 or 5 mod 6."""
     if n <= 1 or n % 2 == 0 or n % 3 == 0:
         raise ValueError(f"n must be > 1 and congruent to 1 or 5 mod 6, got {n}")
+    if n > PROFILE_N_MAX:
+        raise ValueError(f"n must be <= {PROFILE_N_MAX}, got {n}")
     divs = divisors_gt1(n)
     f = 0
     psi_star = 0
@@ -238,10 +247,6 @@ def f_of(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # range scans
-
-
-# The largest limit scan_rows accepts.
-SCAN_LIMIT_MAX = 10**7
 
 
 class ScanRow(NamedTuple):

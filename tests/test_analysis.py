@@ -398,6 +398,50 @@ def test_chi_exact_deeper_than_recursion_limit():
     assert verify_colouring(system, result.colouring).ok
 
 
+def _class_mask_first_fit(system):
+    """First-fit by a scan of every open class's point mask per triple: the
+    oracle for ``_greedy_colouring``."""
+    class_masks = []
+    assign = []
+    for a, b, c in system.triples:
+        mask = 1 << a | 1 << b | 1 << c
+        for col, cm in enumerate(class_masks):
+            if cm & mask == 0:
+                class_masks[col] |= mask
+                break
+        else:
+            col = len(class_masks)
+            class_masks.append(mask)
+        assign.append(col)
+    return assign
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.sampled_from([v for v in range(7, 46) if v % 6 in (1, 3)]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_first_fit_matches_class_mask_oracle(v, seed, data):
+    system = random_sts(v, seed)
+    keep = data.draw(st.lists(st.booleans(), min_size=system.b, max_size=system.b))
+    subset = TripleSystem(v, tuple(t for t, k in zip(system.triples, keep) if k))
+    for s in (system, subset):
+        assert analysis._greedy_colouring(s) == _class_mask_first_fit(s)
+
+
+def test_first_fit_matches_class_mask_oracle_on_constructions():
+    for system in (wilson_schreiber(151).system, bose_half_sum(17).system,
+                   sts33_fixture()[0].system):
+        assert analysis._greedy_colouring(system) == _class_mask_first_fit(system)
+
+
+def test_chi_exact_time_cap_reaches_the_search_on_ws999():
+    # The cap counts from the call's start, first-fit included, so first-fit
+    # on the 166,167 triples of WS(997) must take a small part of 1 s for
+    # the search to run (about 0.1 s and 500 nodes on a 2-vCPU host).
+    result = chromatic_index_exact(wilson_schreiber(997).system, SearchBudget(max_seconds=1.0))
+    assert (result.status, result.lower, result.upper) == (INCONCLUSIVE, 499, 662)
+    assert result.nodes > 1
+
+
 def test_chi_exact_rejects_bad_witness(sts9_grid):
     # A colouring of the grid's own triples with one class removed leaves
     # three triples in no class.
@@ -419,6 +463,16 @@ def test_chi_exact_rejects_foreign_certificate(sts9_grid):
     bogus = PCBoundCertificate(bound=0, method="mod3-weighting")
     with pytest.raises(ValueError, match="does not apply"):
         chromatic_index_exact(sts9_grid, pc_certificate=bogus)
+
+
+def test_chi_exact_refuses_certificate_for_order_1_mod_6():
+    # The disjoint-PC argument needs v = 3 mod 6, so at v = 13 a certificate
+    # is refused rather than ignored.
+    from stskit import PCBoundCertificate
+
+    bogus = PCBoundCertificate(bound=0, method="mod3-weighting")
+    with pytest.raises(ValueError, match="order 13 must be 3 mod 6"):
+        chromatic_index_exact(random_sts(13, 1), pc_certificate=bogus)
 
 
 def test_chi_exact_refuses_certificate_without_all_triples():

@@ -34,6 +34,11 @@ def test_numtheory_profile(capsys):
         "sub_order": 42, "g": 1, "f": 2, "psi": 24, "psi_star": 12, "divisors_gt1": [7, 49]}
 
 
+def test_numtheory_profile_refuses_n_above_cap(capsys):
+    code, out, err = run(capsys, "numtheory", "profile", "--n", str(10**12 + 1))
+    assert (code, out) == (2, "") and f"n must be <= {10**12}" in err
+
+
 def test_numtheory_scan_json_reports_the_exception_set(capsys):
     code, out, _ = run(capsys, "numtheory", "scan", "--limit", "600", "--json")
     assert code == 0
@@ -209,6 +214,20 @@ def test_analyze_chi_refusals_on_bose15(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "chi", "--in", str(path), "--heuristic",
                          "--target", "36")
     assert (code, out) == (2, "") and "above the triple count 35" in err
+
+
+def test_analyze_chi_checks_its_options_before_reading_the_file(tmp_path, capsys):
+    # A misused option is reported before the file is read, so an
+    # unreadable path does not hide it.
+    chi = ("analyze", "chi", "--in", str(tmp_path / "missing.sts"))
+    for extra, message in ((("--exact", "--target", "5"), "--target applies to --heuristic"),
+                           (("--heuristic", "--target", "5", "--budget-nodes", "1"),
+                            "--budget-nodes applies to --exact"),
+                           (("--heuristic",), "--heuristic requires --target")):
+        code, out, err = run(capsys, *chi, *extra)
+        assert (code, out) == (2, "") and message in err and "cannot read" not in err, extra
+    code, out, err = run(capsys, *chi, "--exact")
+    assert (code, out) == (2, "") and "cannot read" in err
 
 
 def test_analyze_chi_heuristic_refuses_repeated_point(tmp_path, capsys):

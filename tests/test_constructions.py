@@ -19,8 +19,8 @@ from stskit import (
     verify_sts,
     wilson_schreiber,
 )
-from stskit.constructions import _is_automorphism, random_permutation, wilson_schreiber_triples
-from stskit.factorisation import MAX_WS_N
+from stskit.constructions import (MAX_WS_N, _is_automorphism, random_permutation,
+                                  wilson_schreiber_triples)
 from stskit.rng import substream
 
 

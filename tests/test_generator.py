@@ -77,9 +77,12 @@ def test_rejects_bad_orders():
             random_sts(v, seed=0)
 
 
-def test_step_cap_raises_generation_error():
-    with pytest.raises(GenerationError, match="steps"):
-        random_sts(19, seed=0, max_steps=3)
+def test_step_cap_raises_generation_error(monkeypatch):
+    from stskit import generator
+
+    monkeypatch.setattr(generator, "MAX_STEPS", 3)
+    with pytest.raises(GenerationError, match="after 3 steps"):
+        random_sts(19, seed=0)
 
 
 def test_survey_order9_all_at_counting_bound():
@@ -98,10 +101,10 @@ def test_survey_order13_reaches_m_or_m_plus_one():
 def test_survey_counts_heuristic_and_generator_failures(monkeypatch):
     from stskit import generator
 
-    def fail_one(v, seed, **kwargs):
+    def fail_one(v, seed):
         if seed == generator.batch_seed(5, 2):
             raise GenerationError("stalled")
-        return random_sts(v, seed, **kwargs)
+        return random_sts(v, seed)
 
     monkeypatch.setattr(generator, "random_sts", fail_one)
     monkeypatch.setattr(generator, "chromatic_index_heuristic", lambda *a, **k: None)

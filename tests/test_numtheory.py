@@ -14,6 +14,7 @@ from stskit import (
     subgroup_order,
 )
 from stskit.numtheory import (
+    PROFILE_N_MAX,
     SCAN_LIMIT_MAX,
     ScanRow,
     _neg_double_order,
@@ -166,6 +167,22 @@ def test_scan_sieve_matches_per_n_route_to_100000():
     for row in rows:
         phi, _, g = _unit_profile(row.n)
         assert (row.phi, (row.phi - row.psi) // 18) == (phi, g), row.n
+
+
+def test_profile_refuses_n_above_cap(monkeypatch):
+    from stskit import numtheory
+
+    # The cap keeps 2^31 - 1 and the slowest n below it, the prime
+    # 999,999,999,989 (about 0.2 s of trial division).
+    assert number_profile(2**31 - 1).f == 34_636_833
+    assert number_profile(999_999_999_989).n == 999_999_999_989
+    # Above it n is refused before it is factorised: without divisors_gt1 a
+    # factorisation raises TypeError, and the prime 10^18 + 3 would
+    # trial-divide for minutes.
+    monkeypatch.setattr(numtheory, "divisors_gt1", None)
+    for n in (PROFILE_N_MAX + 1, 10**18 + 3):
+        with pytest.raises(ValueError, match=f"n must be <= {PROFILE_N_MAX}, got {n}"):
+            number_profile(n)
 
 
 def test_scan_rejects_tiny_limit():
