@@ -263,8 +263,8 @@ class PCBoundCertificate:
     """A proven upper bound on the number of pairwise disjoint parallel
     classes of the host system, with the data that proves it."""
 
-    bound: int
     method: str
+    bound: int
     witness: dict = field(default_factory=dict)
 
 
@@ -518,11 +518,10 @@ def chromatic_index_exact(system: TripleSystem,
             else:
                 best_col = _colouring_from_assignment(system, assign)
                 upper = best_col.n_classes
-                break
     except _BudgetStop:
-        return ChiResult(lower=lower, upper=upper, status=INCONCLUSIVE,
-                         colouring=best_col, nodes=meter.nodes)
-    return ChiResult(lower=upper, upper=upper, status=COMPLETE,
+        pass
+    return ChiResult(lower=lower, upper=upper,
+                     status=COMPLETE if lower == upper else INCONCLUSIVE,
                      colouring=best_col, nodes=meter.nodes)
 
 
@@ -681,10 +680,10 @@ class PipelineReport:
     v: int
     route: str           # unique | external | fixture | possible-exception | ws-certificate
     holds: bool | None   # None = undecided at this order
-    chi_lower: int | None
+    chi_lower: int
     chi_exact: int | None
     pc_bound: int | None
-    f_value: int | None
+    f: int | None
     message: str
 
 
@@ -705,49 +704,47 @@ def theorem1_pipeline(v: int) -> PipelineReport:
       is not built here: the construction's validity is checked by the
       acceptance suite (C4) and by ``stskit construct wilson-schreiber``,
       which runs ``verify_sts``.
+
+    Each route sets only its bounds and message.  The verdict follows from
+    the bounds by one rule: it holds when ``chi_lower`` reaches (v+3)/2,
+    fails when the exact index is known and below it, and is undecided
+    otherwise.
     """
     if v < 3 or v % 6 != 3:
         raise ValueError(f"v must be 3 mod 6 and >= 3, got {v}")
+    high = (v + 3) // 2
+    chi_exact = pc_bound = f = None
     if v in (3, 9):
-        chi = (v - 1) // 2
-        return PipelineReport(
-            v=v, route="unique", holds=False, chi_lower=chi, chi_exact=chi,
-            pc_bound=None, f_value=None,
-            message=f"the unique system of order {v} has chromatic index {chi}",
-        )
-    if v == 21:
-        return PipelineReport(
-            v=v, route="external", holds=True, chi_lower=12, chi_exact=None,
-            pc_bound=0, f_value=None,
-            message="external: known order-21 systems with no parallel classes "
-                    "have chromatic index >= 12",
-        )
-    if v == 33:
+        route = "unique"
+        chi_lower = chi_exact = (v - 1) // 2
+        message = f"the unique system of order {v} has chromatic index {chi_exact}"
+    elif v == 21:
+        route, chi_lower, pc_bound = "external", 12, 0
+        message = ("external: known order-21 systems with no parallel classes "
+                   "have chromatic index >= 12")
+    elif v == 33:
         labelled, colouring = sts33_fixture()
         cert = pc_bound_mod3_auto(labelled.system)
         chi = chromatic_index_exact(labelled.system, pc_certificate=cert,
                                     upper_witness=colouring)
-        return PipelineReport(
-            v=v, route="fixture", holds=True, chi_lower=chi.lower,
-            chi_exact=chi.value, pc_bound=cert.bound, f_value=None,
-            message=f"embedded order-33 system: at most {cert.bound} disjoint "
-                    f"parallel classes, chromatic index {chi.value}",
-        )
-    n = v - 2
-    cert = pc_bound_ws(factorise_G(n))
-    chi_lower = chi_lower_from_certificate(v, cert)
-    threshold = min_pc_for_low_chi(v)
-    if chi_lower == m_lower(v):
-        return PipelineReport(
-            v=v, route="possible-exception", holds=None, chi_lower=chi_lower,
-            chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],
-            message=f"possible exception: 3 f({n})+1 = {cert.bound} "
-                    f"is not below (v+3)/6 = {threshold}",
-        )
-    return PipelineReport(
-        v=v, route="ws-certificate", holds=True, chi_lower=chi_lower,
-        chi_exact=None, pc_bound=cert.bound, f_value=cert.witness["f"],
-        message=f"the order-{v} construction has at most {cert.bound} "
-                f"disjoint parallel classes < {threshold}, so chromatic "
-                f"index >= {chi_lower}",
-    )
+        route, chi_lower, chi_exact, pc_bound = "fixture", chi.lower, chi.value, cert.bound
+        message = (f"embedded order-33 system: at most {cert.bound} disjoint "
+                   f"parallel classes, chromatic index {chi.value}")
+    else:
+        n = v - 2
+        cert = pc_bound_ws(factorise_G(n))
+        chi_lower, pc_bound, f = chi_lower_from_certificate(v, cert), cert.bound, cert.witness["f"]
+        threshold = min_pc_for_low_chi(v)
+        if chi_lower >= high:
+            route = "ws-certificate"
+            message = (f"the order-{v} construction has at most {cert.bound} "
+                       f"disjoint parallel classes < {threshold}, so chromatic "
+                       f"index >= {chi_lower}")
+        else:
+            route = "possible-exception"
+            message = (f"possible exception: 3 f({n})+1 = {cert.bound} "
+                       f"is not below (v+3)/6 = {threshold}")
+    holds = (True if chi_lower >= high else
+             False if chi_exact is not None and chi_exact < high else None)
+    return PipelineReport(v=v, route=route, holds=holds, chi_lower=chi_lower,
+                          chi_exact=chi_exact, pc_bound=pc_bound, f=f, message=message)

@@ -91,13 +91,9 @@ def _cmd_numtheory_profile(args) -> int:
     from .numtheory import number_profile
 
     p = number_profile(args.n)
-    _emit(args, lambda: {
-        "command": "numtheory profile", "n": p.n, "phi": p.phi,
-        "sub_order": p.sub_order, "g": p.g, "f": p.f, "psi": p.psi,
-        "psi_star": p.psi_star, "divisors_gt1": list(p.divisors_gt1),
-    }, lambda: [f"n={p.n}", f"phi={p.phi}", f"sub_order={p.sub_order}",
-                f"g={p.g}", f"f={p.f}", f"psi={p.psi}", f"psi_star={p.psi_star}",
-                "divisors_gt1=" + ",".join(str(d) for d in p.divisors_gt1)])
+    _emit(args, lambda: {"command": "numtheory profile", **vars(p)},
+          lambda: (f"{k}=" + (",".join(map(str, x)) if k == "divisors_gt1" else str(x))
+                   for k, x in vars(p).items()))
     return EXIT_OK
 
 
@@ -328,10 +324,8 @@ def _cmd_analyze_bound(args) -> int:
             raise ValueError("input system is not the canonical construction "
                              f"of order {v}; the ws bound does not apply")
         cert = pc_bound_ws(fact)
-    _emit(args, lambda: {
-        "command": "analyze bound", "v": system.v, "method": cert.method,
-        "bound": cert.bound, "witness": cert.witness,
-    }, lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
+    _emit(args, lambda: {"command": "analyze bound", "v": system.v, **vars(cert)},
+          lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
     return EXIT_OK
 
 
@@ -339,12 +333,8 @@ def _cmd_theorem1(args) -> int:
     from .analysis import theorem1_pipeline
 
     report = theorem1_pipeline(args.v)
-    _emit(args, lambda: {
-        "command": "theorem1", "v": report.v, "route": report.route,
-        "holds": report.holds, "chi_lower": report.chi_lower,
-        "chi_exact": report.chi_exact, "pc_bound": report.pc_bound,
-        "f": report.f_value, "message": report.message,
-    }, lambda: [f"v={report.v} [{report.route}] {report.message}"])
+    _emit(args, lambda: {"command": "theorem1", **vars(report)},
+          lambda: [f"v={report.v} [{report.route}] {report.message}"])
     if report.holds is None:
         return EXIT_INCONCLUSIVE
     return EXIT_OK if report.holds else EXIT_FAIL

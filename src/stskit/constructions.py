@@ -37,6 +37,12 @@ __all__ = [
 # wilson-schreiber --n 997` peaks near 83 MB, and n = 1999 near 285 MB.
 MAX_WS_N = 997
 
+# The largest n the Bose construction takes: order 3n = 999, where
+# wilson_schreiber and random_sts also stop.  A square holds n^2 entries
+# before a triple is built: a cold `stskit construct bose --n 329` (order
+# 987, the largest order the cap admits) peaks near 89 MB on a 2-vCPU host.
+MAX_BOSE_N = 333
+
 
 # ---------------------------------------------------------------------------
 # Latin squares
@@ -72,12 +78,14 @@ class LatinSquare:
 
 
 def half_sum_square(n: int) -> LatinSquare:
-    """L(i,j) = (i+j)/2 mod n, for odd n.
+    """L(i,j) = (i+j)/2 mod n, for odd n <= :data:`MAX_BOSE_N`.
 
     Idempotent, symmetric, and shift-invariant: L(i+1,j+1) = L(i,j)+1.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"order must be odd (2 must be invertible), got {n}")
+    if n > MAX_BOSE_N:
+        raise ValueError(f"n must be <= {MAX_BOSE_N}, got {n}")
     inv2 = (n + 1) // 2
     return LatinSquare(n, tuple(tuple((i + j) * inv2 % n for j in range(n))
                                 for i in range(n)))
@@ -188,9 +196,12 @@ def bose(l0: LatinSquare, l1: LatinSquare, l2: LatinSquare) -> LabelledSTS:
     The spine consists of the n triples {(x,0),(x,1),(x,2)}; layer i
     contributes {(x,i),(y,i),(L_i(x,y),i+1)} for every unordered pair x != y.
     Internal point order: (x,i) maps to x + n*i.
+    An n above :data:`MAX_BOSE_N` is refused before any triple is built.
     """
     squares = (l0, l1, l2)
     n = l0.n
+    if n > MAX_BOSE_N:
+        raise ValueError(f"n must be <= {MAX_BOSE_N}, got {n}")
     if any(sq.n != n for sq in squares):
         raise ValueError("the three squares must have a common order")
     if n % 6 != 5:

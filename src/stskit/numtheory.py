@@ -193,13 +193,13 @@ class NumberProfile:
     """Per-n record of the arithmetic quantities feeding the bound machinery."""
 
     n: int
-    divisors_gt1: tuple[int, ...]
     phi: int
     sub_order: int
     g: int
     f: int
     psi: int
     psi_star: int
+    divisors_gt1: tuple[int, ...]
 
 
 def _check_psi_star(n: int, f: int, psi_star: int) -> None:
@@ -231,13 +231,13 @@ def number_profile(n: int) -> NumberProfile:
     _check_psi_star(n, f, psi_star)
     return NumberProfile(
         n=n,
-        divisors_gt1=tuple(divs),
         phi=phi,
         sub_order=order,
         g=g,
         f=f,
         psi=phi - 18 * g,
         psi_star=psi_star,
+        divisors_gt1=tuple(divs),
     )
 
 

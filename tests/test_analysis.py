@@ -442,6 +442,19 @@ def test_chi_exact_time_cap_reaches_the_search_on_ws999():
     assert result.nodes > 1
 
 
+def test_chi_exact_is_complete_exactly_when_the_bracket_closes():
+    # random_sts(15, 4) first-fits with 10 classes and has index 9: one node
+    # short of the proof, the search has refuted 8 classes but not yet found
+    # 9, and must report the open bracket [9, 10].
+    system = random_sts(15, seed=4)
+    full = chromatic_index_exact(system)
+    assert (full.status, full.value) == (COMPLETE, 9)
+    short = chromatic_index_exact(system, SearchBudget(max_nodes=full.nodes - 1))
+    assert (short.status, short.lower, short.upper) == (INCONCLUSIVE, 9, 10)
+    with pytest.raises(ValueError, match=r"not pinned: in \[9, 10\]"):
+        short.value
+
+
 def test_chi_exact_rejects_bad_witness(sts9_grid):
     # A colouring of the grid's own triples with one class removed leaves
     # three triples in no class.
@@ -624,6 +637,25 @@ def test_pipeline_rejects_bad_order():
             theorem1_pipeline(v)
 
 
+def test_pipeline_exceptions_are_the_psi_star_exceptions():
+    # 3 f(n)+1 >= (v+3)/6 exactly when 18 f(n) >= n-1, i.e. psi*(n) <= 0, for
+    # n = v-2; so the certificate route leaves undecided exactly the orders
+    # n+2 of the scan's psi* <= 0 rows with n = 1 mod 6, bar 9, 21 and 33.
+    from stskit.numtheory import SCAN_KINDS, number_profile, scan_rows
+
+    undecided = []
+    for v in range(15, 1000, 6):
+        if v in (21, 33):
+            continue
+        report = theorem1_pipeline(v)
+        assert (report.route == "possible-exception") == (number_profile(v - 2).psi_star <= 0)
+        if report.route == "possible-exception":
+            undecided.append(v)
+    scanned = [r.n + 2 for r in filter(SCAN_KINDS["exceptions"], scan_rows(997))
+               if r.n % 6 == 1 and r.n + 2 not in (9, 21, 33)]
+    assert undecided == scanned == [45, 75, 129, 513]
+
+
 # ---------------------------------------------------------------------------
 # pinned search trajectories
 
@@ -686,3 +718,14 @@ def test_exact_results_are_pinned():
                         [c.indices for c in result.colouring.classes]))
     assert _digest(records) == (
         "9cacdff67144451ce89d352b145dcc2185616b541f1289a9db961eaa49c1e9b6")
+
+
+def test_theorem1_reports_are_pinned():
+    # Every field of every Theorem 1 report for v = 3 mod 6 up to 999.
+    records = []
+    for v in range(3, 1000, 6):
+        r = theorem1_pipeline(v)
+        records.append((r.v, r.route, r.holds, r.chi_lower, r.chi_exact, r.pc_bound, r.f,
+                        r.message))
+    assert _digest(records) == (
+        "8c92eca947bd9a091ae9a29dd741ef54df63a9e39fbdbfb01d57b297322dafc9")

@@ -97,6 +97,17 @@ def test_construct_bose_conjugate_seed(tmp_path, capsys):
     assert (tmp_path / "b0.sts").read_text() != (tmp_path / "b3.sts").read_text()
 
 
+@pytest.mark.parametrize("square", ["half-sum", "conjugate"])
+def test_construct_bose_refuses_n_above_cap(capsys, monkeypatch, square):
+    # Both squares start from half_sum_square(n), which refuses n above 333
+    # before a square is built.
+    from stskit import constructions
+
+    monkeypatch.setattr(constructions, "LatinSquare", None)
+    code, out, err = run(capsys, "construct", "bose", "--n", "99995", "--square", square)
+    assert (code, out) == (2, "") and "n must be <= 333, got 99995" in err
+
+
 def test_verify_reports_failure(tmp_path, capsys):
     path = tmp_path / "bad.sts"
     path.write_text("STS v=7\n0 1 3\n")

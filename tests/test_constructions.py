@@ -19,8 +19,8 @@ from stskit import (
     verify_sts,
     wilson_schreiber,
 )
-from stskit.constructions import (MAX_WS_N, _is_automorphism, random_permutation,
-                                  wilson_schreiber_triples)
+from stskit.constructions import (MAX_BOSE_N, MAX_WS_N, _is_automorphism,
+                                  random_permutation, wilson_schreiber_triples)
 from stskit.rng import substream
 
 
@@ -175,6 +175,26 @@ def test_bose_rejects_bad_inputs():
     assert not addition.is_idempotent() and addition.is_symmetric()
     with pytest.raises(ValueError, match="idempotent"):
         bose(addition, sq5, sq5)
+
+
+def test_bose_refuses_n_above_cap(monkeypatch):
+    # The cap keeps order 3n <= 999, as for WS, and refuses before a square
+    # is built: without LatinSquare a square cannot be made, and the
+    # 99,995 x 99,995 half-sum square would hold about 10^10 entries.
+    from types import SimpleNamespace
+
+    from stskit import constructions
+
+    assert MAX_BOSE_N == 333
+    monkeypatch.setattr(constructions, "LatinSquare", None)
+    for n in (335, 99_995):
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_BOSE_N}, got {n}"):
+            half_sum_square(n)
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_BOSE_N}, got {n}"):
+            bose_half_sum(n)
+        big = SimpleNamespace(n=n)  # refused on its order before any entry is read
+        with pytest.raises(ValueError, match=f"n must be <= {MAX_BOSE_N}, got {n}"):
+            bose(big, big, big)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ def test_profiles():
     assert f_of(49) == 2 and (p49.psi, p49.psi_star) == (24, 12)
 
 
+def test_mersenne_family_f():
+    # The family behind the sublinearity claim: f(2^k - 1) = (2^k - 2) / 2k
+    # for these k, so f(n)/n falls like 1 / (2 log2 n).
+    values = {k: number_profile(2**k - 1).f for k in (5, 7, 13, 17, 19, 31)}
+    assert values == {k: (2**k - 2) // (2 * k) for k in values}
+    assert list(values.values()) == [3, 9, 315, 3855, 13797, 34636833]
+
+
 def test_profile_rejects_bad_n():
     for n in (1, 9, 12, 15):
         with pytest.raises(ValueError):
