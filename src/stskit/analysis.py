@@ -14,7 +14,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .constructions import sts33_fixture
+from .constructions import is_wilson_schreiber, sts33_fixture
 from .core import (
     Colouring,
     PartialParallelClass,
@@ -354,6 +354,32 @@ def pc_bound_ws(fact: OneFactorisation) -> PCBoundCertificate:
     )
 
 
+def _check_certificate(system: TripleSystem, cert: PCBoundCertificate) -> None:
+    """Derive ``cert`` again on ``system`` and raise ValueError unless it
+    gives the same bound.  A mod-3 certificate is recomputed from its
+    witness weights.  A Wilson-Schreiber certificate holds only for the
+    canonical construction of order n+2, n its witness n, with bound
+    3 f(n)+1.  Any other method is refused."""
+    witness = cert.witness
+    if cert.method == "mod3-weighting":
+        try:
+            bound = pc_bound_mod3(system, witness.get("weights", ())).bound
+        except ValueError as e:
+            raise ValueError(f"the certificate does not apply to this system: {e}") from None
+    elif cert.method == "ws-weight-argument":
+        n = witness.get("n")
+        if not (isinstance(n, int) and system.v == n + 2
+                and is_wilson_schreiber(system, factorise_G(n))):
+            raise ValueError("the certificate does not apply to this system: it is not "
+                             f"the canonical construction of order {system.v}")
+        bound = 3 * f_of(n) + 1
+    else:
+        raise ValueError(f"unknown certificate method {cert.method!r}")
+    if bound != cert.bound:
+        raise ValueError(f"the certificate does not apply to this system: its bound is "
+                         f"{cert.bound}, the system's is {bound}")
+
+
 def chi_lower_from_certificate(v: int, cert: PCBoundCertificate) -> int:
     """Lower bound on the chromatic index implied by a disjoint-PC bound:
     fewer than (v+3)/6 disjoint parallel classes forces index >= (v+3)/2."""
@@ -485,9 +511,11 @@ def chromatic_index_exact(system: TripleSystem,
     triples), the counting bound for the order on a Steiner system.  A
     disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
     counting needs v = 3 mod 6 and all v(v-1)/6 triples, any other order or
-    count refuses it.  A system with v > 3b (a point on no triple) is
-    refused.  A verified witness colouring caps the upper bound.  If the
-    budget runs out the result is the interval bracketing the value."""
+    count refuses it, and so does a certificate that does not derive again
+    on this system with the same bound.  A system with v > 3b (a point on
+    no triple) is refused.  A verified witness colouring caps the upper
+    bound.  If the budget runs out the result is the interval bracketing
+    the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
@@ -497,6 +525,7 @@ def chromatic_index_exact(system: TripleSystem,
         if b != v * (v - 1) // 6:
             raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")
         lower = chi_lower_from_certificate(v, pc_certificate)
+        _check_certificate(system, pc_certificate)
 
     if upper_witness is not None:
         report = verify_colouring(system, upper_witness)

@@ -52,18 +52,23 @@ def _read_text(path: str) -> str:
 def _read_system(path: str):
     from .core import parse_sts
 
-    return parse_sts(_read_text(path))
+    try:
+        with open(path) as f:
+            return parse_sts(f)
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _write(path: str | None, text: Callable[[], str], make_dir: bool = False) -> None:
-    """Write ``text()`` to ``path``; without a path the text is not built.
-    With ``make_dir`` the missing parent directories are made first."""
+def _write(path: str | None, lines: Callable[[], Iterable[str]], make_dir: bool = False) -> None:
+    """Write the lines ``lines()`` to ``path`` as they come; without a path
+    they are not built.  With ``make_dir`` the missing parent directories
+    are made first."""
     if path is not None:
-        data = text()
         try:
             if make_dir:
                 Path(path).parent.mkdir(parents=True, exist_ok=True)
-            Path(path).write_text(data)
+            with open(path, "w") as f:
+                f.writelines(lines())
         except OSError as e:
             raise ValueError(f"cannot write {path}: {e.strerror}") from None
 
@@ -129,7 +134,7 @@ def _cmd_factorise(args) -> int:
 
     fact = factorise_G(args.n)
     report = verify_factorisation_properties(fact, f_of(args.n))
-    _write(args.out, lambda: format_factorisation(fact))
+    _write(args.out, lambda: (format_factorisation(fact),))
     edges = sum(len(f) for f in fact.factors)
     _emit(args, lambda: {
         "command": "factorise", "n": args.n, "edges": edges,
@@ -141,18 +146,22 @@ def _cmd_factorise(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _construct_payload(args, labelled, what: str) -> int:
-    from .core import format_sts, verify_sts
+def _construct_payload(args, build: Callable, what: str) -> int:
+    """Build the system with ``build()``, check it, write it and report.
+    Only the family sizes are kept, so the family index tuples are freed
+    before the check needs room."""
+    from .core import sts_lines, verify_sts
 
-    system = labelled.system
+    labelled = build()
+    system, tag = labelled.system, labelled.tag
+    families = {name: len(idx) for name, idx in labelled.families.items()}
+    del labelled
     report = verify_sts(system)
-    _write(args.out, lambda: format_sts(system))
+    _write(args.out, lambda: sts_lines(system))
     _emit(args, lambda: {
         "command": what, "v": system.v, "triples": system.b,
-        "verified": report.ok, "out": args.out,
-        "families": {name: len(idx) for name, idx in labelled.families.items()},
-    }, lambda: [f"{labelled.tag}: order {system.v}, {system.b} triples, "
-                f"verify {_verdict(report)}",
+        "verified": report.ok, "out": args.out, "families": families,
+    }, lambda: [f"{tag}: order {system.v}, {system.b} triples, verify {_verdict(report)}",
                 *([f"wrote {args.out}"] if args.out else [])])
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -160,7 +169,8 @@ def _construct_payload(args, labelled, what: str) -> int:
 def _cmd_construct_ws(args) -> int:
     from .constructions import wilson_schreiber
 
-    return _construct_payload(args, wilson_schreiber(args.n), "construct wilson-schreiber")
+    return _construct_payload(args, lambda: wilson_schreiber(args.n),
+                              "construct wilson-schreiber")
 
 
 def _cmd_construct_bose(args) -> int:
@@ -171,25 +181,27 @@ def _cmd_construct_bose(args) -> int:
     if args.square == "half-sum":
         if _passed(args, "seed"):
             raise ValueError("--seed applies to --square conjugate only")
-        labelled = bose_half_sum(args.n)
-    else:
-        seed = getattr(args, "seed", 0)
+        return _construct_payload(args, lambda: bose_half_sum(args.n), "construct bose")
+    seed = getattr(args, "seed", 0)
+
+    def build():
         base = half_sum_square(args.n)
-        labelled = bose(*(
+        return bose(*(
             conjugate_square(base, random_permutation(args.n, substream(seed, "bose", i)))
             for i in range(3)))
-    return _construct_payload(args, labelled, "construct bose")
+
+    return _construct_payload(args, build, "construct bose")
 
 
 def _cmd_fixture(args) -> int:
     from .constructions import sts33_fixture
-    from .core import format_colouring, format_sts, verify_colouring, verify_sts
+    from .core import colouring_lines, sts_lines, verify_colouring, verify_sts
 
     labelled, colouring = sts33_fixture()
     report = verify_sts(labelled.system)
     creport = verify_colouring(labelled.system, colouring)
-    _write(args.out, lambda: format_sts(labelled.system))
-    _write(args.colouring_out, lambda: format_colouring(colouring))
+    _write(args.out, lambda: sts_lines(labelled.system))
+    _write(args.colouring_out, lambda: colouring_lines(colouring))
     ok = report.ok and creport.ok
     _emit(args, lambda: {
         "command": "fixture sts33", "v": 33, "triples": labelled.system.b,
@@ -307,7 +319,7 @@ def _cmd_analyze_chi(args) -> int:
 
 def _cmd_analyze_bound(args) -> int:
     from .analysis import pc_bound_mod3_auto, pc_bound_ws
-    from .constructions import wilson_schreiber_triples
+    from .constructions import is_wilson_schreiber
     from .factorisation import factorise_G
 
     system = _read_system(args.infile)
@@ -320,7 +332,7 @@ def _cmd_analyze_bound(args) -> int:
             raise ValueError(f"ws bound needs order v with v-2 = 1 mod 6, got v={v}")
         # The triple count first: it caps the work below by the file's size.
         fact = factorise_G(n) if system.b == v * (v - 1) // 6 else None
-        if fact is None or system.triples != wilson_schreiber_triples(fact):
+        if fact is None or not is_wilson_schreiber(system, fact):
             raise ValueError("input system is not the canonical construction "
                              f"of order {v}; the ws bound does not apply")
         cert = pc_bound_ws(fact)
@@ -341,7 +353,7 @@ def _cmd_theorem1(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .core import format_sts
+    from .core import sts_lines
     from .generator import batch_seed, random_sts
 
     if args.count < 0:
@@ -353,7 +365,7 @@ def _cmd_generate(args) -> int:
         orders.append(system.b)
         if args.out_dir:
             path = str(Path(args.out_dir) / f"sts-v{args.v}-{idx}.sts")
-            _write(path, lambda: format_sts(system), make_dir=True)
+            _write(path, lambda: sts_lines(system), make_dir=True)
             written.append(path)
     _emit(args, lambda: {
         "command": "generate", "v": args.v, "count": args.count,

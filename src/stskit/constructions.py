@@ -25,6 +25,7 @@ __all__ = [
     "bose_half_sum",
     "conjugate_square",
     "half_sum_square",
+    "is_wilson_schreiber",
     "random_permutation",
     "sts33_fixture",
     "verify_cyclic",
@@ -34,13 +35,13 @@ __all__ = [
 
 # The largest n wilson_schreiber builds, since it holds all (n+2)(n+1)/6
 # triples of the order-(n+2) system: a cold `stskit construct
-# wilson-schreiber --n 997` peaks near 83 MB, and n = 1999 near 285 MB.
+# wilson-schreiber --n 997` peaks near 46 MB, and n = 1999 near 150 MB.
 MAX_WS_N = 997
 
 # The largest n the Bose construction takes: order 3n = 999, where
 # wilson_schreiber and random_sts also stop.  A square holds n^2 entries
 # before a triple is built: a cold `stskit construct bose --n 329` (order
-# 987, the largest order the cap admits) peaks near 89 MB on a 2-vCPU host.
+# 987, the largest order the cap admits) peaks near 70 MB on a 2-vCPU host.
 MAX_BOSE_N = 333
 
 
@@ -157,6 +158,35 @@ def wilson_schreiber_triples(fact: OneFactorisation) -> tuple[tuple[int, int, in
         triples += [tuple(sorted((u - 1, v - 1, n - 1 + i))) for u, v in factor]
     triples.sort()
     return tuple(triples)
+
+
+def is_wilson_schreiber(system: TripleSystem, fact: OneFactorisation) -> bool:
+    """True iff ``system`` is the order-(n+2) system built on ``fact``, a
+    1-factorisation of G(n) with n = ``fact.n``: the same as ``system.v ==
+    n + 2 and system.triples == wilson_schreiber_triples(fact)``, without
+    building the construction.
+
+    The system's triples are distinct, so it is the construction exactly
+    when it has the construction's (n+2)(n+1)/6 triples and each of them is
+    a zero-sum triple, {x, y, inf_i} for an edge {x, y} of factor i, or the
+    all-infinity triple (internal points as in :func:`wilson_schreiber`).
+    """
+    n = fact.n
+    v = n + 2
+    if system.v != v or system.b != v * (v - 1) // 6:
+        return False
+    edges = [set(factor) for factor in fact.factors]
+    inf = n - 1  # inf_0; point p < inf stands for p + 1 in Z_n
+    for a, b, c in system.triples:
+        if c < inf:
+            if (a + b + c + 3) % n:
+                return False
+        elif b < inf:
+            if (a + 1, b + 1) not in edges[c - inf]:
+                return False
+        elif a < inf:  # two infinity points and a finite one
+            return False
+    return True
 
 
 def wilson_schreiber(n: int) -> LabelledSTS:

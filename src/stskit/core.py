@@ -12,21 +12,25 @@ state their map onto 0..v-1, see :mod:`stskit.constructions`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 __all__ = [
     "Colouring",
     "PartialParallelClass",
     "TripleSystem",
     "VerificationReport",
+    "colouring_lines",
     "format_colouring",
     "format_sts",
     "m_lower",
     "min_pc_for_low_chi",
     "parse_colouring",
     "parse_sts",
+    "sts_lines",
     "verify_colouring",
     "verify_sts",
 ]
@@ -189,6 +193,13 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     Reports the first violation found (duplicate pair with both offending
     triples, uncovered pair, or wrong triple count) plus a total violation
     count.
+
+    Each pair {x,y}, x < y, is filed once under x, in a dict of partner
+    lists that shares the triples' point objects; a temporary set per point
+    counts its distinct partners.  So the check holds one reference per
+    pair and nothing sized by v, and only a failed check does more: a
+    re-scan that names both triples of each repeated pair, and a walk to
+    the first uncovered pair.
     """
     v = system.v
     if v < 3:
@@ -196,14 +207,12 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     hit = Violations()
     triples = system.triples
 
-    # Each pair {x,y}, x < y, as the integer x*v+y: pair order is key order.
-    keys: set[int] = set()
-    add = keys.add
+    partners: defaultdict[int, list[int]] = defaultdict(list)
     for a, b, c in triples:
-        add(a * v + b)
-        add(a * v + c)
-        add(b * v + c)
-    if len(keys) < 3 * len(triples):
+        partners[a] += b, c
+        partners[b].append(c)
+    covered = sum(map(len, map(set, partners.values())))
+    if covered < 3 * len(triples):
         # Some pair is covered twice: re-scan to name both triples each time.
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
         for t in triples:
@@ -214,13 +223,17 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
                 else:
                     hit(f"pair {{{pair[0]},{pair[1]}}} covered twice (triples {other} and {t})")
 
-    missing = v * (v - 1) // 2 - len(keys)
+    missing = v * (v - 1) // 2 - covered
     if missing > 0:
         # Report the first uncovered pair; the count covers all of them.  The
         # walk passes only covered pairs before it, so it takes at most
-        # len(keys) + 1 steps and holds nothing sized by v.
-        pair = next((x, y) for x in range(v) for y in range(x + 1, v) if x * v + y not in keys)
-        hit(f"pair {{{pair[0]},{pair[1]}}} not covered", missing)
+        # covered + 1 steps and holds one point's partners at a time.
+        for x in range(v):
+            mates = set(partners.get(x, ()))
+            y = next((y for y in range(x + 1, v) if y not in mates), None)
+            if y is not None:
+                break
+        hit(f"pair {{{x},{y}}} not covered", missing)
 
     expected, rem = divmod(v * (v - 1), 6)
     if rem != 0:
@@ -272,50 +285,96 @@ def verify_colouring(system: TripleSystem, colouring: Colouring) -> Verification
 # Both are byte-reproducible given the same system.
 
 
+def sts_lines(system: TripleSystem) -> Iterator[str]:
+    """The lines of the STS file of ``system``, each ending in a newline."""
+    yield f"STS v={system.v}\n"
+    for a, b, c in system.triples:
+        yield f"{a} {b} {c}\n"
+
+
 def format_sts(system: TripleSystem) -> str:
-    lines = [f"STS v={system.v}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in system.triples)
-    return "\n".join(lines) + "\n"
+    return "".join(sts_lines(system))
 
 
-def parse_sts(text: str) -> TripleSystem:
-    lines = text.splitlines()
-    body = filter(str.strip, lines)
+# Characters read from a file at a time.
+_BLOCK = 1 << 16
+
+
+def parse_sts(source: str | TextIO) -> TripleSystem:
+    """Parse an STS file from its text or from a file open for reading.
+
+    The source is read in blocks and parsed line by line, so a file is
+    never held whole.  Lines are split as ``str.splitlines`` splits the
+    text, so a file and its text parse alike, and errors number them among
+    the non-blank lines.  A file in canonical order, as :func:`format_sts`
+    writes it, is taken as it stands; any other goes through
+    :meth:`TripleSystem.from_triples`."""
+    if isinstance(source, str):
+        blocks: Iterable[str] = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
+    else:
+        blocks = iter(partial(source.read, _BLOCK), "")
+    body = filter(str.strip, _lines(blocks))
     head = next(body, "")
     if not head.startswith("STS v="):
         raise ValueError("not an STS file: expected first line 'STS v=<v>'")
+    head = head.splitlines()[0]  # without its line break
     try:
         v = int(head[len("STS v="):])
     except ValueError:
         raise ValueError(f"bad STS header {head!r}") from None
+    triples = tuple(_sts_triples(body))
     try:
-        return TripleSystem.from_triples(
-            v, ((int(a), int(b), int(c)) for a, b, c in map(str.split, body)))
+        return TripleSystem(v, triples)
     except ValueError:
-        # A line that is not three integers stops the pass; name the first.
-        _raise_first_bad_line(lines)
-        raise
+        return TripleSystem.from_triples(v, triples)
 
 
-def _raise_first_bad_line(lines: list[str]) -> None:
-    """Raise the error for the first body line of an STS file that is not
-    three integers; lines are numbered among the non-blank lines."""
-    body = filter(str.strip, lines)
-    next(body)  # the header
+def _lines(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text made of ``blocks``, as ``splitlines(True)``
+    gives them: each keeps its line break, which ``str.split`` drops."""
+    rest = ""
+    for block in blocks:
+        *lines, rest = (rest + block).splitlines(True)
+        yield from lines
+    if rest:
+        yield rest
+
+
+class _Points(dict):
+    """The points of a file by their text: each is converted once, and its
+    triples share one int object."""
+
+    def __missing__(self, token: str) -> int:
+        point = self[token] = int(token)
+        return point
+
+
+def _sts_triples(body: Iterable[str]) -> Iterator[tuple[int, int, int]]:
+    """The triple of each body line of an STS file.  The first line that is
+    not three integers raises, so it comes before any check of the system."""
+    point = _Points().__getitem__
     for lineno, ln in enumerate(body, start=2):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 point indices, got {ln!r}")
         try:
-            list(map(int, parts))
+            a, b, c = ln.split()
+            t = point(a), point(b), point(c)
         except ValueError:
+            ln = ln.splitlines()[0]
+            if len(ln.split()) != 3:
+                raise ValueError(f"line {lineno}: expected 3 point indices, got {ln!r}") from None
             raise ValueError(f"line {lineno}: non-integer point in {ln!r}") from None
+        yield t
+
+
+def colouring_lines(colouring: Colouring) -> Iterator[str]:
+    """The lines of the colouring file of ``colouring``, each ending in a
+    newline."""
+    yield f"COLOURING v={colouring.host.v} k={colouring.n_classes}\n"
+    for cls in colouring.classes:
+        yield " ".join(map(str, cls.indices)) + "\n"
 
 
 def format_colouring(colouring: Colouring) -> str:
-    lines = [f"COLOURING v={colouring.host.v} k={colouring.n_classes}"]
-    lines.extend(" ".join(str(i) for i in cls.indices) for cls in colouring.classes)
-    return "\n".join(lines) + "\n"
+    return "".join(colouring_lines(colouring))
 
 
 def parse_colouring(text: str, host: TripleSystem) -> Colouring:

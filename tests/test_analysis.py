@@ -478,6 +478,48 @@ def test_chi_exact_rejects_foreign_certificate(sts9_grid):
         chromatic_index_exact(sts9_grid, pc_certificate=bogus)
 
 
+def test_chi_exact_refuses_a_forged_certificate():
+    # Bound 0 under a made-up method would force the lower bound 9 on a
+    # system whose index is 8.
+    from stskit import PCBoundCertificate
+
+    system = random_sts(15, 8)
+    assert chromatic_index_exact(system).value == 8
+    with pytest.raises(ValueError, match="unknown certificate method 'x'"):
+        chromatic_index_exact(system, pc_certificate=PCBoundCertificate(bound=0, method="x"))
+
+
+def test_chi_exact_derives_the_certificate_again_on_the_system():
+    # A mod-3 certificate of the fixture does not fit Bose(11), another
+    # system of order 33, nor the other way round; nor does a certificate
+    # that claims a bound its weights do not give.
+    fixture = sts33_fixture()[0].system
+    bose33 = bose_half_sum(11).system
+    for system, other in ((fixture, bose33), (bose33, fixture)):
+        cert = pc_bound_mod3_auto(other)
+        with pytest.raises(ValueError, match="does not apply to this system: triple"):
+            chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=cert)
+        tampered = replace(pc_bound_mod3_auto(system), bound=4)
+        with pytest.raises(ValueError, match="its bound is 4, the system's is 5"):
+            chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=tampered)
+    # A Wilson-Schreiber certificate needs the canonical construction of
+    # its order, and the bound 3 f(n)+1.
+    ws39 = wilson_schreiber(37).system
+    cert = pc_bound_ws(factorise_G(37))
+    swap = {0: 1, 1: 0}
+    relabelled = TripleSystem.from_triples(39, ([swap.get(p, p) for p in t]
+                                                for t in ws39.triples))
+    with pytest.raises(ValueError, match="not the canonical construction of order 39"):
+        chromatic_index_exact(relabelled, SearchBudget(max_nodes=10), pc_certificate=cert)
+    for witness in ({**cert.witness, "n": 31}, {}):
+        with pytest.raises(ValueError, match="not the canonical construction"):
+            chromatic_index_exact(ws39, SearchBudget(max_nodes=10),
+                                  pc_certificate=replace(cert, witness=witness))
+    with pytest.raises(ValueError, match=f"its bound is 0, the system's is {cert.bound}"):
+        chromatic_index_exact(ws39, SearchBudget(max_nodes=10),
+                              pc_certificate=replace(cert, bound=0))
+
+
 def test_chi_exact_refuses_certificate_for_order_1_mod_6():
     # The disjoint-PC argument needs v = 3 mod 6, so at v = 13 a certificate
     # is refused rather than ignored.

@@ -6,13 +6,18 @@ import pytest
 
 from stskit import (
     GenerationError,
+    TripleSystem,
     bose,
     conjugate_square,
+    format_colouring,
     format_sts,
     half_sum_square,
     random_sts,
+    sts33_fixture,
+    wilson_schreiber,
 )
 from stskit.constructions import random_permutation
+from stskit.generator import batch_seed
 from stskit.rng import substream
 from stskit.cli import main
 
@@ -69,6 +74,28 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "--in", str(path))
     assert code == 0 and "ok" in out
+
+
+def test_written_files_match_the_formatters(tmp_path, capsys):
+    # The CLI writes line by line; the bytes are those of format_sts and
+    # format_colouring.
+    for n in (13, 97):
+        path = tmp_path / f"ws{n}.sts"
+        assert run(capsys, "construct", "wilson-schreiber", "--n", str(n),
+                   "--out", str(path))[0] == 0
+        assert path.read_bytes() == format_sts(wilson_schreiber(n).system).encode()
+    spath, cpath = tmp_path / "s33.sts", tmp_path / "s33.cols"
+    assert run(capsys, "fixture", "sts33", "--out", str(spath),
+               "--colouring-out", str(cpath))[0] == 0
+    labelled, colouring = sts33_fixture()
+    assert spath.read_bytes() == format_sts(labelled.system).encode()
+    assert cpath.read_bytes() == format_colouring(colouring).encode()
+    gen = tmp_path / "gen"
+    assert run(capsys, "generate", "--v", "13", "--count", "2", "--seed", "3",
+               "--out-dir", str(gen))[0] == 0
+    for idx in range(2):
+        assert (gen / f"sts-v13-{idx}.sts").read_bytes() == format_sts(
+            random_sts(13, batch_seed(3, idx))).encode()
 
 
 def test_construct_json_reports_families(tmp_path, capsys):
@@ -288,6 +315,21 @@ def test_analyze_bound_ws_rejects_noncanonical(tmp_path, capsys):
     assert code == 2 and "canonical" in err
 
 
+def test_analyze_bound_ws_rejects_ws13_with_two_points_swapped(tmp_path, capsys):
+    # Still a Steiner system, but not the canonical construction.
+    system = wilson_schreiber(13).system
+    swap = {0: 1, 1: 0}
+    swapped = TripleSystem.from_triples(15, ([swap.get(p, p) for p in t]
+                                             for t in system.triples))
+    path = tmp_path / "swapped.sts"
+    path.write_text(format_sts(swapped))
+    assert run(capsys, "verify", "--in", str(path))[0] == 0
+    code, out, err = run(capsys, "analyze", "bound", "--in", str(path), "--method", "ws")
+    assert (code, out) == (2, "")
+    assert err == ("error: input system is not the canonical construction of order 15; "
+                   "the ws bound does not apply\n")
+
+
 @pytest.mark.parametrize("header", ["STS v=1503", "STS v=100000005"])
 def test_analyze_bound_ws_refuses_wrong_count_before_building(tmp_path, capsys, monkeypatch,
                                                               header):
@@ -412,6 +454,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ("analyze", "bound", "--in", str(s13), "--method", "mod3")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err, argv
+
+
+@pytest.mark.parametrize("text, error", [
+    ("STS v=7\n0 1 2\n\n0 1\n", "line 3: expected 3 point indices, got '0 1'"),
+    ("STS v=7\n0 1 2\n0 1 a\n0 1\n", "line 3: non-integer point in '0 1 a'"),
+    ("STS v=x\n", "bad STS header 'STS v=x'"),
+    ("BAD\n", "not an STS file: expected first line 'STS v=<v>'"),
+])
+def test_a_bad_file_names_its_first_bad_line(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.sts"
+    path.write_text(text)
+    for argv in (("verify",), ("analyze", "pcs"), ("analyze", "bound", "--method", "ws")):
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert (code, out, err) == (2, "", f"error: {error}\n"), argv
+
+
+def test_an_unreadable_path_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.sts", tmp_path):
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: "), path
 
 
 def test_analyze_refuses_a_header_beyond_the_triples(tmp_path, capsys):

@@ -20,7 +20,8 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.constructions import (MAX_BOSE_N, MAX_WS_N, _is_automorphism,
-                                  random_permutation, wilson_schreiber_triples)
+                                  is_wilson_schreiber, random_permutation,
+                                  wilson_schreiber_triples)
 from stskit.rng import substream
 
 
@@ -110,6 +111,45 @@ def test_ws_zero_sum_family_is_every_zero_sum_triple(n):
     assert {triples[i] for i in labelled.families["zero-sum"]} == {
         tuple(p - 1 for p in c) for c in combinations(range(1, n), 3) if sum(c) % n == 0}
     assert wilson_schreiber_triples(factorise_G(n)) == triples
+
+
+def _swap_points(system: TripleSystem, p: int, q: int) -> TripleSystem:
+    """``system`` with the labels p and q exchanged: an isomorphic system."""
+    swap = {p: q, q: p}
+    return TripleSystem.from_triples(system.v, ([swap.get(x, x) for x in t]
+                                                for t in system.triples))
+
+
+@pytest.mark.parametrize("n", range(7, 104, 6))
+def test_is_wilson_schreiber_is_equality_with_the_construction(n):
+    fact = factorise_G(n)
+    built = wilson_schreiber_triples(fact)
+    system = wilson_schreiber(n).system
+    # Two finite points swapped, and a finite point swapped with inf_1.
+    swapped = [_swap_points(system, 0, 1), _swap_points(system, 0, n)]
+    for candidate in (system, *swapped):
+        assert verify_sts(candidate).ok
+        assert is_wilson_schreiber(candidate, fact) == (candidate.triples == built)
+    assert is_wilson_schreiber(system, fact)
+    assert not any(is_wilson_schreiber(candidate, fact) for candidate in swapped)
+
+
+def test_is_wilson_schreiber_tells_factors_apart():
+    # The system built on the factorisation with factors 0 and 1 swapped is
+    # an order-15 system, but not the one built on the factorisation itself.
+    fact = factorise_G(13)
+    swapped = replace(fact, factors=(fact.factors[1], fact.factors[0], fact.factors[2]))
+    other = TripleSystem(15, wilson_schreiber_triples(swapped))
+    assert verify_sts(other).ok
+    assert (other.triples == wilson_schreiber_triples(fact)) is False
+    assert not is_wilson_schreiber(other, fact)
+    assert is_wilson_schreiber(other, swapped)
+    # Nor is any system of another order or triple count, nor one with a
+    # triple through two infinity points (12 and 13) in place of another.
+    assert not is_wilson_schreiber(wilson_schreiber(13).system, factorise_G(19))
+    assert not is_wilson_schreiber(TripleSystem(15, other.triples[1:]), swapped)
+    two_inf = TripleSystem.from_triples(15, [*other.triples[1:], (0, 12, 13)])
+    assert not is_wilson_schreiber(two_inf, swapped)
 
 
 def test_ws_refuses_n_above_cap():

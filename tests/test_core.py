@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import re
+import tempfile
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,9 @@ from stskit import (
     random_sts,
     verify_colouring,
     verify_sts,
+    wilson_schreiber,
 )
+from stskit import core
 
 from conftest import FANO_TRIPLES
 
@@ -147,6 +152,19 @@ def test_verify_sts_memory_is_set_by_the_triples_not_v():
     assert report.first_violation == "pair {0,3} not covered"
     assert report.violation_count == v * (v - 1) // 2 - 3 + 1
     assert peak < 1_000_000
+
+
+def test_verify_sts_holds_one_reference_per_pair():
+    # WS(997), the largest construction: 498,501 pairs, filed once each.
+    system = wilson_schreiber(997).system
+    tracemalloc.start()
+    try:
+        report = verify_sts(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8_000_000
 
 
 def test_wrong_order_residue_never_ok():
@@ -335,6 +353,29 @@ def test_parse_sts_rejects_malformed(text):
         parse_sts(text)
 
 
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
+def test_parse_sts_from_a_file_raises_as_from_its_text(tmp_path, text):
+    path = tmp_path / "bad.sts"
+    path.write_text(text)
+    with pytest.raises(ValueError) as from_text:
+        parse_sts(text)
+    with open(path) as f, pytest.raises(ValueError) as from_file:
+        parse_sts(f)
+    assert str(from_file.value) == str(from_text.value)
+
+
+def test_parse_sts_numbers_lines_across_blocks():
+    # Line 100,000 of the WS(997) file lies far past the first block read.
+    lines = format_sts(wilson_schreiber(997).system).splitlines(True)
+    lines[99_999] = "0 1\n"
+    with tempfile.TemporaryFile("w+") as f:
+        f.writelines(lines)
+        f.seek(0)
+        with pytest.raises(ValueError, match=r"^line 100000: expected 3 point indices, "
+                                             r"got '0 1'$"):
+            parse_sts(f)
+
+
 def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     colouring = _resolution_of_grid(sts9_grid)
     text = format_colouring(colouring)
@@ -380,6 +421,41 @@ def test_parse_sts_raises_only_value_error(text):
     except ValueError:
         return
     assert parse_sts(format_sts(system)) == system
+
+
+def _parse_outcome(source):
+    """The system parse_sts reads from ``source``, or its error message."""
+    try:
+        return parse_sts(source)
+    except ValueError as e:
+        return str(e)
+
+
+# Every line break str.splitlines knows, and blank lines.
+_break = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                          "\x85", "\u2028", "\u2029", "\n  \n"])
+_broken_file = st.builds(
+    lambda head, body, breaks: head + "".join(b + ln for b, ln in zip(breaks, body)),
+    _header, st.lists(_line, max_size=8), st.lists(_break, min_size=8, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_file, _broken_file,
+                      st.builds(format_sts, st.builds(random_sts, st.sampled_from([7, 9, 13, 15]),
+                                                     st.integers(0, 2**32 - 1)))),
+       block=st.integers(1, 12))
+def test_parse_sts_reads_a_file_as_its_text(text, block):
+    # The text, and the file holding it read as the CLI reads it, against
+    # the file's whole content in one block; the small blocks split lines
+    # and line breaks.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.sts"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _parse_outcome(path.read_text(encoding="utf-8"))
+        with mock.patch.object(core, "_BLOCK", block):
+            assert _parse_outcome(text) == expected
+            with open(path, encoding="utf-8") as f:
+                assert _parse_outcome(f) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -431,6 +507,42 @@ def _verify_sts_reference(system: TripleSystem) -> VerificationReport:
         hit(f"order {v} admits no Steiner triple system (v(v-1)/6 is not an integer)")
     elif len(system.triples) != expected:
         hit(f"triple count {len(system.triples)} != v(v-1)/6 = {expected}")
+    return VerificationReport(first_violation=first, violation_count=count)
+
+
+def _verify_sts_pair_keys(system: TripleSystem) -> VerificationReport:
+    """verify_sts as it was when it held one int key x*v+y per pair in a
+    set: the reference for the partner-list version."""
+    v = system.v
+    first, count = None, 0
+
+    def hit(msg, times=1):
+        nonlocal first, count
+        count += times
+        first = first or msg
+
+    triples = system.triples
+    keys = set()
+    for a, b, c in triples:
+        keys.update((a * v + b, a * v + c, b * v + c))
+    if len(keys) < 3 * len(triples):
+        seen = {}
+        for t in triples:
+            for pair in combinations(t, 2):
+                other = seen.get(pair)
+                if other is None:
+                    seen[pair] = t
+                else:
+                    hit(f"pair {{{pair[0]},{pair[1]}}} covered twice (triples {other} and {t})")
+    missing = v * (v - 1) // 2 - len(keys)
+    if missing > 0:
+        pair = next((x, y) for x in range(v) for y in range(x + 1, v) if x * v + y not in keys)
+        hit(f"pair {{{pair[0]},{pair[1]}}} not covered", missing)
+    expected, rem = divmod(v * (v - 1), 6)
+    if rem != 0:
+        hit(f"order {v} admits no Steiner triple system (v(v-1)/6 is not an integer)")
+    elif len(triples) != expected:
+        hit(f"triple count {len(triples)} != v(v-1)/6 = {expected}")
     return VerificationReport(first_violation=first, violation_count=count)
 
 
@@ -528,3 +640,16 @@ def test_verify_colouring_matches_oracle_on_perturbed_colourings(v, seed, heuris
     colouring = Colouring(system, tuple(PartialParallelClass(tuple(sorted(g)))
                                         for g in groups))
     assert verify_colouring(system, colouring).ok == _colouring_oracle(system.triples, groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=st.integers(3, 15), seed=_seeds, data=st.data())
+def test_verify_sts_matches_the_pair_key_version(v, seed, data):
+    # A Steiner system where the order has one, less some triples and plus
+    # others: repeated pairs, uncovered pairs and wrong counts.
+    start = set(random_sts(v, seed).triples) if v >= 7 and v % 6 in (1, 3) else set()
+    drop = data.draw(st.sets(st.sampled_from(sorted(start)), max_size=4)) if start else set()
+    triple = st.lists(st.integers(0, v - 1), min_size=3, max_size=3, unique=True)
+    add = data.draw(st.sets(triple.map(lambda t: tuple(sorted(t))), max_size=6))
+    system = TripleSystem.from_triples(v, (start - drop) | add)
+    assert verify_sts(system) == _verify_sts_pair_keys(system)
