@@ -35,7 +35,7 @@ __all__ = [
 
 # The largest n wilson_schreiber builds, since it holds all (n+2)(n+1)/6
 # triples of the order-(n+2) system: a cold `stskit construct
-# wilson-schreiber --n 997` peaks near 46 MB, and n = 1999 near 150 MB.
+# wilson-schreiber --n 997` peaks near 34 MB, and n = 1999 near 92 MB.
 MAX_WS_N = 997
 
 # The largest n the Bose construction takes: order 3n = 999, where
@@ -147,15 +147,19 @@ def wilson_schreiber_triples(fact: OneFactorisation) -> tuple[tuple[int, int, in
     """The canonical triple list of the order-(n+2) system built on ``fact``,
     a 1-factorisation of G(n) with n = ``fact.n`` (see :func:`wilson_schreiber`)."""
     n = fact.n
+    # Every triple takes its points from this one list, so that each point is
+    # one int object however many triples hold it.
+    pts = list(range(n + 2))
     triples: list[tuple[int, int, int]] = []
     for a in range(1, n):
         # a < b < c < n with a+b+c = n (so b < (n-a)/2) or 2n (so b > n-a).
-        triples += [(a - 1, b - 1, n - a - b - 1) for b in range(a + 1, (n - a + 1) // 2)]
-        triples += [(a - 1, b - 1, 2 * n - a - b - 1)
+        x = pts[a - 1]
+        triples += [(x, pts[b - 1], pts[n - a - b - 1]) for b in range(a + 1, (n - a + 1) // 2)]
+        triples += [(x, pts[b - 1], pts[2 * n - a - b - 1])
                     for b in range(max(a + 1, n + 1 - a), (2 * n - a + 1) // 2)]
-    triples.append((n - 1, n, n + 1))
+    triples.append((pts[n - 1], pts[n], pts[n + 1]))
     for i, factor in enumerate(fact.factors):
-        triples += [tuple(sorted((u - 1, v - 1, n - 1 + i))) for u, v in factor]
+        triples += [tuple(sorted((pts[u - 1], pts[v - 1], pts[n - 1 + i]))) for u, v in factor]
     triples.sort()
     return tuple(triples)
 

@@ -17,12 +17,21 @@ and -2:
   only modulo prime powers q; for any other n = q*r (q the prime-power part
   of n at its smallest prime) the order is lcm(ord_q, ord_r), and -1 lies in
   <-2>_n exactly when every prime-power order is even with one shared
-  2-adic valuation.  So a composite n costs no ``pow``.  The sweep visits
-  each modulus d coprime to 6 once, in ascending order, and adds g(d) and
-  phi(d) - 18 g(d) to every multiple d*k with k = 1 or 5 mod 6.  By the time
-  it reaches n, every divisor of n has contributed, so the row for n is
-  complete; Gauss's identity (the totients of the divisors of n sum to n)
-  checks the sums.  :data:`SCAN_KINDS` picks the rows each kind of scan
+  2-adic valuation.  So a composite n costs no ``pow``.  The sweep walks
+  the range in segments of consecutive n, ascending; each segment takes its
+  smallest prime factors from the primes up to sqrt(limit) and holds the f
+  and psi* sums of its own n only.  Each modulus d coprime to 6 adds g(d)
+  and phi(d) - 18 g(d) to every multiple d*k with k = 1 or 5 mod 6: it
+  pushes into a segment only where it has such a multiple, and between
+  pushes it waits in the bucket of the segment that holds the next one.  By
+  the time the sweep reaches n, every divisor of n has contributed, so the
+  row for n is complete; Gauss's identity (the totients of the divisors of
+  n sum to n) checks the sums.  A proper divisor of n is at most n/5, so
+  phi, the order and g are kept only up to limit/5, and smallest prime
+  factors (for p - 1, once its 2s and 3s are stripped) up to limit/2, all
+  over the n coprime to 6 alone.  Memory is still linear in the limit, at
+  about 3 bytes per unit, hence :data:`SCAN_LIMIT_MAX`.
+  :data:`SCAN_KINDS` picks the rows each kind of scan
   keeps, so a scan of one kind is ``filter(SCAN_KINDS[kind], scan_rows(limit))``.
   :func:`scan_profiles` lists the same rows for the benchmark harness alone;
   it is not in ``__all__``.
@@ -36,7 +45,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "NumberProfile",
@@ -69,21 +78,11 @@ def smallest_prime_factor_sieve(limit: int) -> array:
     return spf
 
 
-def factorise(n: int, spf: Sequence[int] | None = None) -> dict[int, int]:
-    """Prime factorisation of n >= 1 as {prime: exponent}, by sieve lookup or
-    trial division."""
+def factorise(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 as {prime: exponent}, by trial division."""
     if n < 1:
         raise ValueError(f"cannot factorise {n}: must be a positive integer")
     out: dict[int, int] = {}
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -144,10 +143,10 @@ def subgroup_order(d: int, generators: Iterable[int]) -> int:
     return len(seen)
 
 
-def _multiplicative_order(a: int, d: int, exponent: int, exponent_factors: dict[int, int]) -> int:
+def _multiplicative_order(a: int, d: int, exponent: int, exponent_primes: Iterable[int]) -> int:
     # ``exponent`` must be a multiple of the order (phi(d) always is).
     e = exponent
-    for p in exponent_factors:
+    for p in exponent_primes:
         while e % p == 0 and pow(a, e // p, d) == 1:
             e //= p
     return e
@@ -260,9 +259,9 @@ class ScanRow(NamedTuple):
 def scan_profiles(limit: int) -> list[ScanRow]:
     """``list(scan_rows(limit))``.  The product reads :func:`scan_rows`; this
     list stays only because the benchmark harness (``perfbench/``) calls and
-    traces it.  The list is most of its memory, about 100 bytes per unit of
-    ``limit``: max RSS 116 MB at 10^6 and 316 MB at 3*10^6, so about 1 GB at
-    the cap."""
+    traces it.  The list is nearly all of its memory, about 80 bytes per unit
+    of ``limit``: max RSS 92 MB at 10^6 and 248 MB at 3*10^6, so about 800 MB
+    at the cap."""
     return list(scan_rows(limit))
 
 
@@ -270,10 +269,13 @@ def scan_rows(limit: int) -> Iterator[ScanRow]:
     """Rows (n, phi, f, psi, psi*) for every n = 1 or 5 mod 6 with 1 < n <= limit,
     ascending by n, one at a time.
 
-    A multiplicative sieve (see the module docstring): ord_q(-2) is computed
-    only for the prime powers q <= limit; every other n is q*r with r coprime
-    to q, and its phi and order come from the two parts.  Each row is checked
-    for parity/Lagrange and against Gauss's identity.
+    A segmented multiplicative sieve (see the module docstring): ord_q(-2)
+    is computed only for the prime powers q <= limit; every other n is q*r
+    with r coprime to q, and its phi and order come from the two parts.  Each
+    row is checked for parity/Lagrange and against Gauss's identity.  The
+    sieve holds about 3 bytes per unit of ``limit`` besides the rows the
+    caller keeps: streamed to 10^7 it peaks at 39 MB max RSS, in 18-21 s on
+    a 2-vCPU host.
 
     A ``limit`` below 3 or above :data:`SCAN_LIMIT_MAX` raises ValueError at
     the call, before anything is allocated.
@@ -285,46 +287,108 @@ def scan_rows(limit: int) -> Iterator[ScanRow]:
     return _sieve_rows(limit)
 
 
+# The sieve's segment length: rows are computed, and the f and psi* sums kept,
+# for this many consecutive n at a time.
+_SEGMENT = 2**15
+
+
 def _sieve_rows(limit: int) -> Iterator[ScanRow]:
-    spf = smallest_prime_factor_sieve(limit)
-    # Per n coprime to 6: phi(n), ord_n(-2), and the 2-part shared by the
-    # orders of -2 modulo the prime powers of n (1 when one of them is odd
-    # or two of them differ).
-    phis, orders, twos = (array("i", [0]) * (limit + 1) for _ in range(3))
-    # f and psi* summed over the proper divisors > 1 seen so far.
-    f, psi_star = (array("i", [0]) * (limit + 1) for _ in range(2))
-    for n in range(5, limit + 1, 2):
-        if n % 3 == 0:
-            continue
-        p = spf[n]
-        q, r = p, n // p
-        while r % p == 0:
-            q *= p
-            r //= p
-        if r == 1:
-            phi = n - n // p
-            order = _multiplicative_order(n - 2, n, phi, factorise(phi, spf))
-            two = order & -order
-        else:
-            phi = phis[q] * phis[r]
-            a, b = orders[q], orders[r]
-            order = a // math.gcd(a, b) * b
-            two = twos[q] if twos[q] == twos[r] else 1
-        phis[n], orders[n], twos[n] = phi, order, two
-        # -1 lies in <-2>_n exactly when every prime-power order has the same
-        # even 2-part; otherwise adjoining -1 doubles the subgroup.
-        g = _g_from_order(n, phi, order if two > 1 else 2 * order)
-        psi = phi - 18 * g
-        f_n = f[n] + g
-        psi_star_n = psi_star[n] + psi
-        _check_psi_star(n, f_n, psi_star_n)
-        yield ScanRow(n, phi, f_n, psi, psi_star_n)
-        for start in (5 * n, 7 * n):
-            for m in range(start, limit + 1, 6 * n):
-                psi_star[m] += psi
+    root = math.isqrt(limit)
+    small_spf = smallest_prime_factor_sieve(root)
+    base = [p for p in range(5, root + 1) if small_spf[p] == p]  # the primes 5..sqrt(limit)
+    segment = _SEGMENT
+    fifth, half = limit // 5, limit // 2
+    # A proper divisor of n (coprime to 6) is at most n/5, so phi, the order
+    # of -2, the 2-part shared by the orders of -2 modulo the prime powers
+    # (1 when one of them is odd or two of them differ) and g are kept only
+    # for n <= limit/5, each at n // 3, a bijection of the n coprime to 6.
+    phis, orders, twos, gs = (array("i", [0]) * (fifth // 3 + 1) for _ in range(4))
+    # The smallest prime factor of each n <= limit/2 coprime to 6, filled as
+    # the rows pass; it factorises phi(q) for the prime powers q.
+    spf6 = array("i", [0]) * (half // 3 + 1)
+    # Pending pushes, per target segment: each d <= limit/5 waits in the
+    # bucket of the segment that holds its next multiple d*k, k = 1 or 5 mod 6.
+    pending = [(array("i"), array("i")) for _ in range(limit // segment + 1)]
+
+    def prime_factors(x: int) -> list[int]:
+        # The primes of x < n: 2 and 3 by division, then the rows' table.
+        out = [p for p in (2, 3) if x % p == 0]
+        for p in out:
+            while x % p == 0:
+                x //= p
+        while x > 1:
+            p = spf6[x // 3]
+            out.append(p)
+            while x % p == 0:
+                x //= p
+        return out
+
+    def push(d: int, m: int) -> None:
+        # Add g(d) and psi(d) at m, d's next multiple d*k (k = 1 or 5 mod 6),
+        # and at each later one below hi; then file d under the segment of
+        # the first one at or past hi.
+        i = d // 3
+        g = gs[i]
+        psi = phis[i] - 18 * g
+        while m < hi:
+            j = m - lo
+            psi_star[j] += psi
             if g:
-                for m in range(start, limit + 1, 6 * n):
-                    f[m] += g
+                f[j] += g
+            m += 2 * d if m // d % 6 == 5 else 4 * d
+        if m <= limit:
+            ds, ms = pending[m // segment]
+            ds.append(d)
+            ms.append(m)
+
+    for lo in range(0, limit + 1, segment):
+        hi = min(lo + segment, limit + 1)
+        # Smallest prime factor of each odd composite n in [lo, hi); 0 for a
+        # prime.  Largest prime first, so that the smallest one writes last.
+        spf = array("i", [0]) * (hi - lo)
+        for p in reversed(base):
+            if p * p < hi:
+                start = max(p * p, -(-lo // p) * p)
+                if start % 2 == 0:
+                    start += p
+                spf[start - lo::2 * p] = array("i", [p]) * len(range(start, hi, 2 * p))
+        # f and psi* summed over the proper divisors > 1 of each n.
+        f, psi_star = array("i", [0]) * (hi - lo), array("i", [0]) * (hi - lo)
+        for d, m in zip(*pending[lo // segment]):
+            push(d, m)
+        pending[lo // segment] = None
+        for n in range(max(5, lo | 1), hi, 2):
+            if n % 3 == 0:
+                continue
+            p = spf[n - lo] or n
+            if n <= half:
+                spf6[n // 3] = p
+            q, r = p, n // p
+            while r % p == 0:
+                q *= p
+                r //= p
+            if r == 1:
+                phi = n - n // p
+                order = _multiplicative_order(n - 2, n, phi, prime_factors(phi))
+                two = order & -order
+            else:
+                iq, ir = q // 3, r // 3
+                phi = phis[iq] * phis[ir]
+                a, b = orders[iq], orders[ir]
+                order = a // math.gcd(a, b) * b
+                two = twos[iq] if twos[iq] == twos[ir] else 1
+            # -1 lies in <-2>_n exactly when every prime-power order has the
+            # same even 2-part; otherwise adjoining -1 doubles the subgroup.
+            g = _g_from_order(n, phi, order if two > 1 else 2 * order)
+            psi = phi - 18 * g
+            f_n = f[n - lo] + g
+            psi_star_n = psi_star[n - lo] + psi
+            _check_psi_star(n, f_n, psi_star_n)
+            yield ScanRow(n, phi, f_n, psi, psi_star_n)
+            if n <= fifth:
+                i = n // 3
+                phis[i], orders[i], twos[i], gs[i] = phi, order, two, g
+                push(n, 5 * n)
 
 
 # The rows each kind of scan keeps; `stskit numtheory scan` reads them here.

@@ -113,6 +113,13 @@ def test_ws_zero_sum_family_is_every_zero_sum_triple(n):
     assert wilson_schreiber_triples(factorise_G(n)) == triples
 
 
+def test_ws_triples_share_one_int_per_point():
+    # Points above 256 are not cached by the interpreter; the construction
+    # holds one int object per point, however many triples pass through it.
+    triples = wilson_schreiber_triples(factorise_G(301))
+    assert len({id(p) for t in triples for p in t}) == 303
+
+
 def _swap_points(system: TripleSystem, p: int, q: int) -> TripleSystem:
     """``system`` with the labels p and q exchanged: an isomorphic system."""
     swap = {p: q, q: p}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -177,6 +178,30 @@ def test_scan_sieve_matches_per_n_route_to_100000():
         assert (row.phi, (row.phi - row.psi) // 18) == (phi, g), row.n
 
 
+def test_scan_rows_to_100000_are_pinned():
+    # One digest over every row to 10^5, pinned so that a rewrite of the
+    # sieve must reproduce each row and their order.
+    digest = hashlib.sha256()
+    for row in scan_rows(10**5):
+        digest.update(("%d %d %d %d %d\n" % row).encode())
+    assert digest.hexdigest() == (
+        "0ec390bde268d020c4141ff24cd316f854735c7758e20559b97cdca97297d7f0")
+
+
+@pytest.mark.parametrize("limit", [63, 64, 65, 127, 128, 129, 1279, 1280, 1281,
+                                   4095, 4096, 4097])
+def test_scan_rows_across_segment_edges(monkeypatch, limit):
+    # With 64 numbers a segment, each limit lands on, just before or just
+    # after a segment edge, and a divisor d > 16 (gaps 2d and 4d between its
+    # multiples) waits across whole segments between two pushes.
+    from stskit import numtheory
+
+    monkeypatch.setattr(numtheory, "_SEGMENT", 64)
+    rows = list(scan_rows(limit))
+    profiles = [number_profile(n) for n in range(5, limit + 1) if n % 6 in (1, 5)]
+    assert rows == [ScanRow(p.n, p.phi, p.f, p.psi, p.psi_star) for p in profiles]
+
+
 def test_profile_refuses_n_above_cap(monkeypatch):
     from stskit import numtheory
 
@@ -209,6 +234,3 @@ def test_smallest_prime_factor_sieve():
         assert len(spf) == limit + 1
         for k in range(2, limit + 1):
             assert spf[k] == min(factorise(k)), k
-    spf = smallest_prime_factor_sieve(10**4)
-    for k in range(2, 10**4 + 1):
-        assert factorise(k, spf) == factorise(k), k
