@@ -147,15 +147,11 @@ def _cmd_factorise(args) -> int:
 
 
 def _construct_payload(args, build: Callable, what: str) -> int:
-    """Build the system with ``build()``, check it, write it and report.
-    Only the family sizes are kept, so the family index tuples are freed
-    before the check needs room."""
+    """Build the system with ``build()``, check it, write it and report."""
     from .core import sts_lines, verify_sts
 
     labelled = build()
-    system, tag = labelled.system, labelled.tag
-    families = {name: len(idx) for name, idx in labelled.families.items()}
-    del labelled
+    system, tag, families = labelled.system, labelled.tag, labelled.families
     report = verify_sts(system)
     _write(args.out, lambda: sts_lines(system))
     _emit(args, lambda: {

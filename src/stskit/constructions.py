@@ -4,9 +4,10 @@ symmetric Latin squares, the half-sum cyclic Latin square, and an embedded
 order-33 system with an explicit 18-class colouring.
 
 Constructed systems come back as :class:`LabelledSTS`: the canonical
-:class:`~stskit.core.TripleSystem` plus the triple families each construction
-is made of (``construct --json`` reports their sizes).  Each construction's
-docstring gives its map from natural point names to internal points.
+:class:`~stskit.core.TripleSystem` plus the size of each triple family the
+construction is made of (``construct --json`` reports them).  Each
+construction's docstring names its families and gives its map from natural
+point names to internal points.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ __all__ = [
 
 # The largest n wilson_schreiber builds, since it holds all (n+2)(n+1)/6
 # triples of the order-(n+2) system: a cold `stskit construct
-# wilson-schreiber --n 997` peaks near 34 MB, and n = 1999 near 92 MB.
+# wilson-schreiber --n 997` peaks near 32 MB, and n = 1999 near 92 MB.
 MAX_WS_N = 997
 
 # The largest n the Bose construction takes: order 3n = 999, where
 # wilson_schreiber and random_sts also stop.  A square holds n^2 entries
 # before a triple is built: a cold `stskit construct bose --n 329` (order
-# 987, the largest order the cap admits) peaks near 70 MB on a 2-vCPU host.
+# 987, the largest order the cap admits) peaks near 35 MB on a 2-vCPU host.
 MAX_BOSE_N = 333
 
 
@@ -124,19 +125,12 @@ class LabelledSTS:
     """A triple system plus its construction structure.
 
     ``families`` maps family names (e.g. "zero-sum", "infinity", "spine") to
-    sorted tuples of triple indices; the families partition the triple list.
+    their triple counts; the families partition the triple list.
     """
 
     system: TripleSystem
     tag: str
-    families: dict
-
-
-def _family_indices(system: TripleSystem, groups: dict) -> dict:
-    """Each group of triples (each sorted, as in ``system``), under its key in
-    ``groups``, as the sorted tuple of their indices in ``system``."""
-    index = {t: i for i, t in enumerate(system.triples)}.__getitem__
-    return {name: tuple(sorted(map(index, triples))) for name, triples in groups.items()}
+    families: dict[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +196,21 @@ def wilson_schreiber(n: int) -> LabelledSTS:
     1-factorisation of G(n), plus {inf_0, inf_1, inf_2}.  The zero-sum family
     misses exactly the pairs that form edges of G(n), which is why any
     1-factorisation completes the system; this one uses ``factorise_G(n)``,
-    and :func:`wilson_schreiber_triples` takes any other.
+    and :func:`wilson_schreiber_triples` takes any other.  The families are
+    "zero-sum", the triples (a), and "infinity", the 3(n-1)/2 + 1 triples (b).
 
     Internal point order: 1..n-1 map to 0..n-2, then inf_0, inf_1, inf_2.
     An n above :data:`MAX_WS_N` is refused before anything is built.
     """
     if n > MAX_WS_N:
         raise ValueError(f"n must be <= {MAX_WS_N}, got {n}")
-    triples = wilson_schreiber_triples(factorise_G(n))
+    system = TripleSystem(n + 2, wilson_schreiber_triples(factorise_G(n)))
+    # One triple per edge of the three factors, plus {inf_0, inf_1, inf_2}.
+    infinity = 3 * (n - 1) // 2 + 1
     return LabelledSTS(
-        system=TripleSystem(n + 2, triples),
+        system=system,
         tag="wilson-schreiber",
-        # A triple's last point is an infinity point exactly when it has one.
-        families={"zero-sum": tuple(i for i, t in enumerate(triples) if t[2] < n - 1),
-                  "infinity": tuple(i for i, t in enumerate(triples) if t[2] >= n - 1)},
+        families={"zero-sum": system.b - infinity, "infinity": infinity},
     )
 
 
@@ -229,7 +224,8 @@ def bose(l0: LatinSquare, l1: LatinSquare, l2: LatinSquare) -> LabelledSTS:
 
     The spine consists of the n triples {(x,0),(x,1),(x,2)}; layer i
     contributes {(x,i),(y,i),(L_i(x,y),i+1)} for every unordered pair x != y.
-    Internal point order: (x,i) maps to x + n*i.
+    The families are "spine" (n triples) and "layer0".."layer2" (n(n-1)/2
+    each).  Internal point order: (x,i) maps to x + n*i.
     An n above :data:`MAX_BOSE_N` is refused before any triple is built.
     """
     squares = (l0, l1, l2)
@@ -246,23 +242,25 @@ def bose(l0: LatinSquare, l1: LatinSquare, l2: LatinSquare) -> LabelledSTS:
         if not sq.is_symmetric():
             raise ValueError(f"square {which} is not symmetric")
 
-    spine = [(x, x + n, x + 2 * n) for x in range(n)]
-    layers: dict[str, list[tuple[int, int, int]]] = {"spine": spine}
-    all_triples = list(spine)
+    # Each triple is built sorted, its points taken from one list as in
+    # wilson_schreiber_triples.  Layer i's third point lies in block i+1,
+    # above the pair for layers 0 and 1 and below it for layer 2.
+    pts = list(range(3 * n))
+    triples = [(pts[x], pts[x + n], pts[x + 2 * n]) for x in range(n)]
     for i, sq in enumerate(squares):
-        j = (i + 1) % 3
-        layer = []
-        for x in range(n):
-            for y in range(x + 1, n):
-                layer.append(tuple(sorted((x + n * i, y + n * i, sq(x, y) + n * j))))
-        layers[f"layer{i}"] = layer
-        all_triples.extend(layer)
-
-    system = TripleSystem.from_triples(3 * n, all_triples)
+        lo, hi = n * i, n * ((i + 1) % 3)
+        for x, row in enumerate(sq.rows):
+            px = pts[lo + x]
+            if i < 2:
+                triples += [(px, pts[lo + y], pts[hi + row[y]]) for y in range(x + 1, n)]
+            else:
+                triples += [(pts[row[y]], px, pts[lo + y]) for y in range(x + 1, n)]
+    triples.sort()
+    layer = n * (n - 1) // 2
     return LabelledSTS(
-        system=system,
+        system=TripleSystem(3 * n, tuple(triples)),
         tag="bose",
-        families=_family_indices(system, layers),
+        families={"spine": n, "layer0": layer, "layer1": layer, "layer2": layer},
     )
 
 
@@ -343,9 +341,11 @@ _STS33_AD_HOC_CLASSES = (
 def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
     """The embedded order-33 system together with its 18-class colouring.
 
-    Returns (labelled system, colouring); both pass their verifiers.  Class
-    sizes: the spine (11 triples), the eleven developed classes and the first
-    ad-hoc class (10 each), and five further ad-hoc classes of 9.
+    Returns (labelled system, colouring); both pass their verifiers.  The
+    families are "spine", the 11 triples {i, 11+i, 22+i}, and "developed",
+    the 165 translates of the five base blocks.  Class sizes: the spine
+    (11), the eleven developed classes and the first ad-hoc class (10 each),
+    and five further ad-hoc classes of 9.
     """
     v = 33
     spine = [tuple(sorted((i, 11 + i, 22 + i))) for i in range(11)]
@@ -356,7 +356,7 @@ def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
     labelled = LabelledSTS(
         system=system,
         tag="sts33-fixture",
-        families=_family_indices(system, {"spine": spine, "developed": developed}),
+        families={"spine": len(spine), "developed": len(developed)},
     )
 
     classes: list[tuple[tuple[int, int, int], ...]] = [tuple(spine)]
@@ -366,9 +366,9 @@ def sts33_fixture() -> tuple[LabelledSTS, Colouring]:
                              for t in _STS33_DEVELOPED_BASE))
     classes.extend(_STS33_AD_HOC_CLASSES)
 
-    class_indices = _family_indices(system, dict(enumerate(classes)))
+    index = {t: i for i, t in enumerate(system.triples)}.__getitem__
     colouring = Colouring(
         host=system,
-        classes=tuple(PartialParallelClass(idx) for idx in class_indices.values()),
+        classes=tuple(PartialParallelClass(tuple(sorted(map(index, cls)))) for cls in classes),
     )
     return labelled, colouring

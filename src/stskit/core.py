@@ -24,7 +24,6 @@ __all__ = [
     "TripleSystem",
     "VerificationReport",
     "colouring_lines",
-    "format_colouring",
     "format_sts",
     "m_lower",
     "min_pc_for_low_chi",
@@ -373,10 +372,6 @@ def colouring_lines(colouring: Colouring) -> Iterator[str]:
         yield " ".join(map(str, cls.indices)) + "\n"
 
 
-def format_colouring(colouring: Colouring) -> str:
-    return "".join(colouring_lines(colouring))
-
-
 def parse_colouring(text: str, host: TripleSystem) -> Colouring:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("COLOURING v="):
@@ -397,7 +392,10 @@ def parse_colouring(text: str, host: TripleSystem) -> Colouring:
             idxs = tuple(sorted(int(p) for p in ln.split()))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer triple index in {ln!r}") from None
-        classes.append(PartialParallelClass(idxs))
+        try:
+            classes.append(PartialParallelClass(idxs))
+        except ValueError as exc:  # a repeated or negative index
+            raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
     if len(classes) != k:
         raise ValueError(f"header promises {k} classes but file has {len(classes)}")
     return Colouring(host=host, classes=tuple(classes))

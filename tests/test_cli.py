@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from stskit import (
     TripleSystem,
     bose,
     conjugate_square,
-    format_colouring,
     format_sts,
     half_sum_square,
     random_sts,
@@ -17,6 +17,7 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.constructions import random_permutation
+from stskit.core import colouring_lines
 from stskit.generator import batch_seed
 from stskit.rng import substream
 from stskit.cli import main
@@ -78,7 +79,7 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
 
 def test_written_files_match_the_formatters(tmp_path, capsys):
     # The CLI writes line by line; the bytes are those of format_sts and
-    # format_colouring.
+    # of the joined colouring lines.
     for n in (13, 97):
         path = tmp_path / f"ws{n}.sts"
         assert run(capsys, "construct", "wilson-schreiber", "--n", str(n),
@@ -89,7 +90,7 @@ def test_written_files_match_the_formatters(tmp_path, capsys):
                "--colouring-out", str(cpath))[0] == 0
     labelled, colouring = sts33_fixture()
     assert spath.read_bytes() == format_sts(labelled.system).encode()
-    assert cpath.read_bytes() == format_colouring(colouring).encode()
+    assert cpath.read_bytes() == "".join(colouring_lines(colouring)).encode()
     gen = tmp_path / "gen"
     assert run(capsys, "generate", "--v", "13", "--count", "2", "--seed", "3",
                "--out-dir", str(gen))[0] == 0
@@ -105,6 +106,14 @@ def test_construct_json_reports_families(tmp_path, capsys):
         "schema": "stskit-report/1", "command": "construct wilson-schreiber", "v": 15,
         "triples": 35, "verified": True, "out": None,
         "families": {"zero-sum": 16, "infinity": 19}}
+
+
+def test_construct_bose_conjugate_file_is_pinned(tmp_path, capsys):
+    path = tmp_path / "b33.sts"
+    assert run(capsys, "construct", "bose", "--n", "11", "--square", "conjugate",
+               "--seed", "1", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "53a12f1cfa17d29549c5d9ff832760112d3a2f1f96070424bd805641d9c4b536")
 
 
 def test_construct_bose_conjugate_seed(tmp_path, capsys):
@@ -468,6 +477,20 @@ def test_a_bad_file_names_its_first_bad_line(tmp_path, capsys, text, error):
     for argv in (("verify",), ("analyze", "pcs"), ("analyze", "bound", "--method", "ws")):
         code, out, err = run(capsys, *argv, "--in", str(path))
         assert (code, out, err) == (2, "", f"error: {error}\n"), argv
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0 0 1", "class indices must be sorted and duplicate-free"),
+    ("-1 2", "negative triple index"),
+])
+def test_verify_colouring_names_the_line_of_a_bad_index(tmp_path, capsys, bad, message):
+    spath, cpath = tmp_path / "s33.sts", tmp_path / "bad.cols"
+    run(capsys, "fixture", "sts33", "--out", str(spath))
+    cpath.write_text(f"COLOURING v=33 k=2\n3 4\n{bad}\n")
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "--in", str(spath), "--colouring", str(cpath),
+                             *json_flag)
+        assert (code, out, err) == (2, "", f"error: line 3: {message} in {bad!r}\n")
 
 
 def test_an_unreadable_path_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from stskit import (
 from stskit.constructions import (MAX_BOSE_N, MAX_WS_N, _is_automorphism,
                                   is_wilson_schreiber, random_permutation,
                                   wilson_schreiber_triples)
+from stskit.core import sts_lines
 from stskit.rng import substream
 
 
@@ -81,11 +83,23 @@ def test_ws7_is_the_order9_system():
     assert verify_sts(labelled.system).ok
 
 
+def _ws_families(labelled, n: int) -> dict:
+    """The families of WS(n) selected from its triples: "zero-sum" holds no
+    infinity point (n-1, n or n+1), "infinity" holds at least one.  Each
+    selection's size is the count the construction reports."""
+    found: dict = {"zero-sum": [], "infinity": []}
+    for t in labelled.system.triples:
+        found["zero-sum" if all(p < n - 1 for p in t) else "infinity"].append(t)
+    assert {name: len(ts) for name, ts in found.items()} == labelled.families
+    return found
+
+
 def test_ws13_family_sizes():
     labelled = wilson_schreiber(13)
     assert labelled.system.b == 35
-    assert len(labelled.families["zero-sum"]) == 16
-    assert len(labelled.families["infinity"]) == 19  # 3(n-1)/2 + 1
+    found = _ws_families(labelled, 13)
+    assert len(found["zero-sum"]) == 16
+    assert len(found["infinity"]) == 19  # 3(n-1)/2 + 1
     assert verify_sts(labelled.system).ok
 
 
@@ -97,9 +111,8 @@ def test_ws13_zero_sum_count_against_enumeration():
 
 def test_ws_zero_sum_family_sums_to_zero():
     for n in (7, 13, 19):
-        labelled = wilson_schreiber(n)
-        for i in labelled.families["zero-sum"]:
-            assert sum(p + 1 for p in labelled.system.triples[i]) % n == 0
+        for t in _ws_families(wilson_schreiber(n), n)["zero-sum"]:
+            assert sum(p + 1 for p in t) % n == 0
 
 
 @pytest.mark.parametrize("n", [7, 13, 19, 25, 31, 37, 97])
@@ -107,10 +120,9 @@ def test_ws_zero_sum_family_is_every_zero_sum_triple(n):
     # The per-a ranges of b against the definition: all 3-subsets of
     # Z_n \ {0} with zero sum, points shifted down by one.
     labelled = wilson_schreiber(n)
-    triples = labelled.system.triples
-    assert {triples[i] for i in labelled.families["zero-sum"]} == {
+    assert set(_ws_families(labelled, n)["zero-sum"]) == {
         tuple(p - 1 for p in c) for c in combinations(range(1, n), 3) if sum(c) % n == 0}
-    assert wilson_schreiber_triples(factorise_G(n)) == triples
+    assert wilson_schreiber_triples(factorise_G(n)) == labelled.system.triples
 
 
 def test_ws_triples_share_one_int_per_point():
@@ -186,29 +198,70 @@ def test_ws_rejects_tampered_factorisation():
 # bose
 
 
+def _bose_families(labelled) -> dict:
+    """The families of a Bose system selected from its triples by the blocks
+    p // n of their points: the spine meets all three blocks, and layer i
+    has two points in block i and one in block i+1.  The selections
+    partition the triples, and each one's size is the count the
+    construction reports."""
+    n = labelled.system.v // 3
+    found: dict = {"spine": [], "layer0": [], "layer1": [], "layer2": []}
+    for t in labelled.system.triples:
+        blocks = sorted(p // n for p in t)
+        if blocks == [0, 1, 2]:
+            found["spine"].append(t)
+        for i in range(3):
+            if blocks == sorted((i, i, (i + 1) % 3)):
+                found[f"layer{i}"].append(t)
+    assert {name: len(ts) for name, ts in found.items()} == labelled.families
+    assert sum(map(len, found.values())) == labelled.system.b
+    return found
+
+
 def test_bose5_counts():
     labelled = bose_half_sum(5)
     assert labelled.system.v == 15 and labelled.system.b == 35
-    assert len(labelled.families["spine"]) == 5
+    assert _bose_families(labelled)["spine"] == [(x, x + 5, x + 10) for x in range(5)]
     assert verify_sts(labelled.system).ok
 
 
 def test_bose11_counts():
     labelled = bose_half_sum(11)
     assert labelled.system.v == 33
-    assert len(labelled.families["spine"]) == 11
+    assert _bose_families(labelled)["spine"] == [(x, x + 11, x + 22) for x in range(11)]
     assert verify_sts(labelled.system).ok
 
 
 def test_bose_layer_coordinate_sums():
     labelled = bose_half_sum(5)
     n = labelled.system.v // 3
-    system = labelled.system
-    for i in labelled.families["spine"]:
-        assert sum(p // n for p in system.triples[i]) % 3 == 0
+    found = _bose_families(labelled)
+    for t in found["spine"]:
+        assert sum(p // n for p in t) % 3 == 0
     for layer in ("layer0", "layer1", "layer2"):
-        for i in labelled.families[layer]:
-            assert sum(p // n for p in system.triples[i]) % 3 == 1
+        for t in found[layer]:
+            assert sum(p // n for p in t) % 3 == 1
+    # Selected by the layer-sum alone: 0 mod 3 is the spine, 1 mod 3 the layers.
+    by_sum: dict = {0: [], 1: [], 2: []}
+    for t in labelled.system.triples:
+        by_sum[sum(p // n for p in t) % 3].append(t)
+    assert by_sum[0] == found["spine"] and len(by_sum[0]) == labelled.families["spine"]
+    assert len(by_sum[1]) == sum(labelled.families[f"layer{i}"] for i in range(3))
+    assert by_sum[2] == []
+
+
+def test_bose29_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for line in sts_lines(bose_half_sum(29).system):
+        digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "a41151174acf7efc76f7e76cc9983a40ae8047912988a9d6d49cefa80b8718c8")
+
+
+def test_bose_triples_share_one_int_per_point():
+    # As for WS: one int object per point, however many triples hold it.
+    triples = bose_half_sum(101).system.triples
+    assert len({id(p) for t in triples for p in t}) == 303
 
 
 def test_bose_rejects_bad_inputs():
@@ -277,18 +330,31 @@ def test_fixture_verifies():
     assert report.ok and report.n_classes == 18
 
 
+def _fixture_families(labelled) -> dict:
+    """The fixture's families selected from its triples: the spine is the 11
+    triples {i, 11+i, 22+i}, and every other triple is developed.  Each
+    selection's size is the count the construction reports."""
+    found: dict = {"spine": [], "developed": []}
+    for a, b, c in labelled.system.triples:
+        found["spine" if (b, c) == (a + 11, a + 22) else "developed"].append((a, b, c))
+    assert {name: len(ts) for name, ts in found.items()} == labelled.families
+    return found
+
+
 def test_fixture_contains_base_triple():
     labelled, _ = sts33_fixture()
-    idx = labelled.system.triples.index((0, 3, 7))
-    assert idx in labelled.families["developed"]
+    found = _fixture_families(labelled)
+    assert (0, 3, 7) in found["developed"]
+    assert found["spine"] == [(i, 11 + i, 22 + i) for i in range(11)]
 
 
 def test_fixture_developed_triples_sum_to_one_mod3():
     labelled, _ = sts33_fixture()
-    for i in labelled.families["developed"]:
-        assert sum(labelled.system.triples[i]) % 3 == 1
-    for i in labelled.families["spine"]:
-        assert sum(labelled.system.triples[i]) % 3 == 0
+    found = _fixture_families(labelled)
+    for t in found["developed"]:
+        assert sum(t) % 3 == 1
+    for t in found["spine"]:
+        assert sum(t) % 3 == 0
 
 
 def test_fixture_is_cyclic_under_shift():

@@ -16,7 +16,6 @@ from stskit import (
     PartialParallelClass,
     TripleSystem,
     VerificationReport,
-    format_colouring,
     format_sts,
     m_lower,
     min_pc_for_low_chi,
@@ -319,11 +318,11 @@ def test_sts_format_roundtrip_is_byte_stable(fano):
 
 def test_colouring_format_roundtrip(sts9_grid):
     colouring = _resolution_of_grid(sts9_grid)
-    text = format_colouring(colouring)
+    text = "".join(core.colouring_lines(colouring))
     assert text.splitlines()[0] == "COLOURING v=9 k=4"
     again = parse_colouring(text, sts9_grid)
     assert again == colouring
-    assert format_colouring(again) == text
+    assert "".join(core.colouring_lines(again)) == text
 
 
 # Each malformed file and the error it must raise.
@@ -378,7 +377,7 @@ def test_parse_sts_numbers_lines_across_blocks():
 
 def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     colouring = _resolution_of_grid(sts9_grid)
-    text = format_colouring(colouring)
+    text = "".join(core.colouring_lines(colouring))
     with pytest.raises(ValueError, match="does not match"):
         parse_colouring(text, fano)
     body = "\n".join(text.splitlines()[1:]) + "\n"
@@ -387,6 +386,17 @@ def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     for header in ("COLOURING v=9 q=4", "COLOURING v=9 k=4 junk"):
         with pytest.raises(ValueError, match="bad colouring header"):
             parse_colouring(header + "\n" + body, sts9_grid)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0 0 1", "class indices must be sorted and duplicate-free"),
+    ("-1 2", "negative triple index"),
+])
+def test_parse_colouring_names_the_line_of_a_bad_index(sts9_grid, bad, message):
+    # Blank lines are not counted, as in STS files.
+    text = f"COLOURING v=9 k=3\n3 4\n\n{bad}\n5\n"
+    with pytest.raises(ValueError, match=re.escape(f"line 3: {message} in {bad!r}")):
+        parse_colouring(text, sts9_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +475,7 @@ def test_parse_colouring_raises_only_value_error(text):
         colouring = parse_colouring(text, _FANO)
     except ValueError:
         return
-    assert parse_colouring(format_colouring(colouring), _FANO) == colouring
+    assert parse_colouring("".join(core.colouring_lines(colouring)), _FANO) == colouring
 
 
 # ---------------------------------------------------------------------------
