@@ -42,6 +42,7 @@ __all__ = [
     "pc_bound_mod3",
     "pc_bound_mod3_auto",
     "pc_bound_ws",
+    "pc_bound_ws_on",
     "theorem1_pipeline",
 ]
 
@@ -354,12 +355,25 @@ def pc_bound_ws(fact: OneFactorisation) -> PCBoundCertificate:
     )
 
 
+def pc_bound_ws_on(system: TripleSystem) -> PCBoundCertificate:
+    """:func:`pc_bound_ws` for ``system`` if it is the canonical construction
+    of its order v, built on ``factorise_G(v-2)``."""
+    v = system.v
+    if (v - 2) % 6 != 1:
+        raise ValueError(f"ws bound needs order v with v-2 = 1 mod 6, got v={v}")
+    # The triple count first: it caps the work below by the system's size.
+    fact = factorise_G(v - 2) if system.b == v * (v - 1) // 6 else None
+    if fact is None or not is_wilson_schreiber(system, fact):
+        raise ValueError("input system is not the canonical construction "
+                         f"of order {v}; the ws bound does not apply")
+    return pc_bound_ws(fact)
+
+
 def _check_certificate(system: TripleSystem, cert: PCBoundCertificate) -> None:
     """Derive ``cert`` again on ``system`` and raise ValueError unless it
-    gives the same bound.  A mod-3 certificate is recomputed from its
-    witness weights.  A Wilson-Schreiber certificate holds only for the
-    canonical construction of order n+2, n its witness n, with bound
-    3 f(n)+1.  Any other method is refused."""
+    gives the same bound: a mod-3 certificate from its witness weights, a
+    Wilson-Schreiber one, whose witness must name n = v-2, by
+    :func:`pc_bound_ws_on`.  Any other method is refused."""
     witness = cert.witness
     if cert.method == "mod3-weighting":
         try:
@@ -367,12 +381,10 @@ def _check_certificate(system: TripleSystem, cert: PCBoundCertificate) -> None:
         except ValueError as e:
             raise ValueError(f"the certificate does not apply to this system: {e}") from None
     elif cert.method == "ws-weight-argument":
-        n = witness.get("n")
-        if not (isinstance(n, int) and system.v == n + 2
-                and is_wilson_schreiber(system, factorise_G(n))):
+        if witness.get("n") != system.v - 2:
             raise ValueError("the certificate does not apply to this system: it is not "
                              f"the canonical construction of order {system.v}")
-        bound = 3 * f_of(n) + 1
+        bound = pc_bound_ws_on(system).bound
     else:
         raise ValueError(f"unknown certificate method {cert.method!r}")
     if bound != cert.bound:

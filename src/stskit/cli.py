@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-One binary, subcommand style.  Every leaf command (``theorem1``,
-``numtheory profile``, ``analyze chi``, ...) takes ``--json`` for a report
-with a stable, versioned schema; group commands take no flags of their own.
-Exit codes: 0 success/verified, 1 verification failure or negative verdict,
-2 usage error, 3 budget-inconclusive or undecided.  Each handler imports
-what it uses, so a cold call loads only the modules its command needs.
+One binary, subcommand style.  A handler parses its arguments, calls one
+library function per decision and prints; it keeps no rule of its own.
+Each leaf command takes ``--json`` for a report with a stable, versioned
+schema.  Exit codes: 0 success/verified, 1 verification failure or
+negative verdict, 2 usage error, 3 budget-inconclusive or undecided.  Each
+handler imports what its command uses, and nothing more.
 
 The searches run under :data:`stskit.analysis.DEFAULT_BUDGET` unless the
 ``--budget-nodes`` / ``--budget-seconds`` flags say otherwise.
@@ -42,19 +42,11 @@ def _budget(args: argparse.Namespace):
                         max_seconds=getattr(args, "budget_seconds", DEFAULT_BUDGET.max_seconds))
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise ValueError(f"cannot read {path}: {e.strerror}") from None
-
-
-def _read_system(path: str):
-    from .core import parse_sts
-
+def _read(path: str, parse: Callable, *args):
+    """``parse(f, *args)`` with ``f`` the file at ``path``, open for reading."""
     try:
         with open(path) as f:
-            return parse_sts(f)
+            return parse(f, *args)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
 
@@ -146,11 +138,10 @@ def _cmd_factorise(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _construct_payload(args, build: Callable, what: str) -> int:
-    """Build the system with ``build()``, check it, write it and report."""
+def _construct_payload(args, labelled, what: str) -> int:
+    """Check the built system ``labelled``, write it and report."""
     from .core import sts_lines, verify_sts
 
-    labelled = build()
     system, tag, families = labelled.system, labelled.tag, labelled.families
     report = verify_sts(system)
     _write(args.out, lambda: sts_lines(system))
@@ -165,28 +156,18 @@ def _construct_payload(args, build: Callable, what: str) -> int:
 def _cmd_construct_ws(args) -> int:
     from .constructions import wilson_schreiber
 
-    return _construct_payload(args, lambda: wilson_schreiber(args.n),
-                              "construct wilson-schreiber")
+    return _construct_payload(args, wilson_schreiber(args.n), "construct wilson-schreiber")
 
 
 def _cmd_construct_bose(args) -> int:
-    from .constructions import (bose, bose_half_sum, conjugate_square, half_sum_square,
-                                random_permutation)
-    from .rng import substream
+    from .constructions import bose_conjugate, bose_half_sum
 
-    if args.square == "half-sum":
-        if _passed(args, "seed"):
-            raise ValueError("--seed applies to --square conjugate only")
-        return _construct_payload(args, lambda: bose_half_sum(args.n), "construct bose")
-    seed = getattr(args, "seed", 0)
-
-    def build():
-        base = half_sum_square(args.n)
-        return bose(*(
-            conjugate_square(base, random_permutation(args.n, substream(seed, "bose", i)))
-            for i in range(3)))
-
-    return _construct_payload(args, build, "construct bose")
+    if args.square == "conjugate":
+        return _construct_payload(args, bose_conjugate(args.n, getattr(args, "seed", 0)),
+                                  "construct bose")
+    if _passed(args, "seed"):
+        raise ValueError("--seed applies to --square conjugate only")
+    return _construct_payload(args, bose_half_sum(args.n), "construct bose")
 
 
 def _cmd_fixture(args) -> int:
@@ -210,13 +191,13 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .core import parse_colouring, verify_colouring, verify_sts
+    from .core import parse_colouring, parse_sts, verify_colouring, verify_sts
 
-    system = _read_system(args.infile)
+    system = _read(args.infile, parse_sts)
     report = verify_sts(system)
     creport = None
     if args.colouring is not None:
-        colouring = parse_colouring(_read_text(args.colouring), system)
+        colouring = _read(args.colouring, parse_colouring, system)
         creport = verify_colouring(system, colouring)
 
     def payload() -> dict:
@@ -240,8 +221,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze_pcs(args) -> int:
     from .analysis import COMPLETE, enumerate_parallel_classes, max_disjoint_pcs
+    from .core import parse_sts
 
-    system = _read_system(args.infile)
+    system = _read(args.infile, parse_sts)
     budget = _budget(args)
     if args.max_disjoint:
         result = max_disjoint_pcs(system, budget)
@@ -276,7 +258,7 @@ _CHI_MODE_ONLY = {
 def _cmd_analyze_chi(args) -> int:
     from .analysis import (COMPLETE, chromatic_index_exact, chromatic_index_heuristic,
                            pc_bound_mod3_auto)
-    from .core import parse_colouring
+    from .core import parse_colouring, parse_sts
 
     # The options are checked before the file is read, which may be large.
     mode, other = ("heuristic", "exact") if args.heuristic else ("exact", "heuristic")
@@ -285,7 +267,7 @@ def _cmd_analyze_chi(args) -> int:
     opts = _passed(args, *_CHI_MODE_ONLY[mode])
     if args.heuristic and "target" not in opts:
         raise ValueError("--heuristic requires --target")
-    system = _read_system(args.infile)
+    system = _read(args.infile, parse_sts)
     if args.heuristic:
         colouring = chromatic_index_heuristic(system, **opts)
         ok = colouring is not None
@@ -297,7 +279,7 @@ def _cmd_analyze_chi(args) -> int:
             f"success with {colouring.n_classes} classes" if ok else "failure")])
         return EXIT_OK if ok else EXIT_FAIL
 
-    witness = (parse_colouring(_read_text(args.witness_colouring), system)
+    witness = (_read(args.witness_colouring, parse_colouring, system)
                if "witness_colouring" in opts else None)
     cert = pc_bound_mod3_auto(system) if "mod3_lower" in opts else None
     result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
@@ -314,24 +296,11 @@ def _cmd_analyze_chi(args) -> int:
 
 
 def _cmd_analyze_bound(args) -> int:
-    from .analysis import pc_bound_mod3_auto, pc_bound_ws
-    from .constructions import is_wilson_schreiber
-    from .factorisation import factorise_G
+    from .analysis import pc_bound_mod3_auto, pc_bound_ws_on
+    from .core import parse_sts
 
-    system = _read_system(args.infile)
-    if args.method == "mod3":
-        cert = pc_bound_mod3_auto(system)
-    else:
-        v = system.v
-        n = v - 2
-        if n % 6 != 1:
-            raise ValueError(f"ws bound needs order v with v-2 = 1 mod 6, got v={v}")
-        # The triple count first: it caps the work below by the file's size.
-        fact = factorise_G(n) if system.b == v * (v - 1) // 6 else None
-        if fact is None or not is_wilson_schreiber(system, fact):
-            raise ValueError("input system is not the canonical construction "
-                             f"of order {v}; the ws bound does not apply")
-        cert = pc_bound_ws(fact)
+    system = _read(args.infile, parse_sts)
+    cert = (pc_bound_mod3_auto if args.method == "mod3" else pc_bound_ws_on)(system)
     _emit(args, lambda: {"command": "analyze bound", "v": system.v, **vars(cert)},
           lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
     return EXIT_OK
@@ -350,12 +319,12 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_generate(args) -> int:
     from .core import sts_lines
-    from .generator import batch_seed, random_sts
+    from .generator import batch_seed, check_order, random_sts
 
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    written = []
-    orders = []
+    check_order(args.v)
+    written, orders = [], []
     for idx in range(args.count):
         system = random_sts(args.v, batch_seed(args.seed, idx))
         orders.append(system.b)

@@ -1,7 +1,7 @@
 """Triple-system constructions: the zero-sum construction of order n+2 fed by
 a 1-factorisation of G(n), the Bose construction of order 3n from idempotent
-symmetric Latin squares, the half-sum cyclic Latin square, and an embedded
-order-33 system with an explicit 18-class colouring.
+symmetric Latin squares (the half-sum cyclic square or seeded conjugates of
+it), and an embedded order-33 system with an explicit 18-class colouring.
 
 Constructed systems come back as :class:`LabelledSTS`: the canonical
 :class:`~stskit.core.TripleSystem` plus the size of each triple family the
@@ -12,7 +12,6 @@ point names to internal points.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,11 +22,11 @@ __all__ = [
     "LabelledSTS",
     "LatinSquare",
     "bose",
+    "bose_conjugate",
     "bose_half_sum",
     "conjugate_square",
     "half_sum_square",
     "is_wilson_schreiber",
-    "random_permutation",
     "sts33_fixture",
     "verify_cyclic",
     "wilson_schreiber",
@@ -108,12 +107,6 @@ def conjugate_square(square: LatinSquare, perm: Sequence[int]) -> LatinSquare:
         inv[p] = i
     return LatinSquare(n, tuple(tuple(perm[square(inv[x], inv[y])] for y in range(n))
                                 for x in range(n)))
-
-
-def random_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +261,20 @@ def bose_half_sum(n: int) -> LabelledSTS:
     """Bose system from three copies of the half-sum square of order n."""
     sq = half_sum_square(n)
     return bose(sq, sq, sq)
+
+
+def bose_conjugate(n: int, seed: int) -> LabelledSTS:
+    """Bose system from three conjugates of the half-sum square of order n,
+    square i by a shuffle of 0..n-1 drawn from ``substream(seed, "bose", i)``."""
+    # Imported here: rng loads hashlib, some 5 ms of a cold start that no
+    # other construction needs.
+    from .rng import substream
+
+    base = half_sum_square(n)
+    perms = [list(range(n)) for _ in range(3)]
+    for i, perm in enumerate(perms):
+        substream(seed, "bose", i).shuffle(perm)
+    return bose(*(conjugate_square(base, perm) for perm in perms))
 
 
 def _is_automorphism(system: TripleSystem, image: Callable[[int], int]) -> bool:

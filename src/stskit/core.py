@@ -299,24 +299,29 @@ def format_sts(system: TripleSystem) -> str:
 _BLOCK = 1 << 16
 
 
-def parse_sts(source: str | TextIO) -> TripleSystem:
-    """Parse an STS file from its text or from a file open for reading.
-
-    The source is read in blocks and parsed line by line, so a file is
-    never held whole.  Lines are split as ``str.splitlines`` splits the
-    text, so a file and its text parse alike, and errors number them among
-    the non-blank lines.  A file in canonical order, as :func:`format_sts`
-    writes it, is taken as it stands; any other goes through
-    :meth:`TripleSystem.from_triples`."""
+def _header_and_body(source: str | TextIO, magic: str,
+                     refusal: str) -> tuple[str, Iterator[tuple[int, str]]]:
+    """The header line of a text or of a file open for reading, and the
+    non-blank lines after it with their line breaks, numbered from 2; refuses
+    a header not starting with ``magic``.  Read in blocks and split as by
+    ``str.splitlines``, a file is never held whole and reads as its text."""
     if isinstance(source, str):
         blocks: Iterable[str] = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
     else:
         blocks = iter(partial(source.read, _BLOCK), "")
-    body = filter(str.strip, _lines(blocks))
-    head = next(body, "")
-    if not head.startswith("STS v="):
-        raise ValueError("not an STS file: expected first line 'STS v=<v>'")
-    head = head.splitlines()[0]  # without its line break
+    lines = filter(str.strip, _lines(blocks))
+    head = next(lines, "")
+    if not head.startswith(magic):
+        raise ValueError(refusal)
+    return head.splitlines()[0], enumerate(lines, start=2)
+
+
+def parse_sts(source: str | TextIO) -> TripleSystem:
+    """Parse an STS file from its text or from a file open for reading.  A
+    file in canonical order, as :func:`format_sts` writes it, is taken as it
+    stands; any other goes through :meth:`TripleSystem.from_triples`."""
+    head, body = _header_and_body(source, "STS v=",
+                                  "not an STS file: expected first line 'STS v=<v>'")
     try:
         v = int(head[len("STS v="):])
     except ValueError:
@@ -348,11 +353,11 @@ class _Points(dict):
         return point
 
 
-def _sts_triples(body: Iterable[str]) -> Iterator[tuple[int, int, int]]:
-    """The triple of each body line of an STS file.  The first line that is
-    not three integers raises, so it comes before any check of the system."""
+def _sts_triples(body: Iterable[tuple[int, str]]) -> Iterator[tuple[int, int, int]]:
+    """The triple of each numbered body line of an STS file.  The first bad
+    line raises, so it comes before any check of the system."""
     point = _Points().__getitem__
-    for lineno, ln in enumerate(body, start=2):
+    for lineno, ln in body:
         try:
             a, b, c = ln.split()
             t = point(a), point(b), point(c)
@@ -372,30 +377,32 @@ def colouring_lines(colouring: Colouring) -> Iterator[str]:
         yield " ".join(map(str, cls.indices)) + "\n"
 
 
-def parse_colouring(text: str, host: TripleSystem) -> Colouring:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("COLOURING v="):
-        raise ValueError("not a colouring file: expected 'COLOURING v=<v> k=<k>'")
-    head = lines[0].split()  # "COLOURING", "v=<v>", "k=<k>" and nothing more
+def parse_colouring(source: str | TextIO, host: TripleSystem) -> Colouring:
+    """Parse a colouring file of ``host``, read as :func:`parse_sts` reads."""
+    head, body = _header_and_body(source, "COLOURING v=",
+                                  "not a colouring file: expected 'COLOURING v=<v> k=<k>'")
     try:
-        if len(head) != 3 or not head[2].startswith("k="):
+        _, v_field, k_field = head.split()  # "COLOURING", "v=<v>", "k=<k>", nothing more
+        if not k_field.startswith("k="):
             raise ValueError
-        v = int(head[1][len("v="):])
-        k = int(head[2][len("k="):])
+        v, k = int(v_field[len("v="):]), int(k_field[len("k="):])
     except ValueError:
-        raise ValueError(f"bad colouring header {lines[0]!r}") from None
+        raise ValueError(f"bad colouring header {head!r}") from None
     if v != host.v:
         raise ValueError(f"colouring order {v} does not match system order {host.v}")
     classes = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in body:
+        ln = ln.splitlines()[0]
         try:
             idxs = tuple(sorted(int(p) for p in ln.split()))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer triple index in {ln!r}") from None
         try:
-            classes.append(PartialParallelClass(idxs))
-        except ValueError as exc:  # a repeated or negative index
+            cls = PartialParallelClass(idxs)
+            Colouring(host, (cls,))
+        except ValueError as exc:  # a repeated, negative or out-of-range index
             raise ValueError(f"line {lineno}: {exc} in {ln!r}") from None
+        classes.append(cls)
     if len(classes) != k:
         raise ValueError(f"header promises {k} classes but file has {len(classes)}")
     return Colouring(host=host, classes=tuple(classes))

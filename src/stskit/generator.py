@@ -20,7 +20,8 @@ from .analysis import chromatic_index_heuristic
 from .core import TripleSystem, m_lower
 from .rng import derive_seed, substream
 
-__all__ = ["GenerationError", "SurveyResult", "batch_seed", "colouring_survey", "random_sts"]
+__all__ = ["GenerationError", "SurveyResult", "batch_seed", "check_order", "colouring_survey",
+           "random_sts"]
 
 
 class GenerationError(ValueError):
@@ -44,10 +45,15 @@ def batch_seed(seed: int, index: int) -> int:
     return derive_seed(seed, "survey", index)
 
 
-def random_sts(v: int, seed: int) -> TripleSystem:
-    """A random Steiner triple system of order v, deterministic in ``seed``."""
+def check_order(v: int) -> None:
+    """Refuse an order v that :func:`random_sts` does not build."""
     if v % 6 not in (1, 3) or not 7 <= v <= MAX_V:
         raise ValueError(f"order must be 1 or 3 mod 6 with 7 <= v <= {MAX_V}, got {v}")
+
+
+def random_sts(v: int, seed: int) -> TripleSystem:
+    """A random Steiner triple system of order v, deterministic in ``seed``."""
+    check_order(v)
     rng = substream(seed, "sts", v)
 
     # The diagonal holds x, so x is never its own partner.
@@ -104,6 +110,7 @@ def colouring_survey(v: int, count: int, seed: int,
     if restarts < 1:  # checked here as well: a survey may never reach the heuristic
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     m = m_lower(v)
+    check_order(v)  # before the first system, however many there are
     counts = {"m": 0, "m+1": 0, "m+2": 0, "fail": 0}
     failures = 0
     for idx in range(count):

@@ -39,7 +39,6 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.analysis import COMPLETE
-from stskit.constructions import random_permutation
 from stskit.core import Colouring, PartialParallelClass
 from stskit.numtheory import _neg_double_order, euler_phi
 from stskit.rng import substream
@@ -83,9 +82,11 @@ def test_c04_construction_validity():
         base = half_sum_square(n)
         assert verify_sts(bose(base, base, base).system).ok, f"bose({n}) half-sum"
         for trial in range(10):
-            squares = tuple(
-                conjugate_square(base, random_permutation(n, substream(trial, "c4", n, i)))
-                for i in range(3))
+            squares = []
+            for i in range(3):
+                perm = list(range(n))
+                substream(trial, "c4", n, i).shuffle(perm)
+                squares.append(conjugate_square(base, perm))
             assert verify_sts(bose(*squares).system).ok, f"bose({n}) trial {trial}"
     _report("C4 construction validity (ws n<=199, bose n<=41 with conjugates)", t0)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stskit import (
     TripleSystem,
     SearchBudget,
+    VerificationReport,
     bose_half_sum,
     chi_lower_from_certificate,
     chromatic_index_exact,
@@ -25,6 +26,7 @@ from stskit import (
     pc_bound_mod3,
     pc_bound_mod3_auto,
     pc_bound_ws,
+    pc_bound_ws_on,
     random_sts,
     sts33_fixture,
     theorem1_pipeline,
@@ -275,6 +277,22 @@ def test_ws_bound_refuses_unverified_factorisation():
                  tuple(sorted(set(fact.factors[2]) - {e2} | {e1}))))
     with pytest.raises(ValueError, match="weight properties"):
         pc_bound_ws(tampered)
+
+
+@pytest.mark.parametrize("n", [7, 13, 127])
+def test_ws_bound_on_the_canonical_system(n):
+    assert pc_bound_ws_on(wilson_schreiber(n).system) == pc_bound_ws(factorise_G(n))
+
+
+def test_ws_certificate_check_verifies_the_factorisation(monkeypatch):
+    # Deriving a WS certificate again runs the factorisation verifier, as
+    # 'analyze bound --method ws' does.
+    ws39 = wilson_schreiber(37).system
+    cert = pc_bound_ws(factorise_G(37))
+    monkeypatch.setattr(analysis, "verify_factorisation_properties",
+                        lambda *_: VerificationReport("broken", 1))
+    with pytest.raises(ValueError, match="weight properties: broken"):
+        chromatic_index_exact(ws39, SearchBudget(max_nodes=10), pc_certificate=cert)
 
 
 def test_chi_lower_from_certificate():

@@ -8,18 +8,14 @@ import pytest
 from stskit import (
     GenerationError,
     TripleSystem,
-    bose,
-    conjugate_square,
+    bose_conjugate,
     format_sts,
-    half_sum_square,
     random_sts,
     sts33_fixture,
     wilson_schreiber,
 )
-from stskit.constructions import random_permutation
 from stskit.core import colouring_lines
 from stskit.generator import batch_seed
-from stskit.rng import substream
 from stskit.cli import main
 
 
@@ -117,8 +113,8 @@ def test_construct_bose_conjugate_file_is_pinned(tmp_path, capsys):
 
 
 def test_construct_bose_conjugate_seed(tmp_path, capsys):
-    # The seed picks the three conjugating permutations, as bose() is fed them.
-    base = half_sum_square(5)
+    # The seed picks the three conjugating permutations, as bose_conjugate
+    # draws them.
     for seed in (0, 3):
         path = tmp_path / f"b{seed}.sts"
         code, out, _ = run(capsys, "construct", "bose", "--n", "5", "--square", "conjugate",
@@ -127,9 +123,7 @@ def test_construct_bose_conjugate_seed(tmp_path, capsys):
         payload = json.loads(out)
         assert payload["verified"] is True
         assert payload["families"] == {"spine": 5, "layer0": 10, "layer1": 10, "layer2": 10}
-        perms = (random_permutation(5, substream(seed, "bose", i)) for i in range(3))
-        expected = bose(*(conjugate_square(base, perm) for perm in perms))
-        assert path.read_text() == format_sts(expected.system)
+        assert path.read_text() == format_sts(bose_conjugate(5, seed).system)
     assert (tmp_path / "b0.sts").read_text() != (tmp_path / "b3.sts").read_text()
 
 
@@ -347,7 +341,8 @@ def test_analyze_bound_ws_refuses_wrong_count_before_building(tmp_path, capsys, 
     def never(*_args):
         raise AssertionError("built the canonical system for a file it refuses")
 
-    for target in ("stskit.factorisation.factorise_G", "stskit.constructions.wilson_schreiber",
+    for target in ("stskit.factorisation.factorise_G", "stskit.analysis.factorise_G",
+                   "stskit.constructions.wilson_schreiber",
                    "stskit.constructions.wilson_schreiber_triples"):
         monkeypatch.setattr(target, never)
     path = tmp_path / "short.sts"
@@ -457,6 +452,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ("factorise", "--n", "9999997"),
                  ("generate", "--v", "1003", "--count", "1"),
                  ("survey", "colouring", "--v", "1003", "--count", "1"),
+                 # An order is refused even when no system is asked for.
+                 ("generate", "--v", "8", "--count", "0"),
+                 ("generate", "--v", "1003", "--count", "0"),
+                 ("survey", "colouring", "--v", "1003", "--count", "0"),
                  ("construct", "wilson-schreiber", "--n", "1003"),
                  (*chi, "--heuristic"),
                  ("analyze", "bound", "--in", str(s13), "--method", "ws"),
@@ -482,6 +481,7 @@ def test_a_bad_file_names_its_first_bad_line(tmp_path, capsys, text, error):
 @pytest.mark.parametrize("bad, message", [
     ("0 0 1", "class indices must be sorted and duplicate-free"),
     ("-1 2", "negative triple index"),
+    ("5 999", "class references triple index 999 but the host has only 176 triples"),
 ])
 def test_verify_colouring_names_the_line_of_a_bad_index(tmp_path, capsys, bad, message):
     spath, cpath = tmp_path / "s33.sts", tmp_path / "bad.cols"

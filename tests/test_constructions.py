@@ -10,6 +10,7 @@ from stskit import (
     LatinSquare,
     TripleSystem,
     bose,
+    bose_conjugate,
     bose_half_sum,
     conjugate_square,
     factorise_G,
@@ -21,8 +22,7 @@ from stskit import (
     wilson_schreiber,
 )
 from stskit.constructions import (MAX_BOSE_N, MAX_WS_N, _is_automorphism,
-                                  is_wilson_schreiber, random_permutation,
-                                  wilson_schreiber_triples)
+                                  is_wilson_schreiber, wilson_schreiber_triples)
 from stskit.core import sts_lines
 from stskit.rng import substream
 
@@ -63,7 +63,8 @@ def test_conjugate_identity_and_properties():
     assert conjugate_square(sq, (0, 1, 2, 3, 4)) == sq
     swapped = conjugate_square(sq, (1, 0, 2, 3, 4))
     assert swapped.is_idempotent() and swapped.is_symmetric()
-    perm = random_permutation(7, substream(42, "perm"))
+    perm = list(range(7))
+    substream(42, "perm").shuffle(perm)
     conj = conjugate_square(half_sum_square(7), perm)
     assert conj.is_idempotent() and conj.is_symmetric()
 
@@ -256,6 +257,20 @@ def test_bose29_bytes_are_pinned():
         digest.update(line.encode())
     assert digest.hexdigest() == (
         "a41151174acf7efc76f7e76cc9983a40ae8047912988a9d6d49cefa80b8718c8")
+
+
+@pytest.mark.parametrize("n", [5, 11, 17, 101])
+def test_bose_conjugate_is_the_seeded_composition(n):
+    # The reference: square i conjugated by a shuffle of substream(seed,
+    # "bose", i), as 'construct bose --square conjugate' has always drawn it.
+    base = half_sum_square(n)
+    for seed in range(6):
+        squares = []
+        for i in range(3):
+            perm = list(range(n))
+            substream(seed, "bose", i).shuffle(perm)
+            squares.append(conjugate_square(base, tuple(perm)))
+        assert bose_conjugate(n, seed) == bose(*squares)
 
 
 def test_bose_triples_share_one_int_per_point():

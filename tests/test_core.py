@@ -391,6 +391,7 @@ def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
 @pytest.mark.parametrize("bad, message", [
     ("0 0 1", "class indices must be sorted and duplicate-free"),
     ("-1 2", "negative triple index"),
+    ("5 12", "class references triple index 12 but the host has only 12 triples"),
 ])
 def test_parse_colouring_names_the_line_of_a_bad_index(sts9_grid, bad, message):
     # Blank lines are not counted, as in STS files.
@@ -433,12 +434,16 @@ def test_parse_sts_raises_only_value_error(text):
     assert parse_sts(format_sts(system)) == system
 
 
-def _parse_outcome(source):
-    """The system parse_sts reads from ``source``, or its error message."""
+def _parse_outcome(parse, source):
+    """What ``parse`` reads from ``source``, or its error message."""
     try:
-        return parse_sts(source)
+        return parse(source)
     except ValueError as e:
         return str(e)
+
+
+def _parse_fano_colouring(source):
+    return parse_colouring(source, _FANO)
 
 
 # Every line break str.splitlines knows, and blank lines.
@@ -449,23 +454,34 @@ _broken_file = st.builds(
     _header, st.lists(_line, max_size=8), st.lists(_break, min_size=8, max_size=8))
 
 
+def _fano_colouring_file(classes: list[int]) -> str:
+    """The colouring file putting triple i of the Fano plane in class
+    ``classes[i]``; the classes need not be disjoint."""
+    groups = [tuple(i for i, c in enumerate(classes) if c == k) for k in sorted(set(classes))]
+    colouring = Colouring(host=_FANO, classes=tuple(map(PartialParallelClass, groups)))
+    return "".join(core.colouring_lines(colouring))
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=st.one_of(_file, _broken_file,
                       st.builds(format_sts, st.builds(random_sts, st.sampled_from([7, 9, 13, 15]),
-                                                     st.integers(0, 2**32 - 1)))),
+                                                     st.integers(0, 2**32 - 1))),
+                      st.builds(_fano_colouring_file,
+                                st.lists(st.integers(0, 6), min_size=7, max_size=7))),
        block=st.integers(1, 12))
 def test_parse_sts_reads_a_file_as_its_text(text, block):
     # The text, and the file holding it read as the CLI reads it, against
     # the file's whole content in one block; the small blocks split lines
-    # and line breaks.
+    # and line breaks.  STS and colouring files are read alike.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.sts"
         path.write_text(text, encoding="utf-8", newline="")
-        expected = _parse_outcome(path.read_text(encoding="utf-8"))
-        with mock.patch.object(core, "_BLOCK", block):
-            assert _parse_outcome(text) == expected
-            with open(path, encoding="utf-8") as f:
-                assert _parse_outcome(f) == expected
+        for parse in (parse_sts, _parse_fano_colouring):
+            expected = _parse_outcome(parse, path.read_text(encoding="utf-8"))
+            with mock.patch.object(core, "_BLOCK", block):
+                assert _parse_outcome(parse, text) == expected
+                with open(path, encoding="utf-8") as f:
+                    assert _parse_outcome(parse, f) == expected
 
 
 @settings(max_examples=200, deadline=None)
