@@ -39,6 +39,7 @@ __all__ = [
     "chromatic_index_heuristic",
     "enumerate_parallel_classes",
     "max_disjoint_pcs",
+    "pc_bound",
     "pc_bound_mod3",
     "pc_bound_mod3_auto",
     "pc_bound_ws",
@@ -124,12 +125,19 @@ def enumerate_parallel_classes(system: TripleSystem,
                                budget: SearchBudget = DEFAULT_BUDGET) -> PCEnumeration:
     """All parallel classes (v/3 disjoint triples covering every point), by
     exact-cover search branching on the uncovered point with the fewest
-    admissible triples.  Each node carries the bitset of live triples; a
-    point's candidates are its incidence bitset masked by it, and a chosen
-    triple clears its three points' bitsets from it.  The clock is read at
-    every node from the call's start.  Output sorted lexicographically.
-    A system with v > 3b (a point on no triple) is refused."""
-    meter = _Meter(budget)
+    admissible triples, the lowest such point on ties.  Each node carries
+    the bitset of uncovered points, whose set bits alone it visits, and the
+    bitset of live triples; a point's candidates are its incidence bitset
+    masked by the live triples, and a chosen triple clears its three points
+    from the first and their incidence bitsets from the second.  The clock
+    is read at every node from the call's start.  Output sorted
+    lexicographically.  A system with v > 3b (a point on no triple) is
+    refused."""
+    return _enumerate(system, _Meter(budget))
+
+
+def _enumerate(system: TripleSystem, meter: _Meter) -> PCEnumeration:
+    """:func:`enumerate_parallel_classes` under ``meter``."""
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
@@ -141,22 +149,23 @@ def enumerate_parallel_classes(system: TripleSystem,
         for i in ids:
             buf[i >> 3] |= 1 << (i & 7)
         on_point.append(int.from_bytes(buf, "little"))
-    full = (1 << v) - 1
     above = system.b + 1  # more candidates than any point has: the first point is taken
     tick = meter.tick
+    triples = system.triples
     found: list[tuple[int, ...]] = []
 
-    def rec(covered: int, live: int, chosen: list[int]) -> None:
+    def rec(uncovered: int, live: int, chosen: list[int]) -> None:
         tick()
-        if covered == full:
+        if not uncovered:
             found.append(tuple(sorted(chosen)))
             return
         best_n = above
         best = 0
-        for p in range(v):
-            if covered >> p & 1:
-                continue
-            cand = on_point[p] & live
+        rest = uncovered
+        while rest:  # the uncovered points, ascending
+            low = rest & -rest
+            rest ^= low
+            cand = on_point[low.bit_length() - 1] & live
             n = cand.bit_count()
             if n < best_n:
                 if not n:
@@ -166,14 +175,15 @@ def enumerate_parallel_classes(system: TripleSystem,
             low = best & -best
             best ^= low
             i = low.bit_length() - 1
-            a, b, c = system.triples[i]
+            a, b, c = triples[i]
             chosen.append(i)
-            rec(covered | masks[i], live & ~(on_point[a] | on_point[b] | on_point[c]), chosen)
+            # A live triple holds only uncovered points.
+            rec(uncovered ^ masks[i], live & ~(on_point[a] | on_point[b] | on_point[c]), chosen)
             chosen.pop()
 
     status = COMPLETE
     try:
-        rec(0, (1 << system.b) - 1, [])
+        rec((1 << v) - 1, (1 << system.b) - 1, [])
     except _BudgetStop:
         status = INCONCLUSIVE
     found.sort()
@@ -199,60 +209,85 @@ def max_disjoint_pcs(system: TripleSystem,
     """Maximum number of pairwise triple-disjoint parallel classes, by
     branch-and-bound set packing over the enumerated classes.
 
-    Optimal when status is "complete"; on budget exhaustion reports the best
-    packing found with an upper bound: the trivial cap (v-1)/2, or the class
-    count when that is smaller and enumeration finished.
+    The least mod-3 or Wilson-Schreiber bound that applies (both O(b)) is
+    an upper bound: once the packing holds that many classes it is optimal
+    and the search stops.  Optimal when status is "complete"; on budget
+    exhaustion reports the best packing found with an upper bound: the
+    trivial cap (v-1)/2, or the class count when that is smaller and
+    enumeration finished, or that certificate's bound when smaller still.
     The budget covers the whole call: packing gets what enumeration left."""
     meter = _Meter(budget)
+    cheap = _cheap_bound(system, [])
     enum = enumerate_parallel_classes(system, budget)
     meter.nodes = enum.nodes
     classes = enum.classes
-    k = len(classes)
-    masks = [0] * k
+    best, final = _packing(classes, meter if enum.status == COMPLETE else None,
+                           cheap.bound if cheap else None)
+    if final:
+        upper = len(best)
+    else:
+        upper = (system.v - 1) // 2
+        if enum.status == COMPLETE:  # all classes known, packing unfinished
+            upper = min(upper, len(classes))
+        if cheap:
+            upper = min(upper, cheap.bound)
+    return MaxDisjointResult(
+        size=len(best),
+        witness=tuple(classes[i] for i in best),
+        status=COMPLETE if final else INCONCLUSIVE,
+        nodes=meter.nodes,
+        upper_bound=upper,
+        n_parallel_classes=len(classes),
+    )
+
+
+def _packing(classes: Sequence[PartialParallelClass], meter: _Meter | None,
+             enough: int | None) -> tuple[list[int], bool]:
+    """The largest set of pairwise triple-disjoint ``classes`` found, as
+    indices, and whether it is final: a largest one, or one of ``enough``
+    classes.  A greedy seed is improved by depth-first search with count +
+    remaining pruning under ``meter``, which stops once the set holds
+    ``enough`` classes.  A budget stop, or no meter (the greedy seed
+    alone), leaves the set unfinished."""
+    masks = [0] * len(classes)
     for idx, cls in enumerate(classes):
         for i in cls.indices:
             masks[idx] |= 1 << i
+    best: list[int] = []
+    taken = 0
+    for idx, mask in enumerate(masks):
+        if mask & taken == 0:
+            best.append(idx)
+            taken |= mask
+    if meter is None:
+        return best, False
+    if enough is None:
+        enough = len(masks) + 1  # more than any set holds
+    if len(best) >= enough:
+        return best, True
 
-    # Greedy seed, then depth-first packing with count + remaining pruning.
-    best_sol: list[int] = []
-    taken_mask = 0
-    for idx in range(k):
-        if masks[idx] & taken_mask == 0:
-            best_sol.append(idx)
-            taken_mask |= masks[idx]
-
-    def pack(cands: list[int], chosen: list[int]) -> None:
-        nonlocal best_sol
+    def pack(cands: list[int], chosen: list[int]) -> bool:
+        """True once ``best`` holds ``enough`` classes."""
+        nonlocal best
         meter.tick()
-        if len(chosen) > len(best_sol):
-            best_sol = list(chosen)
+        if len(chosen) > len(best):
+            best = list(chosen)
+            if len(best) >= enough:
+                return True
         for j, idx in enumerate(cands):
-            if len(chosen) + len(cands) - j <= len(best_sol):
-                return
+            if len(chosen) + len(cands) - j <= len(best):
+                return False
             chosen.append(idx)
-            pack([c for c in cands[j + 1:] if masks[c] & masks[idx] == 0], chosen)
+            if pack([c for c in cands[j + 1:] if masks[c] & masks[idx] == 0], chosen):
+                return True
             chosen.pop()
+        return False
 
-    status = enum.status
-    if status == COMPLETE:
-        try:
-            pack(list(range(k)), [])
-        except _BudgetStop:
-            status = INCONCLUSIVE
-    if status == COMPLETE:
-        upper = len(best_sol)
-    elif enum.status == COMPLETE:  # all classes known, packing unfinished
-        upper = min(k, (system.v - 1) // 2)
-    else:
-        upper = (system.v - 1) // 2  # enumeration unfinished: only the trivial cap
-    return MaxDisjointResult(
-        size=len(best_sol),
-        witness=tuple(classes[i] for i in best_sol),
-        status=status,
-        nodes=meter.nodes,
-        upper_bound=upper,
-        n_parallel_classes=k,
-    )
+    try:
+        pack(list(range(len(masks))), [])
+    except _BudgetStop:
+        return best, False
+    return best, True
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +404,101 @@ def pc_bound_ws_on(system: TripleSystem) -> PCBoundCertificate:
     return pc_bound_ws(fact)
 
 
+# The most nodes the exhaustive-packing certificate spends, enumeration
+# included.  On a 2-vCPU host it settles random_sts(15, s), s = 1..200,
+# within 92 nodes each, and refuses random_sts(27, 1) after the 32,576 of
+# its enumeration (0.08 s); at v = 33 and 45 the cap stops it in 0.3-0.4 s.
+PACKING_CAP = 100_000
+
+
+def _cheap_bound(system: TripleSystem, refusals: list[str]) -> PCBoundCertificate | None:
+    """The least of the mod-3 and Wilson-Schreiber bounds on ``system``
+    (the latter on ties), or None; each refusal is appended to
+    ``refusals``."""
+    best = None
+    for name, rule in (("mod3", pc_bound_mod3_auto), ("ws", pc_bound_ws_on)):
+        try:
+            cert = rule(system)
+        except ValueError as e:
+            refusals.append(f"[{name}: {e}]")
+            continue
+        if best is None or cert.bound <= best.bound:
+            best = cert
+    return best
+
+
+def _packing_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
+    """The exhaustive-packing certificate: the packing number P of
+    ``system``, proven by enumerating its parallel classes and packing them
+    to the end, when P < (v+3)/6.  The search stops once it holds (v+3)/6
+    classes, and after :data:`PACKING_CAP` nodes or what ``meter`` leaves,
+    whichever comes first; each of these raises ValueError."""
+    threshold = min_pc_for_low_chi(system.v)
+    start, cap = meter.nodes, meter.max_nodes
+    meter.max_nodes = min(cap, start + PACKING_CAP)
+    try:
+        enum = _enumerate(system, meter)
+        best, final = _packing(enum.classes, meter if enum.status == COMPLETE else None,
+                               threshold)
+    finally:
+        meter.max_nodes = cap
+    if not final:
+        raise ValueError(f"the packing search stopped after {meter.nodes - start} nodes")
+    if len(best) >= threshold:
+        raise ValueError(f"{len(best)} disjoint parallel classes reach (v+3)/6 = {threshold}")
+    return PCBoundCertificate(
+        bound=len(best),
+        method="exhaustive-packing",
+        witness={"parallel_classes": len(enum.classes), "nodes": meter.nodes - start},
+    )
+
+
+def _least_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
+    """:func:`pc_bound` under ``meter``."""
+    refusals: list[str] = []
+    cheap = _cheap_bound(system, refusals)
+    if cheap is None or cheap.bound >= min_pc_for_low_chi(system.v):
+        try:
+            return _packing_bound(system, meter)
+        except ValueError as e:
+            refusals.append(f"[exhaustive-packing: {e}]")
+    if cheap is None:
+        raise ValueError("no disjoint parallel-class bound applies " + " ".join(refusals))
+    return cheap
+
+
+def pc_bound(system: TripleSystem, budget: SearchBudget = DEFAULT_BUDGET) -> PCBoundCertificate:
+    """The least bound on the number of disjoint parallel classes of
+    ``system`` that this module proves.  It tries :func:`pc_bound_mod3_auto`
+    and :func:`pc_bound_ws_on`, both O(b), and, unless one of them is below
+    (v+3)/6, the exhaustive-packing certificate: the packing number itself,
+    when the search settles it below (v+3)/6 within :data:`PACKING_CAP`
+    nodes and the budget.  Raises ValueError naming each rule's refusal
+    when none applies."""
+    return _least_bound(system, _Meter(budget))
+
+
 def _check_certificate(system: TripleSystem, cert: PCBoundCertificate) -> None:
     """Derive ``cert`` again on ``system`` and raise ValueError unless it
     gives the same bound: a mod-3 certificate from its witness weights, a
     Wilson-Schreiber one, whose witness must name n = v-2, by
-    :func:`pc_bound_ws_on`.  Any other method is refused."""
+    :func:`pc_bound_ws_on`, and an exhaustive-packing one by the same
+    search under the same :data:`PACKING_CAP`.  Any other method is
+    refused."""
     witness = cert.witness
-    if cert.method == "mod3-weighting":
-        try:
-            bound = pc_bound_mod3(system, witness.get("weights", ())).bound
-        except ValueError as e:
-            raise ValueError(f"the certificate does not apply to this system: {e}") from None
-    elif cert.method == "ws-weight-argument":
-        if witness.get("n") != system.v - 2:
-            raise ValueError("the certificate does not apply to this system: it is not "
-                             f"the canonical construction of order {system.v}")
-        bound = pc_bound_ws_on(system).bound
-    else:
+    if cert.method not in ("mod3-weighting", "ws-weight-argument", "exhaustive-packing"):
         raise ValueError(f"unknown certificate method {cert.method!r}")
+    try:
+        if cert.method == "mod3-weighting":
+            bound = pc_bound_mod3(system, witness.get("weights", ())).bound
+        elif cert.method == "ws-weight-argument":
+            if witness.get("n") != system.v - 2:
+                raise ValueError(f"it is not the canonical construction of order {system.v}")
+            bound = pc_bound_ws_on(system).bound
+        else:
+            bound = _packing_bound(system, _Meter(SearchBudget(max_nodes=PACKING_CAP))).bound
+    except ValueError as e:
+        raise ValueError(f"the certificate does not apply to this system: {e}") from None
     if bound != cert.bound:
         raise ValueError(f"the certificate does not apply to this system: its bound is "
                          f"{cert.bound}, the system's is {bound}")
@@ -524,10 +636,13 @@ def chromatic_index_exact(system: TripleSystem,
     disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
     counting needs v = 3 mod 6 and all v(v-1)/6 triples, any other order or
     count refuses it, and so does a certificate that does not derive again
-    on this system with the same bound.  A system with v > 3b (a point on
-    no triple) is refused.  A verified witness colouring caps the upper
-    bound.  If the budget runs out the result is the interval bracketing
-    the value."""
+    on this system with the same bound.  Given no certificate, a Steiner
+    system of order 3 mod 6 whose bracket holds (v+3)/2 above its lower end
+    takes the one :func:`pc_bound` derives, its packing search counted in
+    this call's nodes and clock; so the search starts at (v+3)/2 whenever a
+    certificate applies.  A system with v > 3b (a point on no triple) is
+    refused.  A verified witness colouring caps the upper bound.  If the
+    budget runs out the result is the interval bracketing the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
@@ -551,6 +666,12 @@ def chromatic_index_exact(system: TripleSystem,
         raise ValueError(f"lower bound {lower} exceeds witness upper bound {upper}; "
                          f"the certificate does not apply to this system")
 
+    if (pc_certificate is None and v % 6 == 3 and b == v * (v - 1) // 6
+            and lower < (v + 3) // 2 <= upper):
+        try:
+            lower = max(lower, chi_lower_from_certificate(v, _least_bound(system, meter)))
+        except ValueError:  # no certificate applies
+            pass
     try:
         while lower < upper:
             assign = _search_k_colouring(system, lower, meter)

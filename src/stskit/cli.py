@@ -296,11 +296,12 @@ def _cmd_analyze_chi(args) -> int:
 
 
 def _cmd_analyze_bound(args) -> int:
-    from .analysis import pc_bound_mod3_auto, pc_bound_ws_on
+    from .analysis import pc_bound, pc_bound_mod3_auto, pc_bound_ws_on
     from .core import parse_sts
 
     system = _read(args.infile, parse_sts)
-    cert = (pc_bound_mod3_auto if args.method == "mod3" else pc_bound_ws_on)(system)
+    rule = {"mod3": pc_bound_mod3_auto, "ws": pc_bound_ws_on, None: pc_bound}[args.method]
+    cert = rule(system)
     _emit(args, lambda: {"command": "analyze bound", "v": system.v, **vars(cert)},
           lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
     return EXIT_OK
@@ -319,14 +320,12 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_generate(args) -> int:
     from .core import sts_lines
-    from .generator import batch_seed, check_order, random_sts
+    from .generator import batch_system, check_batch
 
-    if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
-    check_order(args.v)
+    check_batch(args.v, args.count)
     written, orders = [], []
     for idx in range(args.count):
-        system = random_sts(args.v, batch_seed(args.seed, idx))
+        system = batch_system(args.v, args.seed, idx)
         orders.append(system.b)
         if args.out_dir:
             path = str(Path(args.out_dir) / f"sts-v{args.v}-{idx}.sts")
@@ -453,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = new(asub, "bound", _cmd_analyze_bound,
             help="disjoint parallel-class upper-bound certificate")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--method", choices=("mod3", "ws"), required=True)
+    q.add_argument("--method", choices=("mod3", "ws"), default=None,
+                   help="one rule; left out, the least bound of mod3, ws and an "
+                        "exhaustive packing search")
 
     p = new(sub, "theorem1", _cmd_theorem1, help="high-chromatic-index verdict for order v")
     p.add_argument("--v", type=int, required=True)

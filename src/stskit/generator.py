@@ -20,8 +20,8 @@ from .analysis import chromatic_index_heuristic
 from .core import TripleSystem, m_lower
 from .rng import derive_seed, substream
 
-__all__ = ["GenerationError", "SurveyResult", "batch_seed", "check_order", "colouring_survey",
-           "random_sts"]
+__all__ = ["GenerationError", "SurveyResult", "batch_seed", "batch_system", "check_batch",
+           "check_order", "colouring_survey", "random_sts"]
 
 
 class GenerationError(ValueError):
@@ -49,6 +49,19 @@ def check_order(v: int) -> None:
     """Refuse an order v that :func:`random_sts` does not build."""
     if v % 6 not in (1, 3) or not 7 <= v <= MAX_V:
         raise ValueError(f"order must be 1 or 3 mod 6 with 7 <= v <= {MAX_V}, got {v}")
+
+
+def check_batch(v: int, count: int) -> None:
+    """Refuse a batch of ``count`` systems of order v before its first
+    system: a negative count, or an order :func:`random_sts` does not build."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    check_order(v)
+
+
+def batch_system(v: int, seed: int, index: int) -> TripleSystem:
+    """The ``index``-th system of order v in the batch ``seed``."""
+    return random_sts(v, batch_seed(seed, index))
 
 
 def random_sts(v: int, seed: int) -> TripleSystem:
@@ -105,23 +118,20 @@ def colouring_survey(v: int, count: int, seed: int,
     """Generate ``count`` random systems and record, per system, the least
     target among m(v), m(v)+1, m(v)+2 that the colouring heuristic reaches
     with the given restart budget ("fail" when none succeeds)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    check_batch(v, count)
     if restarts < 1:  # checked here as well: a survey may never reach the heuristic
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     m = m_lower(v)
-    check_order(v)  # before the first system, however many there are
     counts = {"m": 0, "m+1": 0, "m+2": 0, "fail": 0}
     failures = 0
     for idx in range(count):
-        child = batch_seed(seed, idx)
         try:
-            system = random_sts(v, child)
+            system = batch_system(v, seed, idx)
         except GenerationError:
             failures += 1
             continue
         for label, target in (("m", m), ("m+1", m + 1), ("m+2", m + 2)):
-            if chromatic_index_heuristic(system, target, seed=child,
+            if chromatic_index_heuristic(system, target, seed=batch_seed(seed, idx),
                                          restarts=restarts) is not None:
                 counts[label] += 1
                 break

@@ -23,6 +23,8 @@ from stskit import (
     factorise_G,
     m_lower,
     max_disjoint_pcs,
+    PCBoundCertificate,
+    pc_bound,
     pc_bound_mod3,
     pc_bound_mod3_auto,
     pc_bound_ws,
@@ -86,6 +88,13 @@ def test_enumeration_budget_is_inconclusive_not_fatal(sts9_grid):
     assert enum.nodes == 2  # a budget stop reports exactly the cap
 
 
+def test_enumeration_node_counts_are_pinned():
+    # The search tree, and so its node count, is fixed by the branching rule.
+    systems = [*(random_sts(27, seed=s) for s in (1, 2, 3)), wilson_schreiber(25).system]
+    nodes = [enumerate_parallel_classes(system).nodes for system in systems]
+    assert nodes == [32576, 32577, 32480, 34403]
+
+
 def test_enumeration_refuses_repeated_point():
     # Four triples that would pass as a parallel class of STS(9) if (0, 0, 1)
     # were a triple: the system cannot be built, so no search sees it.
@@ -138,16 +147,32 @@ def test_max_disjoint_inconclusive_budget(sts9_grid):
     assert result.status == INCONCLUSIVE
     assert result.nodes == 2
     assert result.upper_bound == 4  # only the trivial (v-1)/2 cap remains
+    # Bose(5)'s mod-3 bound 2 is below the trivial cap 7.
+    result = max_disjoint_pcs(bose_half_sum(5).system, SearchBudget(max_nodes=2))
+    assert (result.status, result.upper_bound) == (INCONCLUSIVE, 2)
 
 
 def test_max_disjoint_budget_covers_enumeration_and_packing():
-    # Enumerating the classes of this system takes 34403 nodes and packing
-    # needs about 1000 more, so a 34930-node budget runs out while packing.
-    budget = SearchBudget(max_nodes=34930)
-    result = max_disjoint_pcs(wilson_schreiber(25).system, budget)
-    assert result.nodes <= budget.max_nodes
+    # No mod-3 or Wilson-Schreiber bound applies to this system, so nothing
+    # cuts the packing short.  Enumerating its classes takes 32576 nodes and
+    # packing runs far past 33000, so a 33000-node budget runs out while
+    # packing.
+    budget = SearchBudget(max_nodes=33_000)
+    result = max_disjoint_pcs(random_sts(27, seed=1), budget)
+    assert result.nodes == budget.max_nodes
     assert result.status == INCONCLUSIVE
     assert result.upper_bound == 13  # (v-1)/2, not the class count
+    assert result.n_parallel_classes == 534
+
+
+def test_max_disjoint_stops_at_its_certificate():
+    # WS(25) has at most 3 f(25) + 1 = 1 disjoint class: the greedy packing
+    # holds one, so no packing node runs after the 34403 of enumeration.
+    result = max_disjoint_pcs(wilson_schreiber(25).system)
+    assert (result.size, result.status, result.nodes) == (1, COMPLETE, 34403)
+    # Bose(5): its mod-3 bound 2 is reached by the packing.
+    result = max_disjoint_pcs(bose_half_sum(5).system)
+    assert (result.size, result.upper_bound, result.status) == (2, 2, COMPLETE)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +320,65 @@ def test_ws_certificate_check_verifies_the_factorisation(monkeypatch):
         chromatic_index_exact(ws39, SearchBudget(max_nodes=10), pc_certificate=cert)
 
 
+def test_pc_bound_takes_the_least_certificate_it_proves():
+    assert pc_bound(wilson_schreiber(13).system) == pc_bound_ws_on(wilson_schreiber(13).system)
+    assert pc_bound(bose_half_sum(5).system) == pc_bound_mod3_auto(bose_half_sum(5).system)
+    assert pc_bound(random_sts(15, seed=1)) == PCBoundCertificate(
+        method="exhaustive-packing", bound=2, witness={"parallel_classes": 2, "nodes": 77})
+    # WS(25): its bound 1 is below (v+3)/6 = 5, so no packing search runs.
+    assert pc_bound(wilson_schreiber(25).system, SearchBudget(max_nodes=0)).bound == 1
+
+
+def test_pc_bound_names_each_refusal():
+    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes, and the greedy
+    # packing of random_sts(27, 1) already 7 > 5; a node cap stops the
+    # search on random_sts(15, 1).
+    for system, budget, packing in (
+            (random_sts(15, 8), SearchBudget(), "3 disjoint parallel classes reach"),
+            (random_sts(27, 1), SearchBudget(), "7 disjoint parallel classes reach"),
+            (random_sts(15, 1), SearchBudget(max_nodes=10),
+             "the packing search stopped after 10 nodes")):
+        with pytest.raises(ValueError) as info:
+            pc_bound(system, budget)
+        message = str(info.value)
+        assert message.startswith("no disjoint parallel-class bound applies [mod3: ")
+        assert "] [ws: input system is not the canonical construction" in message
+        assert f"[exhaustive-packing: {packing}" in message
+
+
+def test_pc_bound_prefers_the_least_proof(monkeypatch):
+    # Stand-in cheap certificates on random_sts(15, 1), whose packing
+    # number is 2 < (v+3)/6 = 3.
+    def certify(method, bound):
+        return lambda _system: PCBoundCertificate(method=method, bound=bound)
+
+    system = random_sts(15, seed=1)
+    for mod3, ws, method in ((4, 3, "exhaustive-packing"), (2, 1, "ws-weight-argument"),
+                             (1, 2, "mod3-weighting")):
+        monkeypatch.setattr(analysis, "pc_bound_mod3_auto", certify("mod3-weighting", mod3))
+        monkeypatch.setattr(analysis, "pc_bound_ws_on", certify("ws-weight-argument", ws))
+        assert pc_bound(system).method == method
+
+
+def test_packing_certificate_stops_at_its_cap(monkeypatch):
+    # Enumerating random_sts(27, 1) takes 32576 nodes; under a 1000-node cap
+    # the packing certificate gives up there, and the exact search gets the
+    # rest of the budget from the counting bound 13.
+    monkeypatch.setattr(analysis, "PACKING_CAP", 1000)
+    with pytest.raises(ValueError, match="stopped after 1000 nodes"):
+        pc_bound(random_sts(27, seed=1))
+    search, starts = analysis._search_k_colouring, []
+
+    def spy(system, k, meter):
+        starts.append((k, meter.nodes))
+        return search(system, k, meter)
+
+    monkeypatch.setattr(analysis, "_search_k_colouring", spy)
+    result = chromatic_index_exact(random_sts(27, seed=1), SearchBudget(max_nodes=1500))
+    assert starts == [(13, 1000)]
+    assert (result.status, result.nodes, result.lower) == (INCONCLUSIVE, 1500, 13)
+
+
 def test_chi_lower_from_certificate():
     labelled, _ = sts33_fixture()
     cert = pc_bound_mod3_auto(labelled.system)
@@ -328,6 +412,14 @@ def test_chi_exact_fixture_with_witnesses():
                                    upper_witness=colouring)
     assert result.value == 18 and result.status == COMPLETE
     assert result.nodes == 0  # bounds met without search
+
+
+def test_chi_exact_closes_the_bracket_from_a_derived_certificate():
+    # A (v+3)/2 witness colouring and the fixture's own mod-3 bound 5 < 6
+    # pin the index with no search.
+    labelled, colouring = sts33_fixture()
+    result = chromatic_index_exact(labelled.system, upper_witness=colouring)
+    assert (result.status, result.value, result.nodes) == (COMPLETE, 18, 0)
 
 
 def test_chi_exact_budget_interval():
@@ -401,10 +493,40 @@ def test_chi_exact_matches_fixed_order_oracle(fano, sts9_grid):
 
 
 def test_chi_exact_nodes_to_answer():
-    # Branching on the triple with the fewest free classes takes 53,836
-    # nodes here; placing triples in index order takes 1,314,936.
+    # This system has at most 2 < (v+3)/6 disjoint parallel classes, which
+    # its packing search proves in 77 nodes; the search then starts at 9 and
+    # takes 179 nodes in all.  Without the certificate, branching on the
+    # triple with the fewest free classes took 53,836 nodes, and placing
+    # triples in index order 1,314,936.
     result = chromatic_index_exact(random_sts(15, seed=1), SearchBudget(max_nodes=200_000))
     assert result.status == COMPLETE and result.value == 9
+    assert result.nodes == 179
+
+
+def test_chi_exact_node_cap_inside_the_certificate_search():
+    # The packing search of the derived certificate counts in the call's
+    # nodes: a 50-node cap stops it, leaves the counting bound as the lower
+    # end, and is reported exactly.
+    result = chromatic_index_exact(random_sts(15, seed=1), SearchBudget(max_nodes=50))
+    assert (result.status, result.nodes, result.lower) == (INCONCLUSIVE, 50, 7)
+    assert verify_colouring(random_sts(15, seed=1), result.colouring).ok
+
+
+def test_chi_exact_takes_back_a_derived_certificate():
+    # A certificate pc_bound derives is checked by deriving it again.
+    system = random_sts(15, seed=1)
+    cert = pc_bound(system)
+    assert (cert.method, cert.bound) == ("exhaustive-packing", 2)
+    result = chromatic_index_exact(system, pc_certificate=cert)
+    assert (result.status, result.value) == (COMPLETE, 9)
+
+
+def test_chi_exact_indices_of_random_sts15_are_pinned():
+    results = [chromatic_index_exact(random_sts(15, seed=s)) for s in range(1, 25)]
+    assert [r.value for r in results] == [9, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9, 9,
+                                          9, 9, 9, 8, 9, 9, 9, 9, 8, 9, 9, 9]
+    for s, r in enumerate(results, 1):
+        assert verify_colouring(random_sts(15, seed=s), r.colouring).ok
 
 
 def test_chi_exact_deeper_than_recursion_limit():
@@ -455,8 +577,9 @@ def test_chi_exact_time_cap_reaches_the_search_on_ws999():
     # The cap counts from the call's start, first-fit included, so first-fit
     # on the 166,167 triples of WS(997) must take a small part of 1 s for
     # the search to run (about 0.1 s and 500 nodes on a 2-vCPU host).
+    # The lower end is (v+3)/2 = 501, from the system's own WS certificate.
     result = chromatic_index_exact(wilson_schreiber(997).system, SearchBudget(max_seconds=1.0))
-    assert (result.status, result.lower, result.upper) == (INCONCLUSIVE, 499, 662)
+    assert (result.status, result.lower, result.upper) == (INCONCLUSIVE, 501, 662)
     assert result.nodes > 1
 
 
@@ -505,6 +628,20 @@ def test_chi_exact_refuses_a_forged_certificate():
     assert chromatic_index_exact(system).value == 8
     with pytest.raises(ValueError, match="unknown certificate method 'x'"):
         chromatic_index_exact(system, pc_certificate=PCBoundCertificate(bound=0, method="x"))
+
+
+def test_chi_exact_refuses_a_forged_packing_certificate():
+    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint parallel classes and has
+    # index 8: bound 0 would force the lower bound 9.
+    system = random_sts(15, 8)
+    assert max_disjoint_pcs(system).size == 3
+    forged = PCBoundCertificate(bound=0, method="exhaustive-packing")
+    with pytest.raises(ValueError, match=r"does not apply to this system: 3 disjoint "
+                                         r"parallel classes reach \(v\+3\)/6 = 3"):
+        chromatic_index_exact(system, pc_certificate=forged)
+    # Bound 1 on a system whose packing number is 2.
+    with pytest.raises(ValueError, match="its bound is 1, the system's is 2"):
+        chromatic_index_exact(random_sts(15, 1), pc_certificate=replace(forged, bound=1))
 
 
 def test_chi_exact_derives_the_certificate_again_on_the_system():
@@ -743,8 +880,9 @@ def test_search_results_are_pinned():
         enum = enumerate_parallel_classes(random_sts(v, seed=seed), budget or SearchBudget())
         records.append((enum.nodes, enum.status, [c.indices for c in enum.classes]))
     ws13 = wilson_schreiber(13).system
-    # Enumeration takes 82 nodes and packing 5 more: 50 stops the
-    # enumeration, 84 stops the packing.
+    # Enumeration takes 82 nodes, and the greedy packing then holds the
+    # system's WS bound of one class, so no packing node runs: 50 stops the
+    # enumeration, 84 and 1000 complete at 82.
     for max_nodes in (50, 84, 1000):
         result = max_disjoint_pcs(ws13, SearchBudget(max_nodes=max_nodes))
         records.append((result.nodes, result.status, result.size))
@@ -755,7 +893,7 @@ def test_search_results_are_pinned():
     result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
     records.append((result.nodes, result.status, result.size))
     assert _digest(records) == (
-        "c574d33683239c8da17bcc2bbb39caae22d50c10bdf8b2c45f66a03c66820655")
+        "3935c19de853bb7468d19ea4588a871a329806fde250a70f898d75bdfc65e1c3")
 
 
 def test_heuristic_results_are_pinned():
@@ -770,6 +908,8 @@ def test_heuristic_results_are_pinned():
 
 
 def test_exact_results_are_pinned():
+    # The derived packing certificate settles random_sts(15, 1) within the
+    # 5000 nodes, with the same 9-colouring as the search without it.
     records = []
     for system, budget in ((random_sts(13, seed=1), SearchBudget()),
                            (random_sts(15, seed=1), SearchBudget(max_nodes=5000))):
@@ -777,7 +917,7 @@ def test_exact_results_are_pinned():
         records.append((result.nodes, result.status, result.lower, result.upper,
                         [c.indices for c in result.colouring.classes]))
     assert _digest(records) == (
-        "9cacdff67144451ce89d352b145dcc2185616b541f1289a9db961eaa49c1e9b6")
+        "29dc5d487f52fcf8faa2cca4dc0c84791ba7ad90cc92160105cee3ba99d88df6")
 
 
 def test_theorem1_reports_are_pinned():

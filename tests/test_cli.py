@@ -9,6 +9,7 @@ from stskit import (
     GenerationError,
     TripleSystem,
     bose_conjugate,
+    bose_half_sum,
     format_sts,
     random_sts,
     sts33_fixture,
@@ -309,6 +310,28 @@ def test_analyze_bound_ws_and_mod3(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "bound", "--in", str(bose), "--method", "mod3",
                        "--json")
     assert code == 0 and json.loads(out)["bound"] == 2
+
+
+def test_analyze_bound_without_method_takes_the_least_bound(tmp_path, capsys):
+    path = tmp_path / "system.sts"
+    for system, method, bound in ((wilson_schreiber(13).system, "ws-weight-argument", 1),
+                                  (bose_half_sum(5).system, "mod3-weighting", 2),
+                                  (random_sts(15, seed=1), "exhaustive-packing", 2)):
+        path.write_text(format_sts(system))
+        bound_cmd = ("analyze", "bound", "--in", str(path))
+        code, out, _ = run(capsys, *bound_cmd, "--json")
+        r = json.loads(out)
+        assert (code, r["method"], r["bound"]) == (0, method, bound), method
+        code, text, _ = run(capsys, *bound_cmd)
+        assert (code, text) == (0, f"at most {bound} disjoint parallel classes ({method})\n")
+    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes: every rule refuses.
+    path.write_text(format_sts(random_sts(15, seed=8)))
+    code, out, err = run(capsys, "analyze", "bound", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no disjoint parallel-class bound applies [mod3: ")
+    assert ("] [ws: input system is not the canonical construction of order 15; the ws "
+            "bound does not apply] [exhaustive-packing: 3 disjoint parallel classes reach "
+            "(v+3)/6 = 3]\n") in err
 
 
 def test_analyze_bound_ws_rejects_noncanonical(tmp_path, capsys):
@@ -621,6 +644,12 @@ def test_survey_generator_failure_text_and_json_agree(capsys, monkeypatch):
     assert text.splitlines() == [f"order 9 (m={r['m']}), 3 systems:",
                                  *(f"  {k}: {r['counts'][k]}" for k in ("m", "m+1", "m+2", "fail")),
                                  "  generator failures: 1"]
+
+
+def test_generate_and_survey_refuse_a_negative_count_alike(capsys):
+    for argv in (("generate", "--v", "9"), ("survey", "colouring", "--v", "9")):
+        code, out, err = run(capsys, *argv, "--count", "-1")
+        assert (code, out, err) == (2, "", "error: count must be >= 0, got -1\n"), argv
 
 
 def test_generation_error_exits_2(capsys, monkeypatch):

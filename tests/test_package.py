@@ -23,7 +23,7 @@ ROOT_NAMES = {
     "analysis": ("ChiResult", "MaxDisjointResult", "PCBoundCertificate", "PCEnumeration",
                  "PipelineReport", "SearchBudget", "chi_lower_from_certificate",
                  "chromatic_index_exact", "chromatic_index_heuristic",
-                 "enumerate_parallel_classes", "max_disjoint_pcs", "pc_bound_mod3",
+                 "enumerate_parallel_classes", "max_disjoint_pcs", "pc_bound", "pc_bound_mod3",
                  "pc_bound_mod3_auto", "pc_bound_ws", "pc_bound_ws_on", "theorem1_pipeline"),
     "constructions": ("LabelledSTS", "LatinSquare", "bose", "bose_conjugate", "bose_half_sum",
                       "conjugate_square", "half_sum_square", "sts33_fixture",
@@ -32,7 +32,8 @@ ROOT_NAMES = {
              "format_sts", "m_lower", "min_pc_for_low_chi",
              "parse_colouring", "parse_sts", "verify_colouring", "verify_sts"),
     "factorisation": ("OneFactorisation", "factorise_G", "verify_factorisation_properties"),
-    "generator": ("GenerationError", "check_order", "colouring_survey", "random_sts"),
+    "generator": ("GenerationError", "batch_system", "check_batch", "check_order",
+                  "colouring_survey", "random_sts"),
     "numtheory": ("SCAN_KINDS", "NumberProfile", "f_of", "number_profile", "scan_rows",
                   "subgroup_order"),
 }
