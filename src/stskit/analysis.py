@@ -9,7 +9,9 @@ never truncates silently: results carry a status of "complete" or
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -112,13 +114,20 @@ def _refuse_unused_points(system: TripleSystem) -> None:
                          "some point lies on no triple")
 
 
-def _incidence(system: TripleSystem) -> list[list[int]]:
-    """Each point's triple indices, ascending."""
+def _incidence(system: TripleSystem) -> list[int]:
+    """Each point's triples as a bitset of triple indices, built linearly:
+    the indices go to a byte buffer per point, read as one int."""
     on_point: list[list[int]] = [[] for _ in range(system.v)]
     for i, t in enumerate(system.triples):
         for p in t:
             on_point[p].append(i)
-    return on_point
+    bits = []
+    for ids in on_point:
+        buf = bytearray((system.b + 7) // 8)
+        for i in ids:
+            buf[i >> 3] |= 1 << (i & 7)
+        bits.append(int.from_bytes(buf, "little"))
+    return bits
 
 
 def enumerate_parallel_classes(system: TripleSystem,
@@ -133,31 +142,41 @@ def enumerate_parallel_classes(system: TripleSystem,
     is read at every node from the call's start.  Output sorted
     lexicographically.  A system with v > 3b (a point on no triple) is
     refused."""
-    return _enumerate(system, _Meter(budget))
+    return _enumerate(system, _Meter(budget))[0]
 
 
-def _enumerate(system: TripleSystem, meter: _Meter) -> PCEnumeration:
-    """:func:`enumerate_parallel_classes` under ``meter``."""
+def _enumerate(system: TripleSystem, meter: _Meter,
+               enough: int | None = None) -> tuple[PCEnumeration, list[tuple[int, ...]]]:
+    """:func:`enumerate_parallel_classes` under ``meter``, with a greedy
+    packing built as it goes: each class found, as its ascending triple
+    indices, is kept when it shares no triple with those kept before it.
+    Once ``enough`` classes are kept the search stops, its status
+    inconclusive; the kept classes are returned beside the enumeration."""
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
     _refuse_unused_points(system)
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
-    on_point: list[int] = []  # bitset of the triples through each point, built linearly
-    for ids in _incidence(system):
-        buf = bytearray((system.b + 7) // 8)
-        for i in ids:
-            buf[i >> 3] |= 1 << (i & 7)
-        on_point.append(int.from_bytes(buf, "little"))
+    on_point = _incidence(system)
     above = system.b + 1  # more candidates than any point has: the first point is taken
     tick = meter.tick
     triples = system.triples
     found: list[tuple[int, ...]] = []
+    kept: list[tuple[int, ...]] = []
+    taken = 0  # bitset of the kept classes' triples
 
     def rec(uncovered: int, live: int, chosen: list[int]) -> None:
+        nonlocal taken
         tick()
         if not uncovered:
-            found.append(tuple(sorted(chosen)))
+            cls = tuple(sorted(chosen))
+            found.append(cls)
+            mask = sum(1 << i for i in cls)
+            if not mask & taken:
+                kept.append(cls)
+                taken |= mask
+                if len(kept) == enough:
+                    raise _BudgetStop  # stop as a spent budget does
             return
         best_n = above
         best = 0
@@ -187,11 +206,12 @@ def _enumerate(system: TripleSystem, meter: _Meter) -> PCEnumeration:
     except _BudgetStop:
         status = INCONCLUSIVE
     found.sort()
-    return PCEnumeration(
+    enum = PCEnumeration(
         classes=tuple(PartialParallelClass(c) for c in found),
         status=status,
         nodes=meter.nodes,
     )
+    return enum, kept
 
 
 @dataclass(frozen=True)
@@ -202,6 +222,9 @@ class MaxDisjointResult:
     nodes: int
     upper_bound: int
     n_parallel_classes: int
+    # False when the search stopped before listing every class, so that
+    # n_parallel_classes counts only those found.
+    enumeration_complete: bool
 
 
 def max_disjoint_pcs(system: TripleSystem,
@@ -210,21 +233,28 @@ def max_disjoint_pcs(system: TripleSystem,
     branch-and-bound set packing over the enumerated classes.
 
     The least mod-3 or Wilson-Schreiber bound that applies (both O(b)) is
-    an upper bound: once the packing holds that many classes it is optimal
-    and the search stops.  Optimal when status is "complete"; on budget
-    exhaustion reports the best packing found with an upper bound: the
-    trivial cap (v-1)/2, or the class count when that is smaller and
-    enumeration finished, or that certificate's bound when smaller still.
-    The budget covers the whole call: packing gets what enumeration left."""
+    an upper bound: the enumeration packs its classes greedily as it finds
+    them and stops, complete, once that packing holds that many classes;
+    the result then counts only the classes found so far.  Otherwise the
+    packing search over all classes stops once it holds that many.
+    Optimal when status is "complete"; on budget exhaustion reports the
+    best packing found with an upper bound: the trivial cap (v-1)/2, or the
+    class count when that is smaller and enumeration finished, or that
+    certificate's bound when smaller still.  The budget covers the whole
+    call, certificate included: packing gets what enumeration left."""
     meter = _Meter(budget)
     cheap = _cheap_bound(system, [])
-    enum = enumerate_parallel_classes(system, budget)
-    meter.nodes = enum.nodes
+    enum, kept = _enumerate(system, meter, cheap.bound if cheap else None)
     classes = enum.classes
-    best, final = _packing(classes, meter if enum.status == COMPLETE else None,
-                           cheap.bound if cheap else None)
+    if cheap and len(kept) >= cheap.bound:
+        witness = tuple(PartialParallelClass(c) for c in sorted(kept))
+        final = True
+    else:
+        best, final = _packing(classes, meter if enum.status == COMPLETE else None,
+                               cheap.bound if cheap else None)
+        witness = tuple(classes[i] for i in best)
     if final:
-        upper = len(best)
+        upper = len(witness)
     else:
         upper = (system.v - 1) // 2
         if enum.status == COMPLETE:  # all classes known, packing unfinished
@@ -232,12 +262,13 @@ def max_disjoint_pcs(system: TripleSystem,
         if cheap:
             upper = min(upper, cheap.bound)
     return MaxDisjointResult(
-        size=len(best),
-        witness=tuple(classes[i] for i in best),
+        size=len(witness),
+        witness=witness,
         status=COMPLETE if final else INCONCLUSIVE,
         nodes=meter.nodes,
         upper_bound=upper,
         n_parallel_classes=len(classes),
+        enumeration_complete=enum.status == COMPLETE,
     )
 
 
@@ -437,7 +468,7 @@ def _packing_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
     start, cap = meter.nodes, meter.max_nodes
     meter.max_nodes = min(cap, start + PACKING_CAP)
     try:
-        enum = _enumerate(system, meter)
+        enum = _enumerate(system, meter)[0]
         best, final = _packing(enum.classes, meter if enum.status == COMPLETE else None,
                                threshold)
     finally:
@@ -708,19 +739,30 @@ def chromatic_index_heuristic(system: TripleSystem,
     triple order and runs TabuCol (Hertz and de Werra 1987) on the clash
     graph, whose vertices are the triples and whose edges join triples
     sharing a point.  The objective is the number of clashing pairs, the
-    sum over points and classes of C(load, 2), where ``load[p][c]`` counts
-    the triples of class c through point p; so moving triple i to class c
-    changes it by the loads of c at i's three points minus those of i's own
-    class (less 3).  Each move takes, over the conflicted triples (kept as
-    an ascending list refreshed around each move), the (triple, class) move
-    of least change; a tabu move counts only if it would beat the best
-    objective of the restart (aspiration), and ties go to the restart's
-    random stream.  After triple i leaves class c, the pair (i, c) is tabu
-    for ``randrange(10) + 0.6 * n`` moves, n the number of conflicted
-    triples after the move (the dynamic tenure of Galinier and Hao 1999);
-    the tabu state keeps only the pairs still tabu, at most one per move
-    made, never a b x target table.  A restart stops at a proper colouring
-    or after max(4000, 250 b) moves.
+    sum over points and classes of C(load, 2), where the load of class c at
+    point p counts the triples of class c through p; so moving triple i to
+    class c changes it by the loads of c at i's three points minus those of
+    i's own class (less 3).  Each move takes, over the conflicted triples
+    (kept as an ascending list refreshed around each move), the (triple,
+    class) move of least change; a tabu move counts only if it would beat
+    the best objective of the restart (aspiration), and ties go to the
+    restart's random stream.  After triple i leaves class c, the pair (i, c)
+    is tabu for ``randrange(10) + 0.6 * n`` moves, n the number of
+    conflicted triples after the move (the dynamic tenure of Galinier and
+    Hao 1999); the tabu state keeps only the pairs still tabu, at most one
+    per move made, never a b x target table.  A restart stops at a proper
+    colouring or after max(4000, 250 b) moves.
+
+    Each point's class loads are one int of ``target`` fields, 8, 16 or 32
+    bits wide: the least width whose top bit exceeds 6 r + 3, r the most
+    triples on a point.  For a conflicted triple, the sum of its points'
+    ints plus a constant chosen by its own class's load holds, in every
+    field, the move's change plus 3 r (0 to 6 r + 3); the top bit, set,
+    excludes the triple's own class and each tabu class that aspiration
+    does not free.  The rows of all conflicted triples, joined into one
+    buffer, give the least change by ``min`` and its ties, in ascending
+    (triple, class) order, by ``index``: the moves and random draws of
+    scoring each class in turn.
 
     Returns a verified colouring on success, None on failure; failure
     proves nothing.  A target below the counting bound or above b (no
@@ -739,34 +781,48 @@ def chromatic_index_heuristic(system: TripleSystem,
     triples = system.triples
     iterations = max(4000, 250 * b)
     on_point = _incidence(system)
-    never = 4 * b  # above any class score
+    r = max(p.bit_count() for p in on_point)
+    width, code = next((w, t) for w, t in ((8, "B"), (16, "H"), (32, "I"))
+                       if 6 * r + 3 < 1 << (w - 1))
+    nbytes = target * width // 8
+    endian = sys.byteorder  # an array reads its items in the machine's byte order
+    field = (1 << width) - 1
+    top = 1 << (width - 1)
+    unit = sum(1 << width * c for c in range(target))  # 1 in every field
+    offset = 3 * r
+    lift = [(offset + 3 - k) * unit for k in range(3 * r + 1)]  # by the own class's load
 
-    for r in range(restarts):
-        rng = substream(seed, "chi-heur", r)
+    def unpack(x: int) -> array:
+        return array(code, x.to_bytes(nbytes, endian))
+
+    for restart in range(restarts):
+        rng = substream(seed, "chi-heur", restart)
         order = list(range(b))
         rng.shuffle(order)
 
         assign = [-1] * b
-        load = [[0] * target for _ in range(v)]  # per-point class usage
-        rows = [(load[a], load[b2], load[c2]) for a, b2, c2 in triples]
+        members = [0] * target  # each class's triples, as a bitset
+        load = [0] * v  # per-point class loads, packed
         for i in order:
-            la, lb, lc = rows[i]
-            free = [c for c in range(target) if not (la[c] or lb[c] or lc[c])]
+            a, b2, c2 = triples[i]
+            free = [c for c, n in enumerate(unpack(load[a] | load[b2] | load[c2])) if not n]
             c = rng.choice(free) if free else rng.randrange(target)
             assign[i] = c
-            la[c] += 1
-            lb[c] += 1
-            lc[c] += 1
+            members[c] |= 1 << i
+            one = 1 << width * c
+            load[a] += one
+            load[b2] += one
+            load[c2] += one
 
-        def clash(i: int, c: int) -> int:
-            la, lb, lc = rows[i]
-            return la[c] + lb[c] + lc[c]
+        def clash(i: int) -> int:
+            a, b2, c2 = triples[i]
+            return (load[a] + load[b2] + load[c2]) >> width * assign[i] & field
 
-        is_conflicted = [clash(i, assign[i]) > 3 for i in range(b)]
+        is_conflicted = [clash(i) > 3 for i in range(b)]
         conflicted = [i for i in range(b) if is_conflicted[i]]
 
         def refresh(j: int) -> None:
-            now = clash(j, assign[j]) > 3
+            now = clash(j) > 3
             if now != is_conflicted[j]:
                 is_conflicted[j] = now
                 if now:
@@ -774,54 +830,56 @@ def chromatic_index_heuristic(system: TripleSystem,
                 else:
                     del conflicted[bisect_left(conflicted, j)]
 
-        clashes = sum(n * (n - 1) // 2 for row in load for n in row)
+        clashes = sum(n * (n - 1) // 2 for x in load for n in unpack(x))
         best = clashes
         # triple -> {class it left: last move that class is tabu}, kept live
         tabu: dict[int, dict[int, float]] = {}
         for move in range(iterations):
             if not conflicted:
                 break
-            best_delta = never
-            choices: list[tuple[int, int]] = []
             floor = best - clashes  # a tabu move must take the objective below best
+            rows = []
+            append = rows.append
             for i in conflicted:
-                la, lb, lc = rows[i]
-                scores = [x + y + z for x, y, z in zip(la, lb, lc)]
-                old = assign[i]
-                base = scores[old] - 3
-                scores[old] = never
+                a, b2, c2 = triples[i]
+                s = load[a] + load[b2] + load[c2]
+                shift = width * assign[i]
+                own = s >> shift & field
+                row = (s + lift[own]) | top << shift
                 held = tabu.get(i)
                 if held:
-                    bar = base + floor
+                    bar = own - 3 + floor
                     for c, until in held.items():
-                        if until >= move and scores[c] >= bar:
-                            scores[c] = never
-                low = min(scores)
-                delta = low - base
-                if delta > best_delta or low == never:
-                    continue
-                if delta < best_delta:
-                    best_delta = delta
-                    choices.clear()
-                c = -1
-                for _ in range(scores.count(low)):
-                    c = scores.index(low, c + 1)
-                    choices.append((i, c))
-            if not choices:  # every move is tabu: wait for a tenure to run out
+                        if until >= move and s >> width * c & field >= bar:
+                            row |= top << width * c
+                append(row.to_bytes(nbytes, endian))
+            scores = b"".join(rows)
+            if width > 8:  # bytes scan fastest, but hold 8-bit fields alone
+                scores = array(code, scores)
+            low = min(scores)
+            if low & top:  # every move is tabu: wait for a tenure to run out
                 continue
-            i, new = rng.choice(choices)
+            pos = -1
+            for _ in range(rng.choice(range(scores.count(low))) + 1):
+                pos = scores.index(low, pos + 1)
+            i, new = conflicted[pos // target], pos % target
             old = assign[i]
-            for row in rows[i]:
-                row[old] -= 1
-                row[new] += 1
+            step = (1 << width * new) - (1 << width * old)
+            for p in triples[i]:
+                load[p] += step
             assign[i] = new
+            bit = 1 << i
+            members[old] ^= bit
+            members[new] |= bit
             refresh(i)
-            for p, row in zip(triples[i], rows[i]):
-                if row[old] or row[new] > 1:  # p is on another triple of old or new
-                    for j in on_point[p]:
-                        if assign[j] == old or assign[j] == new:
-                            refresh(j)
-            clashes += best_delta
+            near = (members[old] | members[new]) ^ bit  # the others of old and new
+            for p in triples[i]:
+                rest = on_point[p] & near
+                while rest:
+                    j = rest & -rest
+                    rest ^= j
+                    refresh(j.bit_length() - 1)
+            clashes += low - offset
             best = min(best, clashes)
             held = tabu[i] = {c: u for c, u in tabu.get(i, {}).items() if u > move}
             held[old] = move + rng.randrange(10) + 0.6 * len(conflicted)

@@ -233,7 +233,9 @@ def _cmd_analyze_pcs(args) -> int:
             "max_disjoint": result.size, "upper_bound": result.upper_bound,
             "status": result.status, "nodes": result.nodes,
             "witness": [c.indices for c in result.witness],
-        }, lambda: [f"{result.n_parallel_classes} parallel classes; max disjoint "
+            "enumeration_complete": result.enumeration_complete,
+        }, lambda: [f"{'' if result.enumeration_complete else 'at least '}"
+                    f"{result.n_parallel_classes} parallel classes; max disjoint "
                     f"{result.size} (upper bound {result.upper_bound}, {result.status})"])
         status = result.status
     else:

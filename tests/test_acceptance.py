@@ -108,7 +108,16 @@ def test_c05_sts33_fixture():
     _report("C5 order-33 fixture: verified, 18 classes, bound 5, index 18", t0)
 
 
-@pytest.mark.parametrize("v,expected", [(9, 4), (15, 1), (21, 4), (27, 1)])
+def _assert_disjoint_parallel_classes(system, witness):
+    used = []
+    for cls in witness:
+        points = sorted(p for i in cls.indices for p in system.triples[i])
+        assert points == list(range(system.v)), cls  # a parallel class
+        used += cls.indices
+    assert len(used) == len(set(used))  # pairwise triple-disjoint
+
+
+@pytest.mark.parametrize("v,expected", [(9, 4), (15, 1), (21, 4), (27, 1), (39, 1)])
 def test_c06_bound_attainment(v, expected):
     t0 = time.perf_counter()
     n = v - 2
@@ -118,8 +127,9 @@ def test_c06_bound_attainment(v, expected):
     elapsed = time.perf_counter() - t0
     assert result.status == COMPLETE
     assert result.size == expected, (v, result.size)
+    _assert_disjoint_parallel_classes(system, result.witness)
     assert elapsed < 600.0
-    _report(f"C6 order {v}: max disjoint parallel classes = {expected} (exhaustive)", t0)
+    _report(f"C6 order {v}: max disjoint parallel classes = {expected} (complete)", t0)
 
 
 def test_c07_bose_bound():
@@ -130,7 +140,12 @@ def test_c07_bose_bound():
         assert cert.bound == 3 * k + 2, (n, cert.bound)
     result = max_disjoint_pcs(bose_half_sum(5).system)
     assert result.status == COMPLETE and result.size <= 2
-    _report("C7 bose bound 3k+2 for v=15,33; v=15 exhaustive max <= 2", t0)
+    # v = 33: a packing of 5 classes meets the bound, so 5 is the maximum.
+    system = bose_half_sum(11).system
+    result = max_disjoint_pcs(system, SearchBudget(max_seconds=600))
+    assert (result.status, result.size) == (COMPLETE, 5)
+    _assert_disjoint_parallel_classes(system, result.witness)
+    _report("C7 bose bound 3k+2 for v=15,33; max <= 2 at v=15, max = 5 at v=33", t0)
 
 
 def test_c08_cyclicity():

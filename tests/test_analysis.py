@@ -166,13 +166,36 @@ def test_max_disjoint_budget_covers_enumeration_and_packing():
 
 
 def test_max_disjoint_stops_at_its_certificate():
-    # WS(25) has at most 3 f(25) + 1 = 1 disjoint class: the greedy packing
-    # holds one, so no packing node runs after the 34403 of enumeration.
+    # WS(25) has at most 3 f(25) + 1 = 1 disjoint class: the enumeration
+    # finds its first class at node 10 and stops there, of the 34403 nodes
+    # that list all 1055 classes.
     result = max_disjoint_pcs(wilson_schreiber(25).system)
-    assert (result.size, result.status, result.nodes) == (1, COMPLETE, 34403)
-    # Bose(5): its mod-3 bound 2 is reached by the packing.
+    assert (result.size, result.status, result.nodes) == (1, COMPLETE, 10)
+    assert (result.n_parallel_classes, result.enumeration_complete) == (1, False)
+    # Bose(5): its mod-3 bound 2 is reached by the packing the enumeration
+    # builds, before the enumeration ends.
     result = max_disjoint_pcs(bose_half_sum(5).system)
     assert (result.size, result.upper_bound, result.status) == (2, 2, COMPLETE)
+    assert not result.enumeration_complete
+    used = [i for cls in result.witness for i in cls.indices]
+    assert len(used) == len(set(used))  # the witness classes are pairwise disjoint
+
+
+def test_max_disjoint_budget_starts_before_its_certificate(monkeypatch):
+    # The certificate is derived under the call's clock: once it has spent
+    # the time cap, the enumeration stops at its first node.
+    now = [0.0]
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    budget = SearchBudget(max_seconds=1)
+    cheap_bound = analysis._cheap_bound
+
+    def slow_cheap_bound(system, refusals):
+        now[0] += 2 * budget.max_seconds
+        return cheap_bound(system, refusals)
+
+    monkeypatch.setattr(analysis, "_cheap_bound", slow_cheap_bound)
+    result = max_disjoint_pcs(wilson_schreiber(13).system, budget)
+    assert (result.status, result.nodes, result.upper_bound) == (INCONCLUSIVE, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +287,7 @@ def test_points_on_no_triple_are_refused_before_any_per_point_table():
     (151, lambda system: chromatic_index_heuristic(system, 100, restarts=1)),
 ], ids=["enumerate", "chi-heuristic"])
 def test_search_memory_is_linear_in_the_triples(n, search):
-    # Clashes come from the per-point incidence lists.  A table of clashing
+    # Clashes come from the per-point incidence bitsets.  A table of clashing
     # triples per triple peaked at 31.6 MB (enumeration bitsets) and 33.4 MB
     # (heuristic neighbour sets) on these systems.
     system = wilson_schreiber(n).system
@@ -880,9 +903,8 @@ def test_search_results_are_pinned():
         enum = enumerate_parallel_classes(random_sts(v, seed=seed), budget or SearchBudget())
         records.append((enum.nodes, enum.status, [c.indices for c in enum.classes]))
     ws13 = wilson_schreiber(13).system
-    # Enumeration takes 82 nodes, and the greedy packing then holds the
-    # system's WS bound of one class, so no packing node runs: 50 stops the
-    # enumeration, 84 and 1000 complete at 82.
+    # The enumeration finds its first class at node 6, which reaches the
+    # system's WS bound of one class: each budget completes there.
     for max_nodes in (50, 84, 1000):
         result = max_disjoint_pcs(ws13, SearchBudget(max_nodes=max_nodes))
         records.append((result.nodes, result.status, result.size))
@@ -893,7 +915,7 @@ def test_search_results_are_pinned():
     result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
     records.append((result.nodes, result.status, result.size))
     assert _digest(records) == (
-        "3935c19de853bb7468d19ea4588a871a329806fde250a70f898d75bdfc65e1c3")
+        "626edd6ae5f36f1d6168292d498834ba9c73295edd5a0058577263974d3c2052")
 
 
 def test_heuristic_results_are_pinned():
@@ -905,6 +927,19 @@ def test_heuristic_results_are_pinned():
         records.append((None if colouring is None else [c.indices for c in colouring.classes],))
     assert _digest(records) == (
         "29fac92d98ee12d72aefa9b81228293978abf2aa7738f37cc0fa00059d36eff1")
+
+
+def test_heuristic_results_at_order_45_are_pinned():
+    # At v = 45 a point lies on r = 22 triples, so the walk's per-point
+    # loads no longer fit the fields it uses below that: these colourings
+    # pin the wider fields to the same walk.
+    records = []
+    for v, target, seed in ((45, 24, 2), (45, 25, 1)):
+        colouring = chromatic_index_heuristic(random_sts(v, seed=seed), target,
+                                              seed=seed, restarts=1)
+        records.append((None if colouring is None else [c.indices for c in colouring.classes],))
+    assert _digest(records) == (
+        "6c0596e82a44f657e00238dbd71937ebf909d3870d574bc791ee0cb4c6070029")
 
 
 def test_exact_results_are_pinned():

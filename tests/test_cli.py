@@ -589,17 +589,27 @@ def test_factorise_text_and_json_agree(tmp_path, capsys):
     assert path.read_text() == "\n".join(lines[1:]) + "\n"
 
 
-def test_analyze_pcs_max_disjoint_text_and_json_agree(tmp_path, capsys):
+def test_analyze_pcs_max_disjoint_text_and_json_agree(tmp_path, capsys, sts9_grid):
+    # Bose(5)'s packing reaches its mod-3 bound 2 before its enumeration
+    # ends, so only the classes found so far are counted; the 9-point grid
+    # has no certificate and lists all four.
     path = tmp_path / "b15.sts"
     run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
-    pcs = ("analyze", "pcs", "--in", str(path), "--max-disjoint")
-    code, out, _ = run(capsys, *pcs, "--json")
-    assert code == 0
-    r = json.loads(out)
-    code, text, _ = run(capsys, *pcs)
-    assert (code, text) == (0, f"{r['parallel_classes']} parallel classes; max disjoint "
-                               f"{r['max_disjoint']} (upper bound {r['upper_bound']}, "
-                               f"{r['status']})\n")
+    grid = tmp_path / "sts9.sts"
+    grid.write_text(format_sts(sts9_grid))
+    seen = []
+    for file in (path, grid):
+        pcs = ("analyze", "pcs", "--in", str(file), "--max-disjoint")
+        code, out, _ = run(capsys, *pcs, "--json")
+        assert code == 0
+        r = json.loads(out)
+        seen.append(r["enumeration_complete"])
+        at_least = "" if r["enumeration_complete"] else "at least "
+        code, text, _ = run(capsys, *pcs)
+        assert (code, text) == (0, f"{at_least}{r['parallel_classes']} parallel classes; "
+                                   f"max disjoint {r['max_disjoint']} (upper bound "
+                                   f"{r['upper_bound']}, {r['status']})\n")
+    assert seen == [False, True]
 
 
 def test_analyze_chi_inconclusive_text_and_json_agree(tmp_path, capsys):
