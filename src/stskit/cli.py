@@ -76,8 +76,7 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
     if args.json:
         print(json.dumps({"schema": SCHEMA, **payload()}))
     else:
-        for line in lines():
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in lines())
 
 
 # ---------------------------------------------------------------------------

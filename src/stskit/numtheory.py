@@ -17,20 +17,27 @@ and -2:
   only modulo prime powers q; for any other n = q*r (q the prime-power part
   of n at its smallest prime) the order is lcm(ord_q, ord_r), and -1 lies in
   <-2>_n exactly when every prime-power order is even with one shared
-  2-adic valuation.  So a composite n costs no ``pow``.  The sweep walks
-  the range in segments of consecutive n, ascending; each segment takes its
-  smallest prime factors from the primes up to sqrt(limit) and holds the f
-  and psi* sums of its own n only.  Each modulus d coprime to 6 adds g(d)
-  and phi(d) - 18 g(d) to every multiple d*k with k = 1 or 5 mod 6: it
-  pushes into a segment only where it has such a multiple, and between
-  pushes it waits in the bucket of the segment that holds the next one.  By
-  the time the sweep reaches n, every divisor of n has contributed, so the
-  row for n is complete; Gauss's identity (the totients of the divisors of
-  n sum to n) checks the sums.  A proper divisor of n is at most n/5, so
-  phi, the order and g are kept only up to limit/5, and smallest prime
-  factors (for p - 1, once its 2s and 3s are stripped) up to limit/2, all
-  over the n coprime to 6 alone.  Memory is still linear in the limit, at
-  about 3 bytes per unit, hence :data:`SCAN_LIMIT_MAX`.
+  2-adic valuation.  So a composite n costs no ``pow``, and a prime power
+  p^e saves one: -2 is a square mod p^e exactly when (-2/p) = 1, when
+  p = 1 or 3 mod 8, and by Euler's criterion that decides whether the order
+  divides phi/2.  The sweep walks the range in segments of consecutive n,
+  ascending; each segment takes its smallest prime factors from the primes
+  up to sqrt(limit) and holds the divisor sums of its own n only.  Each
+  modulus d coprime to 6 adds its weight phi(d) + (g(d) << 32) to every
+  multiple d*k with k = 1 or 5 mod 6, so one add feeds both the f sum and
+  the totient sum.  A proper divisor d of an n in the segment [lo, hi) is
+  at most n/5, so it lies below lo unless lo = 0, and its weight is known
+  when the segment starts.  A d up to sqrt(limit) walks its multiples in
+  the segment; a larger d arrives through its cofactor k < hi/sqrt(limit),
+  and for one k the d of one class mod 6 take one strided slice of the
+  weights.  Segment 0 adds the weights of its own n as its rows pass.  So
+  nothing waits between segments, and by the time the sweep reaches n every
+  divisor of n has contributed; Gauss's identity (the totients of the
+  divisors of n sum to n) checks the sums.  phi, the order and the weight
+  are kept only up to limit/5, and smallest prime factors (for p - 1, once
+  its 2s and 3s are stripped) up to limit/2, all over the n coprime to 6
+  alone.  Memory is still linear in the limit, at about 2 bytes per unit,
+  hence :data:`SCAN_LIMIT_MAX`.
   :data:`SCAN_KINDS` picks the rows each kind of scan
   keeps, so a scan of one kind is ``filter(SCAN_KINDS[kind], scan_rows(limit))``.
   :func:`scan_profiles` lists the same rows for the benchmark harness alone;
@@ -44,7 +51,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -259,8 +266,8 @@ class ScanRow(NamedTuple):
 def scan_profiles(limit: int) -> list[ScanRow]:
     """``list(scan_rows(limit))``.  The product reads :func:`scan_rows`; this
     list stays only because the benchmark harness (``perfbench/``) calls and
-    traces it.  The list is nearly all of its memory, about 80 bytes per unit
-    of ``limit``: max RSS 92 MB at 10^6 and 248 MB at 3*10^6, so about 800 MB
+    traces it.  The list is nearly all of its memory, about 70 bytes per unit
+    of ``limit``: max RSS 81 MB at 10^6 and 212 MB at 3*10^6, so about 700 MB
     at the cap."""
     return list(scan_rows(limit))
 
@@ -273,9 +280,9 @@ def scan_rows(limit: int) -> Iterator[ScanRow]:
     is computed only for the prime powers q <= limit; every other n is q*r
     with r coprime to q, and its phi and order come from the two parts.  Each
     row is checked for parity/Lagrange and against Gauss's identity.  The
-    sieve holds about 3 bytes per unit of ``limit`` besides the rows the
-    caller keeps: streamed to 10^7 it peaks at 39 MB max RSS, in 18-21 s on
-    a 2-vCPU host.
+    sieve holds about 2 bytes per unit of ``limit`` besides the rows the
+    caller keeps: streamed to 10^7 it peaks at 34 MB max RSS, in about 10 s
+    on a 2-vCPU host.
 
     A ``limit`` below 3 or above :data:`SCAN_LIMIT_MAX` raises ValueError at
     the call, before anything is allocated.
@@ -287,7 +294,7 @@ def scan_rows(limit: int) -> Iterator[ScanRow]:
     return _sieve_rows(limit)
 
 
-# The sieve's segment length: rows are computed, and the f and psi* sums kept,
+# The sieve's segment length: rows are computed, and their divisor sums kept,
 # for this many consecutive n at a time.
 _SEGMENT = 2**15
 
@@ -296,50 +303,22 @@ def _sieve_rows(limit: int) -> Iterator[ScanRow]:
     root = math.isqrt(limit)
     small_spf = smallest_prime_factor_sieve(root)
     base = [p for p in range(5, root + 1) if small_spf[p] == p]  # the primes 5..sqrt(limit)
+    # The numbers 5..sqrt(limit) coprime to 6: the divisors that walk their
+    # multiples, and the cofactors through which the larger divisors arrive.
+    units = [d for d in range(5, root + 1, 2) if d % 3]
     segment = _SEGMENT
     fifth, half = limit // 5, limit // 2
     # A proper divisor of n (coprime to 6) is at most n/5, so phi, the order
-    # of -2, the 2-part shared by the orders of -2 modulo the prime powers
-    # (1 when one of them is odd or two of them differ) and g are kept only
-    # for n <= limit/5, each at n // 3, a bijection of the n coprime to 6.
-    phis, orders, twos, gs = (array("i", [0]) * (fifth // 3 + 1) for _ in range(4))
+    # of -2 and the 2-part shared by the orders of -2 modulo the prime powers
+    # (1 when one of them is odd or two of them differ) are kept only for
+    # n <= limit/5, each at n // 3, a bijection of the n coprime to 6.  So is
+    # the weight w(n) = phi(n) + (g(n) << 32) that n adds to its multiples.
+    phis, orders, twos = (array("i", [0]) * (fifth // 3 + 1) for _ in range(3))
+    ws = array("q", [0]) * (fifth // 3 + 1)
     # The smallest prime factor of each n <= limit/2 coprime to 6, filled as
     # the rows pass; it factorises phi(q) for the prime powers q.
     spf6 = array("i", [0]) * (half // 3 + 1)
-    # Pending pushes, per target segment: each d <= limit/5 waits in the
-    # bucket of the segment that holds its next multiple d*k, k = 1 or 5 mod 6.
-    pending = [(array("i"), array("i")) for _ in range(limit // segment + 1)]
-
-    def prime_factors(x: int) -> list[int]:
-        # The primes of x < n: 2 and 3 by division, then the rows' table.
-        out = [p for p in (2, 3) if x % p == 0]
-        for p in out:
-            while x % p == 0:
-                x //= p
-        while x > 1:
-            p = spf6[x // 3]
-            out.append(p)
-            while x % p == 0:
-                x //= p
-        return out
-
-    def push(d: int, m: int) -> None:
-        # Add g(d) and psi(d) at m, d's next multiple d*k (k = 1 or 5 mod 6),
-        # and at each later one below hi; then file d under the segment of
-        # the first one at or past hi.
-        i = d // 3
-        g = gs[i]
-        psi = phis[i] - 18 * g
-        while m < hi:
-            j = m - lo
-            psi_star[j] += psi
-            if g:
-                f[j] += g
-            m += 2 * d if m // d % 6 == 5 else 4 * d
-        if m <= limit:
-            ds, ms = pending[m // segment]
-            ds.append(d)
-            ms.append(m)
+    new_row = partial(tuple.__new__, ScanRow)  # ScanRow(*fields) without its Python-level __new__
 
     for lo in range(0, limit + 1, segment):
         hi = min(lo + segment, limit + 1)
@@ -352,43 +331,91 @@ def _sieve_rows(limit: int) -> Iterator[ScanRow]:
                 if start % 2 == 0:
                     start += p
                 spf[start - lo::2 * p] = array("i", [p]) * len(range(start, hi, 2 * p))
-        # f and psi* summed over the proper divisors > 1 of each n.
-        f, psi_star = array("i", [0]) * (hi - lo), array("i", [0]) * (hi - lo)
-        for d, m in zip(*pending[lo // segment]):
-            push(d, m)
-        pending[lo // segment] = None
-        for n in range(max(5, lo | 1), hi, 2):
-            if n % 3 == 0:
-                continue
-            p = spf[n - lo] or n
+        # The weights of the proper divisors > 1 of each n, summed: the low
+        # 32 bits hold their totients (they sum to less than n) and the rest
+        # their g.  Each such divisor d of n = d*k has k >= 5, so d < lo
+        # unless lo = 0, and its weight is known before the segment starts.
+        s = array("q", [0]) * (hi - lo)
+        if lo:
+            # A divisor d <= sqrt(limit) walks its multiples d*k, k >= lo/d,
+            # one progression of step 6d for each of k = 1 and k = 5 mod 6.
+            for d in units:
+                if 5 * d >= hi:
+                    break
+                w, k0 = ws[d // 3], -(-lo // d)
+                for k in (k0 + (1 - k0) % 6, k0 + (5 - k0) % 6):
+                    for j in range(d * k - lo, hi - lo, 6 * d):
+                        s[j] += w
+            # A divisor d > sqrt(limit) arrives through its cofactor
+            # k < hi/sqrt(limit): for one k, the d of one class mod 6 in
+            # [lo/k, hi/k) take every second weight from d0 on.
+            for k in units:
+                if k * (root + 1) >= hi:
+                    break
+                d0, top = max(root + 1, -(-lo // k)), (hi - 1) // k // 3 + 1
+                for d in (d0 + (1 - d0) % 6, d0 + (5 - d0) % 6):
+                    for j, w in zip(range(d * k - lo, hi - lo, 6 * k), ws[d // 3:top:2]):
+                        s[j] += w
+        # The n coprime to 6 in [lo, hi) are the n = 3i + 1 + (i & 1) for i
+        # from the count of such n below max(5, lo) (n = 1 counted) to the
+        # count below hi; below x there are x // 3 + (x % 6 == 2) of them.
+        first = max(5, lo)
+        for i in range(first // 3 + (first % 6 == 2), hi // 3 + (hi % 6 == 2)):
+            n = 3 * i + 1 + (i & 1)
+            j = n - lo
+            p = spf[j] or n
             if n <= half:
-                spf6[n // 3] = p
+                spf6[i] = p
             q, r = p, n // p
             while r % p == 0:
                 q *= p
                 r //= p
             if r == 1:
-                phi = n - n // p
-                order = _multiplicative_order(n - 2, n, phi, prime_factors(phi))
+                # Strip each prime l of phi = p^(e-1) (p - 1) from the order
+                # of -2 while (-2)^(order/l) stays 1.  The units mod p^e are
+                # cyclic, so by Euler's criterion (-2)^(phi/2) = 1 exactly
+                # when -2 is a square mod p, when p = 1 or 3 mod 8.
+                a, phi = n - 2, n - n // p
+                order = phi
+                if p % 8 < 4:
+                    order //= 2
+                    while order % 2 == 0 and pow(a, order // 2, n) == 1:
+                        order //= 2
+                x = (p - 1) // ((p - 1) & (1 - p))  # p - 1 without its 2s
+                while x > 1:
+                    l = 3 if x % 3 == 0 else spf6[x // 3]
+                    while x % l == 0:
+                        x //= l
+                    while order % l == 0 and pow(a, order // l, n) == 1:
+                        order //= l
+                if n != p:
+                    while order % p == 0 and pow(a, order // p, n) == 1:
+                        order //= p
                 two = order & -order
             else:
                 iq, ir = q // 3, r // 3
                 phi = phis[iq] * phis[ir]
-                a, b = orders[iq], orders[ir]
-                order = a // math.gcd(a, b) * b
+                order = math.lcm(orders[iq], orders[ir])
                 two = twos[iq] if twos[iq] == twos[ir] else 1
             # -1 lies in <-2>_n exactly when every prime-power order has the
             # same even 2-part; otherwise adjoining -1 doubles the subgroup.
             g = _g_from_order(n, phi, order if two > 1 else 2 * order)
-            psi = phi - 18 * g
-            f_n = f[n - lo] + g
-            psi_star_n = psi_star[n - lo] + psi
+            psi = phi - 18 * g if g else phi
+            w = s[j]
+            if w:
+                f_n = (w >> 32) + g
+                psi_star_n = (w & 0xFFFFFFFF) + phi - 18 * f_n
+            else:  # n is prime
+                f_n, psi_star_n = g, psi
             _check_psi_star(n, f_n, psi_star_n)
-            yield ScanRow(n, phi, f_n, psi, psi_star_n)
+            yield new_row((n, phi, f_n, psi, psi_star_n))
             if n <= fifth:
-                i = n // 3
-                phis[i], orders[i], twos[i], gs[i] = phi, order, two, g
-                push(n, 5 * n)
+                phis[i], orders[i], twos[i] = phi, order, two
+                ws[i] = w = phi + (g << 32)
+                if 5 * n < hi:  # in segment 0 alone (lo = 0)
+                    for k in (5, 7):
+                        for m in range(k * n, hi, 6 * n):
+                            s[m] += w
 
 
 # The rows each kind of scan keeps; `stskit numtheory scan` reads them here.

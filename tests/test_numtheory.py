@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from stskit import (
     SCAN_KINDS,
     f_of,
     number_profile,
+    numtheory,
     scan_rows,
     subgroup_order,
 )
@@ -157,9 +159,12 @@ def test_scan_rows_are_consistent_with_profiles():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=3, max_value=400))
-def test_scan_sweep_matches_per_n_profiles(limit):
-    rows = list(scan_rows(limit))
+@given(st.integers(min_value=3, max_value=400), st.sampled_from([6, 7, 16, 64, 2**15]))
+def test_scan_sweep_matches_per_n_profiles(limit, segment):
+    # A short segment puts the small divisors' walks and the large ones'
+    # cofactor slices in many segments, with the split at sqrt(limit).
+    with mock.patch.object(numtheory, "_SEGMENT", segment):
+        rows = list(scan_rows(limit))
     profiles = [number_profile(n) for n in range(5, limit + 1) if n % 6 in (1, 5)]
     assert rows == [ScanRow(p.n, p.phi, p.f, p.psi, p.psi_star) for p in profiles]
     for row in rows:
@@ -188,23 +193,35 @@ def test_scan_rows_to_100000_are_pinned():
         "0ec390bde268d020c4141ff24cd316f854735c7758e20559b97cdca97297d7f0")
 
 
-@pytest.mark.parametrize("limit", [63, 64, 65, 127, 128, 129, 1279, 1280, 1281,
-                                   4095, 4096, 4097])
+@pytest.mark.parametrize("limit", [25, 49, 63, 64, 65, 120, 121, 122, 127, 128, 129,
+                                   960, 961, 962, 1279, 1280, 1281, 1369, 3480,
+                                   3481, 3482, 4095, 4096, 4097])
 def test_scan_rows_across_segment_edges(monkeypatch, limit):
-    # With 64 numbers a segment, each limit lands on, just before or just
-    # after a segment edge, and a divisor d > 16 (gaps 2d and 4d between its
-    # multiples) waits across whole segments between two pushes.
-    from stskit import numtheory
-
+    # With 64 numbers a segment, a limit lands on, just before or just after
+    # a segment edge, or on, just before or just after a square: there
+    # sqrt(limit) moves, and with it the split between the divisors that
+    # walk their multiples and those that arrive through their cofactors.
+    # At a prime square (25, 49, 961, 1369, 3481) the largest divisor that
+    # walks is the prime itself.
     monkeypatch.setattr(numtheory, "_SEGMENT", 64)
     rows = list(scan_rows(limit))
     profiles = [number_profile(n) for n in range(5, limit + 1) if n % 6 in (1, 5)]
     assert rows == [ScanRow(p.n, p.phi, p.f, p.psi, p.psi_star) for p in profiles]
 
 
-def test_profile_refuses_n_above_cap(monkeypatch):
-    from stskit import numtheory
+def test_scan_rows_meet_the_upper_lemma_to_100000():
+    # If (-2)^m = 1 mod d, then d divides 2^m - 1 or 2^m + 1, so
+    # |<-1,-2>_d| >= log2(d - 1) and the integer g(d) is at most
+    # phi(d) // ceil(log2(d - 1)), where ceil(log2(d - 1)) = (d - 2).bit_length().
+    # Summed over the divisors: f(n) <= sum of phi(d) // (d - 2).bit_length().
+    rows = list(scan_rows(10**5))
+    phi = {row.n: row.phi for row in rows}
+    for row in rows:
+        bound = sum(phi[d] // (d - 2).bit_length() for d in divisors_gt1(row.n))
+        assert row.f <= bound, row.n
 
+
+def test_profile_refuses_n_above_cap(monkeypatch):
     # The cap keeps 2^31 - 1 and the slowest n below it, the prime
     # 999,999,999,989 (about 0.2 s of trial division).
     assert number_profile(2**31 - 1).f == 34_636_833
