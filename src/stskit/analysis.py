@@ -13,8 +13,7 @@ import sys
 import time
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .constructions import is_wilson_schreiber, sts33_fixture
 from .core import (
@@ -53,20 +52,20 @@ COMPLETE = "complete"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple("SearchBudget", [("max_nodes", int), ("max_seconds", float)])):
     """Node/time caps for the exhaustive searches.
 
     Exceeding either cap yields an explicit inconclusive status.  A NaN time
     cap is refused: it would switch the clock off.
     """
 
-    max_nodes: int = 100_000_000
-    max_seconds: float = 60.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 0 or not self.max_seconds >= 0:  # NaN fails >= 0
+    def __new__(cls, max_nodes: int = 100_000_000, max_seconds: float = 60.0) -> SearchBudget:
+        if max_nodes < 0 or not max_seconds >= 0:  # NaN fails >= 0
             raise ValueError("budget limits must be nonnegative")
+        return super().__new__(cls, max_nodes, max_seconds)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -99,8 +98,7 @@ class _Meter:
 # parallel-class enumeration
 
 
-@dataclass(frozen=True)
-class PCEnumeration:
+class PCEnumeration(NamedTuple):
     classes: tuple[PartialParallelClass, ...]
     status: str
     nodes: int
@@ -214,8 +212,7 @@ def _enumerate(system: TripleSystem, meter: _Meter,
     return enum, kept
 
 
-@dataclass(frozen=True)
-class MaxDisjointResult:
+class MaxDisjointResult(NamedTuple):
     size: int
     witness: tuple[PartialParallelClass, ...]
     status: str
@@ -325,14 +322,16 @@ def _packing(classes: Sequence[PartialParallelClass], meter: _Meter | None,
 # bound certificates
 
 
-@dataclass(frozen=True)
-class PCBoundCertificate:
+class PCBoundCertificate(NamedTuple("PCBoundCertificate",
+                                     [("method", str), ("bound", int), ("witness", dict)])):
     """A proven upper bound on the number of pairwise disjoint parallel
-    classes of the host system, with the data that proves it."""
+    classes of the host system, with the data that proves it.  Left out,
+    the witness is a new empty dict."""
 
-    method: str
-    bound: int
-    witness: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, method: str, bound: int, witness: dict | None = None) -> PCBoundCertificate:
+        return super().__new__(cls, method, bound, {} if witness is None else witness)
 
 
 def pc_bound_mod3(system: TripleSystem, weights: Sequence[int]) -> PCBoundCertificate:
@@ -547,8 +546,7 @@ def chi_lower_from_certificate(v: int, cert: PCBoundCertificate) -> int:
 # chromatic index
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(NamedTuple):
     lower: int
     upper: int
     status: str
@@ -892,8 +890,7 @@ def chromatic_index_heuristic(system: TripleSystem,
 # order-by-order dispatch
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Verdict for one order v = 3 mod 6: does some system of order v have
     chromatic index at least (v+3)/2, and by which route."""
 

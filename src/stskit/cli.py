@@ -87,9 +87,9 @@ def _cmd_numtheory_profile(args) -> int:
     from .numtheory import number_profile
 
     p = number_profile(args.n)
-    _emit(args, lambda: {"command": "numtheory profile", **vars(p)},
+    _emit(args, lambda: {"command": "numtheory profile", **p._asdict()},
           lambda: (f"{k}=" + (",".join(map(str, x)) if k == "divisors_gt1" else str(x))
-                   for k, x in vars(p).items()))
+                   for k, x in p._asdict().items()))
     return EXIT_OK
 
 
@@ -303,7 +303,7 @@ def _cmd_analyze_bound(args) -> int:
     system = _read(args.infile, parse_sts)
     rule = {"mod3": pc_bound_mod3_auto, "ws": pc_bound_ws_on, None: pc_bound}[args.method]
     cert = rule(system)
-    _emit(args, lambda: {"command": "analyze bound", "v": system.v, **vars(cert)},
+    _emit(args, lambda: {"command": "analyze bound", "v": system.v, **cert._asdict()},
           lambda: [f"at most {cert.bound} disjoint parallel classes ({cert.method})"])
     return EXIT_OK
 
@@ -312,7 +312,7 @@ def _cmd_theorem1(args) -> int:
     from .analysis import theorem1_pipeline
 
     report = theorem1_pipeline(args.v)
-    _emit(args, lambda: {"command": "theorem1", **vars(report)},
+    _emit(args, lambda: {"command": "theorem1", **report._asdict()},
           lambda: [f"v={report.v} [{report.route}] {report.message}"])
     if report.holds is None:
         return EXIT_INCONCLUSIVE

@@ -12,11 +12,11 @@ point names to internal points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Colouring, PartialParallelClass, TripleSystem
 from .factorisation import OneFactorisation, factorise_G
+from .rng import substream
 
 __all__ = [
     "LabelledSTS",
@@ -49,23 +49,24 @@ MAX_BOSE_N = 333
 # Latin squares
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(NamedTuple("LatinSquare", [("n", int),
+                                             ("rows", tuple[tuple[int, ...], ...])])):
     """An n x n array over symbols 0..n-1, each once per row and column."""
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        full = set(range(self.n))
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        for r, row in enumerate(self.rows):
-            if set(row) != full or len(row) != self.n:
-                raise ValueError(f"row {r} is not a permutation of 0..{self.n - 1}")
-        for c in range(self.n):
-            if {row[c] for row in self.rows} != full:
-                raise ValueError(f"column {c} is not a permutation of 0..{self.n - 1}")
+    def __new__(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> LatinSquare:
+        full = set(range(n))
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        for r, row in enumerate(rows):
+            if set(row) != full or len(row) != n:
+                raise ValueError(f"row {r} is not a permutation of 0..{n - 1}")
+        for c in range(n):
+            if {row[c] for row in rows} != full:
+                raise ValueError(f"column {c} is not a permutation of 0..{n - 1}")
+        return super().__new__(cls, n, rows)
 
     def __call__(self, x: int, y: int) -> int:
         return self.rows[x][y]
@@ -113,17 +114,38 @@ def conjugate_square(square: LatinSquare, perm: Sequence[int]) -> LatinSquare:
 # labelled systems
 
 
-@dataclass(frozen=True)
 class LabelledSTS:
     """A triple system plus its construction structure.
 
     ``families`` maps family names (e.g. "zero-sum", "infinity", "spine") to
-    their triple counts; the families partition the triple list.
+    their triple counts; the families partition the triple list.  Not a
+    tuple, so that a construction's result is told from a pair holding one;
+    its fields are read-only.
     """
 
-    system: TripleSystem
-    tag: str
-    families: dict[str, int]
+    __slots__ = ("system", "tag", "families")
+
+    def __init__(self, system: TripleSystem, tag: str, families: dict[str, int]) -> None:
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "families", families)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None  # type: ignore[assignment]  # families is a dict
+
+    def __repr__(self) -> str:
+        return (f"LabelledSTS(system={self.system!r}, tag={self.tag!r}, "
+                f"families={self.families!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +288,6 @@ def bose_half_sum(n: int) -> LabelledSTS:
 def bose_conjugate(n: int, seed: int) -> LabelledSTS:
     """Bose system from three conjugates of the half-sum square of order n,
     square i by a shuffle of 0..n-1 drawn from ``substream(seed, "bose", i)``."""
-    # Imported here: rng loads hashlib, some 5 ms of a cold start that no
-    # other construction needs.
-    from .rng import substream
-
     base = half_sum_square(n)
     perms = [list(range(n)) for _ in range(3)]
     for i, perm in enumerate(perms):

@@ -12,11 +12,11 @@ state their map onto 0..v-1, see :mod:`stskit.constructions`.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import chain, combinations
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 __all__ = [
     "Colouring",
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a verifier: first violation and total count; ok when the
     count is zero."""
 
@@ -69,8 +68,8 @@ class Violations:
                                   n_classes=n_classes)
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(NamedTuple("TripleSystem", [("v", int),
+                                               ("triples", tuple[tuple[int, int, int], ...])])):
     """A set of 3-subsets ("triples") of the points 0..v-1, in canonical order.
 
     The constructor enforces only well-formedness: point labels in range,
@@ -79,15 +78,15 @@ class TripleSystem:
     Whether the system is actually Steiner is the job of :func:`verify_sts`.
     """
 
-    v: int
-    triples: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        v = self.v
+    def __new__(cls, v: int, triples: tuple[tuple[int, int, int], ...]) -> TripleSystem:
+        self = super().__new__(cls, v, triples)
         if v < 1:
             raise ValueError(f"v must be positive, got {v}")
         prev = None
-        for t in self.triples:
+        for t in triples:
             try:
                 a, b, c = t
             except ValueError:
@@ -100,10 +99,11 @@ class TripleSystem:
                     raise ValueError(f"duplicate triple {t}")
                 raise ValueError("triple list is not sorted; use from_triples")
             prev = t
+        return self
 
     def _check_points(self, t: tuple[int, int, int]) -> None:
-        """The checks of ``__post_init__`` one by one, for a triple that
-        fails its one-comparison fast path (int and tuple subclasses pass)."""
+        """The checks of ``__new__`` one by one, for a triple that fails its
+        one-comparison fast path (int and tuple subclasses pass)."""
         if not all(isinstance(p, int) and 0 <= p < self.v for p in t):
             raise ValueError(f"triple {t} has a point outside 0..{self.v - 1}")
         if not (t[0] <= t[1] <= t[2]):
@@ -114,7 +114,7 @@ class TripleSystem:
             raise ValueError(f"triple {t} is not a tuple; use from_triples")
 
     @classmethod
-    def from_triples(cls, v: int, triples: Iterable[Sequence[int]]) -> "TripleSystem":
+    def from_triples(cls, v: int, triples: Iterable[Sequence[int]]) -> TripleSystem:
         """Canonicalise and build: sorts within each triple and sorts the list."""
         return cls(v, tuple(sorted(map(tuple, map(sorted, triples)))))  # type: ignore[arg-type]
 
@@ -123,31 +123,33 @@ class TripleSystem:
         return len(self.triples)
 
 
-@dataclass(frozen=True)
-class PartialParallelClass:
+class PartialParallelClass(NamedTuple("PartialParallelClass", [("indices", tuple[int, ...])])):
     """A set of triple indices of a host system, intended pairwise disjoint."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if list(self.indices) != sorted(set(self.indices)):
+    def __new__(cls, indices: tuple[int, ...]) -> PartialParallelClass:
+        if list(indices) != sorted(set(indices)):
             raise ValueError("class indices must be sorted and duplicate-free")
-        if self.indices and self.indices[0] < 0:
+        if indices and indices[0] < 0:
             raise ValueError("negative triple index")
+        return super().__new__(cls, indices)
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(NamedTuple("Colouring", [("host", TripleSystem),
+                                         ("classes", tuple[PartialParallelClass, ...])])):
     """An assignment of the host's triples to colour classes."""
 
-    host: TripleSystem
-    classes: tuple[PartialParallelClass, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        for cls in self.classes:
-            if cls.indices and cls.indices[-1] >= self.host.b:
-                raise ValueError(f"class references triple index {cls.indices[-1]} "
-                                 f"but the host has only {self.host.b} triples")
+    def __new__(cls, host: TripleSystem, classes: tuple[PartialParallelClass, ...]) -> Colouring:
+        for pcls in classes:
+            if pcls.indices and pcls.indices[-1] >= host.b:
+                raise ValueError(f"class references triple index {pcls.indices[-1]} "
+                                 f"but the host has only {host.b} triples")
+        return super().__new__(cls, host, classes)
 
     @property
     def n_classes(self) -> int:
@@ -298,50 +300,49 @@ def format_sts(system: TripleSystem) -> str:
 # Characters read from a file at a time.
 _BLOCK = 1 << 16
 
+# Whole lines as sts_lines writes them: three ASCII point numbers, one space
+# between them and "\n" after.
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 
-def _header_and_body(source: str | TextIO, magic: str,
-                     refusal: str) -> tuple[str, Iterator[tuple[int, str]]]:
-    """The header line of a text or of a file open for reading, and the
-    non-blank lines after it with their line breaks, numbered from 2; refuses
-    a header not starting with ``magic``.  Read in blocks and split as by
-    ``str.splitlines``, a file is never held whole and reads as its text."""
+
+def _chunks(source: str | TextIO) -> Iterator[str]:
+    """The text of ``source``, a text or a file open for reading, read
+    ``_BLOCK`` characters at a time and cut into chunks of whole lines.  A
+    block is cut after its last ``"\\n"`` or, with none, before its last
+    line as ``str.splitlines`` finds it; the rest goes before the next
+    block.  So a file is never held whole, and its chunks split into lines
+    as its text does."""
     if isinstance(source, str):
         blocks: Iterable[str] = (source[i:i + _BLOCK] for i in range(0, len(source), _BLOCK))
     else:
         blocks = iter(partial(source.read, _BLOCK), "")
-    lines = filter(str.strip, _lines(blocks))
-    head = next(lines, "")
-    if not head.startswith(magic):
-        raise ValueError(refusal)
-    return head.splitlines()[0], enumerate(lines, start=2)
-
-
-def parse_sts(source: str | TextIO) -> TripleSystem:
-    """Parse an STS file from its text or from a file open for reading.  A
-    file in canonical order, as :func:`format_sts` writes it, is taken as it
-    stands; any other goes through :meth:`TripleSystem.from_triples`."""
-    head, body = _header_and_body(source, "STS v=",
-                                  "not an STS file: expected first line 'STS v=<v>'")
-    try:
-        v = int(head[len("STS v="):])
-    except ValueError:
-        raise ValueError(f"bad STS header {head!r}") from None
-    triples = tuple(_sts_triples(body))
-    try:
-        return TripleSystem(v, triples)
-    except ValueError:
-        return TripleSystem.from_triples(v, triples)
-
-
-def _lines(blocks: Iterable[str]) -> Iterator[str]:
-    """The lines of the text made of ``blocks``, as ``splitlines(True)``
-    gives them: each keeps its line break, which ``str.split`` drops."""
     rest = ""
     for block in blocks:
-        *lines, rest = (rest + block).splitlines(True)
-        yield from lines
+        text = rest + block
+        cut = text.rfind("\n") + 1 or len(text) - len(text.splitlines(True)[-1])
+        yield text[:cut]
+        rest = text[cut:]
     if rest:
         yield rest
+
+
+def _header_and_body(source: str | TextIO, magic: str,
+                     refusal: str) -> tuple[str, Iterator[str]]:
+    """The header line of a text or of a file open for reading, which is its
+    first non-blank line, and the text after it in chunks of whole lines
+    (see :func:`_chunks`); refuses a header not starting with ``magic``.
+    Only the chunk holding the header is split into lines here: a reader
+    may take any other chunk in bulk, and the lines of the body are
+    numbered from 2, not counting blank lines."""
+    chunks = _chunks(source)
+    for chunk in chunks:
+        lines = chunk.splitlines(True)
+        for i, head in enumerate(lines):
+            if head.strip():
+                if not head.startswith(magic):
+                    raise ValueError(refusal)
+                return head.splitlines()[0], chain(("".join(lines[i + 1:]),), chunks)
+    raise ValueError(refusal)
 
 
 class _Points(dict):
@@ -353,20 +354,47 @@ class _Points(dict):
         return point
 
 
-def _sts_triples(body: Iterable[tuple[int, str]]) -> Iterator[tuple[int, int, int]]:
-    """The triple of each numbered body line of an STS file.  The first bad
-    line raises, so it comes before any check of the system."""
+def parse_sts(source: str | TextIO) -> TripleSystem:
+    """Parse an STS file from its text or from a file open for reading.
+
+    A chunk of the body in the canonical form, lines of ``"a b c\\n"`` as
+    :func:`sts_lines` writes them, is proved so by one regular-expression
+    match and converted in bulk.  Any other chunk (blank lines, tabs, other
+    line breaks, signs, non-ASCII digits, no final newline) is read line by
+    line, and its first bad line raises, naming its number, before any
+    check of the system.  A file in canonical order is taken as it stands;
+    any other goes through :meth:`TripleSystem.from_triples`."""
+    head, chunks = _header_and_body(source, "STS v=",
+                                    "not an STS file: expected first line 'STS v=<v>'")
+    try:
+        v = int(head[len("STS v="):])
+    except ValueError:
+        raise ValueError(f"bad STS header {head!r}") from None
     point = _Points().__getitem__
-    for lineno, ln in body:
-        try:
-            a, b, c = ln.split()
-            t = point(a), point(b), point(c)
-        except ValueError:
-            ln = ln.splitlines()[0]
-            if len(ln.split()) != 3:
-                raise ValueError(f"line {lineno}: expected 3 point indices, got {ln!r}") from None
-            raise ValueError(f"line {lineno}: non-integer point in {ln!r}") from None
-        yield t
+    # A list: a tuple grown item by item goes back to the youngest garbage
+    # collector generation at each resize, and each collection rescans it.
+    triples: list[tuple[int, int, int]] = []
+    for chunk in chunks:
+        if _CANONICAL.fullmatch(chunk):
+            points = map(point, chunk.split())
+            triples += zip(points, points, points)
+            continue
+        for ln in filter(str.strip, chunk.splitlines()):
+            try:
+                a, b, c = ln.split()
+                triples.append((point(a), point(b), point(c)))
+            except ValueError:
+                # Each line before this one gave one triple.
+                lineno = len(triples) + 2
+                if len(ln.split()) != 3:
+                    raise ValueError(f"line {lineno}: expected 3 point indices, "
+                                     f"got {ln!r}") from None
+                raise ValueError(f"line {lineno}: non-integer point in {ln!r}") from None
+    system = tuple(triples)
+    try:
+        return TripleSystem(v, system)
+    except ValueError:
+        return TripleSystem.from_triples(v, system)
 
 
 def colouring_lines(colouring: Colouring) -> Iterator[str]:
@@ -391,8 +419,8 @@ def parse_colouring(source: str | TextIO, host: TripleSystem) -> Colouring:
     if v != host.v:
         raise ValueError(f"colouring order {v} does not match system order {host.v}")
     classes = []
-    for lineno, ln in body:
-        ln = ln.splitlines()[0]
+    lines = filter(str.strip, chain.from_iterable(map(str.splitlines, body)))
+    for lineno, ln in enumerate(lines, start=2):
         try:
             idxs = tuple(sorted(int(p) for p in ln.split()))
         except ValueError:

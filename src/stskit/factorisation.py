@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import VerificationReport, Violations
 
@@ -59,8 +58,7 @@ _first = itemgetter(0)
 MAX_N = 10**6
 
 
-@dataclass(frozen=True)
-class OneFactorisation:
+class OneFactorisation(NamedTuple):
     """Three perfect matchings of G(n); each edge is a pair (u, v), u < v."""
 
     n: int

@@ -13,8 +13,8 @@ uncovered pair); orders above ``MAX_V`` are refused before it is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .analysis import chromatic_index_heuristic
 from .core import TripleSystem, m_lower
@@ -105,8 +105,7 @@ def random_sts(v: int, seed: int) -> TripleSystem:
                                  for y, z in enumerate(row) if x < y < z))
 
 
-@dataclass(frozen=True)
-class SurveyResult:
+class SurveyResult(NamedTuple):
     v: int
     m: int
     counts: dict  # "m" | "m+1" | "m+2" | "fail" -> number of systems

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -194,8 +193,7 @@ def _unit_profile(d: int) -> tuple[int, int, int]:
     return phi, order, _g_from_order(d, phi, order)
 
 
-@dataclass(frozen=True)
-class NumberProfile:
+class NumberProfile(NamedTuple):
     """Per-n record of the arithmetic quantities feeding the bound machinery."""
 
     n: int

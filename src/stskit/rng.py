@@ -8,12 +8,15 @@ any (seed, index) pair names a reproducible substream on every platform.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
 def derive_seed(seed: int, *parts: object) -> int:
-    """64-bit child seed for the substream identified by ``parts``."""
+    """64-bit child seed for the substream identified by ``parts``.  Imports
+    ``hashlib`` when first called, so that importing this module does not:
+    most commands never derive a seed."""
+    import hashlib
+
     key = ":".join([str(seed), *(str(p) for p in parts)])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

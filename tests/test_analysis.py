@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations, count
 from types import SimpleNamespace
 
@@ -11,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stskit import (
+    Colouring,
+    OneFactorisation,
     TripleSystem,
     SearchBudget,
     VerificationReport,
@@ -312,17 +313,15 @@ def test_ws_bound_reads_order_from_factorisation():
     # G(19)'s are refused by the verifier.
     fact = factorise_G(7)
     with pytest.raises(ValueError, match="weight properties"):
-        pc_bound_ws(replace(fact, n=19))
+        pc_bound_ws(OneFactorisation(19, fact.factors))
 
 
 def test_ws_bound_refuses_unverified_factorisation():
     fact = factorise_G(7)
     e1, e2 = fact.factors[1][0], fact.factors[2][0]
-    tampered = replace(
-        fact,
-        factors=(fact.factors[0],
-                 tuple(sorted(set(fact.factors[1]) - {e1} | {e2})),
-                 tuple(sorted(set(fact.factors[2]) - {e2} | {e1}))))
+    tampered = OneFactorisation(fact.n, (fact.factors[0],
+                                         tuple(sorted(set(fact.factors[1]) - {e1} | {e2})),
+                                         tuple(sorted(set(fact.factors[2]) - {e2} | {e1}))))
     with pytest.raises(ValueError, match="weight properties"):
         pc_bound_ws(tampered)
 
@@ -623,7 +622,7 @@ def test_chi_exact_rejects_bad_witness(sts9_grid):
     # A colouring of the grid's own triples with one class removed leaves
     # three triples in no class.
     colouring = chromatic_index_exact(sts9_grid).colouring
-    short = replace(colouring, classes=colouring.classes[1:])
+    short = Colouring(colouring.host, colouring.classes[1:])
     with pytest.raises(ValueError, match="witness colouring invalid"):
         chromatic_index_exact(sts9_grid, upper_witness=short)
     # A colouring of another system is refused before it is checked.
@@ -664,7 +663,8 @@ def test_chi_exact_refuses_a_forged_packing_certificate():
         chromatic_index_exact(system, pc_certificate=forged)
     # Bound 1 on a system whose packing number is 2.
     with pytest.raises(ValueError, match="its bound is 1, the system's is 2"):
-        chromatic_index_exact(random_sts(15, 1), pc_certificate=replace(forged, bound=1))
+        chromatic_index_exact(random_sts(15, 1),
+                              pc_certificate=PCBoundCertificate(forged.method, 1, forged.witness))
 
 
 def test_chi_exact_derives_the_certificate_again_on_the_system():
@@ -677,7 +677,8 @@ def test_chi_exact_derives_the_certificate_again_on_the_system():
         cert = pc_bound_mod3_auto(other)
         with pytest.raises(ValueError, match="does not apply to this system: triple"):
             chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=cert)
-        tampered = replace(pc_bound_mod3_auto(system), bound=4)
+        own = pc_bound_mod3_auto(system)
+        tampered = PCBoundCertificate(own.method, 4, own.witness)
         with pytest.raises(ValueError, match="its bound is 4, the system's is 5"):
             chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=tampered)
     # A Wilson-Schreiber certificate needs the canonical construction of
@@ -690,12 +691,12 @@ def test_chi_exact_derives_the_certificate_again_on_the_system():
     with pytest.raises(ValueError, match="not the canonical construction of order 39"):
         chromatic_index_exact(relabelled, SearchBudget(max_nodes=10), pc_certificate=cert)
     for witness in ({**cert.witness, "n": 31}, {}):
+        forged = PCBoundCertificate(cert.method, cert.bound, witness)
         with pytest.raises(ValueError, match="not the canonical construction"):
-            chromatic_index_exact(ws39, SearchBudget(max_nodes=10),
-                                  pc_certificate=replace(cert, witness=witness))
+            chromatic_index_exact(ws39, SearchBudget(max_nodes=10), pc_certificate=forged)
     with pytest.raises(ValueError, match=f"its bound is 0, the system's is {cert.bound}"):
         chromatic_index_exact(ws39, SearchBudget(max_nodes=10),
-                              pc_certificate=replace(cert, bound=0))
+                              pc_certificate=PCBoundCertificate(cert.method, 0, cert.witness))
 
 
 def test_chi_exact_refuses_certificate_for_order_1_mod_6():

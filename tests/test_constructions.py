@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -24,6 +23,7 @@ from stskit import (
 from stskit.constructions import (MAX_BOSE_N, MAX_WS_N, _is_automorphism,
                                   is_wilson_schreiber, wilson_schreiber_triples)
 from stskit.core import sts_lines
+from stskit.factorisation import OneFactorisation
 from stskit.rng import substream
 
 
@@ -158,7 +158,7 @@ def test_is_wilson_schreiber_tells_factors_apart():
     # The system built on the factorisation with factors 0 and 1 swapped is
     # an order-15 system, but not the one built on the factorisation itself.
     fact = factorise_G(13)
-    swapped = replace(fact, factors=(fact.factors[1], fact.factors[0], fact.factors[2]))
+    swapped = OneFactorisation(fact.n, (fact.factors[1], fact.factors[0], fact.factors[2]))
     other = TripleSystem(15, wilson_schreiber_triples(swapped))
     assert verify_sts(other).ok
     assert (other.triples == wilson_schreiber_triples(fact)) is False
@@ -187,7 +187,7 @@ def test_ws_rejects_tampered_factorisation():
     # and the duplicate/missing pairs break the construction.
     e1, e2 = fact.factors[0][0], fact.factors[0][1]
     bad0 = (tuple(sorted((e1[0], e2[1]))), tuple(sorted((e2[0], e1[1])))) + fact.factors[0][2:]
-    tampered = replace(fact, factors=(tuple(sorted(bad0)),) + fact.factors[1:])
+    tampered = OneFactorisation(fact.n, (tuple(sorted(bad0)),) + fact.factors[1:])
     try:
         system = TripleSystem(9, wilson_schreiber_triples(tampered))
     except ValueError:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import tempfile
 import tracemalloc
@@ -375,6 +376,51 @@ def test_parse_sts_numbers_lines_across_blocks():
             parse_sts(f)
 
 
+# The order-201 system: its file, 69,410 characters, is longer than one
+# block, and line 6379 straddles the first block edge.
+_WS201 = wilson_schreiber(199).system
+_WS201_LINES = format_sts(_WS201).splitlines(True)
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _edited_ws201(edits: dict[int, str]) -> str:
+    """The order-201 file with line ``n`` replaced by ``edits[n]``."""
+    lines = list(_WS201_LINES)
+    for n, line in edits.items():
+        lines[n - 1] = line
+    return "".join(lines)
+
+
+# Edits of the order-201 file and the errors they raise, as the reader gave
+# them when it read every line on its own.
+@pytest.mark.parametrize("edits, message", [
+    ({50: "0 1\n"}, "line 50: expected 3 point indices, got '0 1'"),
+    ({6500: "5 6 x\n"}, "line 6500: non-integer point in '5 6 x'"),
+    # Six tokens in two lines: a token count alone would pass them.
+    ({20: "0 1\n", 21: "2 3 4 5\n"}, "line 20: expected 3 point indices, got '0 1'"),
+    ({6500: "0 1\n", 6501: "2 3 4 5\n"}, "line 6500: expected 3 point indices, got '0 1'"),
+    # A digit that int() refuses.
+    ({6500: "102 107 \u00b2\n"}, "line 6500: non-integer point in '102 107 \u00b2'"),
+    # Blank lines are not counted.
+    ({6379: "\n", 6500: " 0 1\r\n"}, "line 6499: expected 3 point indices, got ' 0 1'"),
+])
+def test_parse_sts_names_the_first_bad_line(tmp_path, edits, message):
+    text = _edited_ws201(edits)
+    path = tmp_path / "bad.sts"
+    path.write_text(text, newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_sts(text)
+    with open(path) as f, pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_sts(f)
+
+
+def test_parse_sts_reads_non_ascii_decimal_digits():
+    line = _WS201_LINES[6499].translate(_ARABIC_INDIC)
+    assert line != _WS201_LINES[6499]
+    assert parse_sts(_edited_ws201({6500: line})) == _WS201
+
+
 def test_parse_colouring_rejects_mismatches(fano, sts9_grid):
     colouring = _resolution_of_grid(sts9_grid)
     text = "".join(core.colouring_lines(colouring))
@@ -482,6 +528,60 @@ def test_parse_sts_reads_a_file_as_its_text(text, block):
                 assert _parse_outcome(parse, text) == expected
                 with open(path, encoding="utf-8") as f:
                     assert _parse_outcome(parse, f) == expected
+
+
+_SPACES = [" ", "  ", "\t", " \t "]
+
+
+def _styled_file(system: TripleSystem, rnd, share: float) -> tuple[str, list]:
+    """An STS file of ``system`` and its triples in file order.  The
+    triples may be shuffled; about ``share`` of the lines take a random
+    point order, leading zeros, extra spaces or tabs, a blank line before
+    and a CRLF; the last line break may be missing."""
+    triples = list(system.triples)
+    if rnd.random() < 0.5:
+        rnd.shuffle(triples)
+    lines = [f"STS v={system.v}\n"]
+    for i, t in enumerate(triples):
+        if rnd.random() < share:
+            t = triples[i] = tuple(rnd.sample(t, 3))
+            points = rnd.choice(_SPACES).join(rnd.choice(["", "0", "00"]) + str(p) for p in t)
+            lines.append(rnd.choice(["", "\n", " \n", "\t\r\n"]) + rnd.choice(["", " ", "\t"])
+                         + points + rnd.choice(["", " ", "\t"]) + rnd.choice(["\n", "\r\n"]))
+        else:
+            lines.append("%d %d %d\n" % t)
+    text = "".join(lines)
+    return (text.rstrip("\n") if rnd.random() < 0.5 else text), triples
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.one_of(st.builds(random_sts, st.sampled_from([7, 9, 13, 15, 19, 21]),
+                                  st.integers(0, 2**32 - 1)),
+                        st.just(_WS201)),
+       rnd=st.integers(0, 2**32 - 1).map(random.Random),
+       share=st.sampled_from([0.0, 0.001, 0.05, 1.0]),
+       block=st.sampled_from([core._BLOCK, 4096, 61]))
+def test_parse_sts_reads_any_layout_as_from_triples(tmp_path_factory, system, rnd, share,
+                                                    block):
+    # Canonical chunks are taken in bulk and the others line by line; the
+    # small blocks put many block edges inside lines and line breaks.
+    text, triples = _styled_file(system, rnd, share)
+    expected = TripleSystem.from_triples(system.v, triples)
+    path = tmp_path_factory.mktemp("layout") / "x.sts"
+    path.write_text(text, newline="")
+    with mock.patch.object(core, "_BLOCK", block):
+        assert parse_sts(text) == expected
+        with open(path) as f:
+            assert parse_sts(f) == expected
+
+
+def test_parse_sts_reads_a_line_across_the_block_edge(tmp_path):
+    text = format_sts(_WS201)
+    assert "\n" not in text[core._BLOCK - 2:core._BLOCK + 1]
+    path = tmp_path / "ws201.sts"
+    path.write_text(text)
+    with open(path) as f:
+        assert parse_sts(f) == _WS201
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -157,7 +156,7 @@ def test_verify_catches_swapped_zero_weight_edge():
     other = fact.factors[1][0]
     f0 = tuple(sorted(set(fact.factors[0]) - {zero} | {other}))
     f1 = tuple(sorted(set(fact.factors[1]) - {other} | {zero}))
-    tampered = replace(fact, factors=(f0, f1, fact.factors[2]))
+    tampered = OneFactorisation(fact.n, (f0, f1, fact.factors[2]))
     report = verify_factorisation_properties(tampered, f_of(7))
     assert not report.ok
     assert report.violation_count > 0
@@ -174,7 +173,7 @@ def test_verify_catches_edge_outside_G():
     # (4,6)): still a perfect matching, but {1,2} and {3,5} are not edges.
     fact = factorise_G(7)
     assert fact.factors[0] == ((1, 3), (2, 5), (4, 6))
-    tampered = replace(fact, factors=(((1, 2), (3, 5), (4, 6)),) + fact.factors[1:])
+    tampered = OneFactorisation(fact.n, (((1, 2), (3, 5), (4, 6)),) + fact.factors[1:])
     report = verify_factorisation_properties(tampered, f_of(7))
     assert not report.ok
     assert report.first_violation == "edge (1, 2) of factor 0 is not an edge of G(7)"
@@ -184,7 +183,7 @@ def test_verify_catches_edge_in_two_factors():
     # Factor 2 replaced by a copy of factor 1: three perfect matchings inside
     # G(7), but not edge-disjoint.
     fact = factorise_G(7)
-    tampered = replace(fact, factors=fact.factors[:2] + (fact.factors[1],))
+    tampered = OneFactorisation(fact.n, fact.factors[:2] + (fact.factors[1],))
     report = verify_factorisation_properties(tampered, f_of(7))
     assert not report.ok
     assert "is in factors 1 and 2" in report.first_violation
@@ -193,14 +192,14 @@ def test_verify_catches_edge_in_two_factors():
 def test_verify_catches_missing_factor():
     # Two edge-disjoint perfect matchings inside G(7) are not all of it.
     fact = factorise_G(7)
-    report = verify_factorisation_properties(replace(fact, factors=fact.factors[:2]), f_of(7))
+    report = verify_factorisation_properties(OneFactorisation(fact.n, fact.factors[:2]), f_of(7))
     assert not report.ok
     assert report.first_violation == "2 factors, expected 3"
 
 
 def test_verify_catches_non_matching():
     fact = factorise_G(7)
-    tampered = replace(fact, factors=(((1, 3), (1, 6), (2, 5)),) + fact.factors[1:])
+    tampered = OneFactorisation(fact.n, (((1, 3), (1, 6), (2, 5)),) + fact.factors[1:])
     report = verify_factorisation_properties(tampered, f_of(7))
     assert not report.ok
     assert "factor 0 is not a matching" in report.first_violation
@@ -209,11 +208,11 @@ def test_verify_catches_non_matching():
 def test_verify_catches_order_not_1_mod_6():
     fact = factorise_G(7)
     for n in (1, 5, 9):
-        report = verify_factorisation_properties(replace(fact, n=n), f_of(7))
+        report = verify_factorisation_properties(OneFactorisation(n, fact.factors), f_of(7))
         assert not report.ok
         assert "1 mod 6" in report.first_violation
     # A valid order the matchings were not built for fails the edge rule.
-    report = verify_factorisation_properties(replace(fact, n=13), f_of(13))
+    report = verify_factorisation_properties(OneFactorisation(13, fact.factors), f_of(13))
     assert not report.ok
 
 

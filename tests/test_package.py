@@ -60,18 +60,35 @@ def test_root_lists_each_public_name_once_and_nothing_else():
             getattr(stskit, name)
 
 
-def _loaded_modules(code: str, *args: str) -> list[str]:
-    """The ``stskit.*`` modules a fresh interpreter holds after ``code``."""
-    script = (f"import json, sys\n{code}\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stskit.'))))")
+def _modules(code: str, *args: str) -> list[str]:
+    """The modules a fresh interpreter holds after ``code``."""
+    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _loaded_modules(code: str, *args: str) -> list[str]:
+    """The ``stskit.*`` modules a fresh interpreter holds after ``code``."""
+    return [m for m in _modules(code, *args) if m.startswith("stskit.")]
+
+
 def test_import_loads_no_submodule():
     assert _loaded_modules("import stskit") == []
+
+
+@pytest.mark.parametrize("module", ["cli", "rng", "core"])
+def test_submodule_import_loads_that_module_alone(module):
+    assert _loaded_modules(f"from stskit import {module}") == [f"stskit.{module}"]
+
+
+@pytest.mark.parametrize("argv", [("numtheory", "profile", "--n", "49"),
+                                  ("theorem1", "--v", "45")])
+def test_cli_command_loads_neither_dataclasses_inspect_nor_hashlib(argv):
+    loaded = _modules("import stskit.cli\nstskit.cli.main(sys.argv[1:])", *argv)
+    assert "stskit.numtheory" in loaded
+    assert [m for m in ("dataclasses", "inspect", "hashlib") if m in loaded] == []
 
 
 def test_cli_command_loads_only_the_modules_it_uses(tmp_path, fano):
