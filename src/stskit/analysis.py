@@ -436,8 +436,9 @@ def pc_bound_ws_on(system: TripleSystem) -> PCBoundCertificate:
 
 # The most nodes the exhaustive-packing certificate spends, enumeration
 # included.  On a 2-vCPU host it settles random_sts(15, s), s = 1..200,
-# within 92 nodes each, and refuses random_sts(27, 1) after the 32,576 of
-# its enumeration (0.08 s); at v = 33 and 45 the cap stops it in 0.3-0.4 s.
+# within 92 nodes each, and refuses random_sts(27, 1) after 14,878 nodes,
+# when the enumeration's greedy packing holds (v+3)/6 = 5 classes (0.03 s);
+# at v = 33 and 45 the cap stops it in 0.3-0.4 s.
 PACKING_CAP = 100_000
 
 
@@ -461,15 +462,18 @@ def _packing_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
     """The exhaustive-packing certificate: the packing number P of
     ``system``, proven by enumerating its parallel classes and packing them
     to the end, when P < (v+3)/6.  The search stops once it holds (v+3)/6
-    classes, and after :data:`PACKING_CAP` nodes or what ``meter`` leaves,
-    whichever comes first; each of these raises ValueError."""
+    classes, the enumeration's greedy packing included, and after
+    :data:`PACKING_CAP` nodes or what ``meter`` leaves, whichever comes
+    first; each of these raises ValueError."""
     threshold = min_pc_for_low_chi(system.v)
     start, cap = meter.nodes, meter.max_nodes
     meter.max_nodes = min(cap, start + PACKING_CAP)
     try:
-        enum = _enumerate(system, meter)[0]
-        best, final = _packing(enum.classes, meter if enum.status == COMPLETE else None,
-                               threshold)
+        enum, best = _enumerate(system, meter, threshold)
+        final = len(best) >= threshold
+        if not final:
+            best, final = _packing(enum.classes, meter if enum.status == COMPLETE else None,
+                                   threshold)
     finally:
         meter.max_nodes = cap
     if not final:
@@ -508,32 +512,6 @@ def pc_bound(system: TripleSystem, budget: SearchBudget = DEFAULT_BUDGET) -> PCB
     return _least_bound(system, _Meter(budget))
 
 
-def _check_certificate(system: TripleSystem, cert: PCBoundCertificate) -> None:
-    """Derive ``cert`` again on ``system`` and raise ValueError unless it
-    gives the same bound: a mod-3 certificate from its witness weights, a
-    Wilson-Schreiber one, whose witness must name n = v-2, by
-    :func:`pc_bound_ws_on`, and an exhaustive-packing one by the same
-    search under the same :data:`PACKING_CAP`.  Any other method is
-    refused."""
-    witness = cert.witness
-    if cert.method not in ("mod3-weighting", "ws-weight-argument", "exhaustive-packing"):
-        raise ValueError(f"unknown certificate method {cert.method!r}")
-    try:
-        if cert.method == "mod3-weighting":
-            bound = pc_bound_mod3(system, witness.get("weights", ())).bound
-        elif cert.method == "ws-weight-argument":
-            if witness.get("n") != system.v - 2:
-                raise ValueError(f"it is not the canonical construction of order {system.v}")
-            bound = pc_bound_ws_on(system).bound
-        else:
-            bound = _packing_bound(system, _Meter(SearchBudget(max_nodes=PACKING_CAP))).bound
-    except ValueError as e:
-        raise ValueError(f"the certificate does not apply to this system: {e}") from None
-    if bound != cert.bound:
-        raise ValueError(f"the certificate does not apply to this system: its bound is "
-                         f"{cert.bound}, the system's is {bound}")
-
-
 def chi_lower_from_certificate(v: int, cert: PCBoundCertificate) -> int:
     """Lower bound on the chromatic index implied by a disjoint-PC bound:
     fewer than (v+3)/6 disjoint parallel classes forces index >= (v+3)/2."""
@@ -552,6 +530,8 @@ class ChiResult(NamedTuple):
     status: str
     colouring: Colouring | None
     nodes: int
+    # The certificate the search derived (see chromatic_index_exact), if any.
+    certificate: PCBoundCertificate | None = None
 
     @property
     def value(self) -> int:
@@ -656,33 +636,24 @@ def _search_k_colouring(system: TripleSystem, k: int, meter: _Meter) -> list[int
 
 def chromatic_index_exact(system: TripleSystem,
                           budget: SearchBudget = DEFAULT_BUDGET,
-                          pc_certificate: PCBoundCertificate | None = None,
                           upper_witness: Colouring | None = None) -> ChiResult:
     """Exact chromatic index by iterated k-colourability branch-and-bound.
 
     The lower bound starts at ceil(b / floor(v/3)) (a class holds at most v/3
-    triples), the counting bound for the order on a Steiner system.  A
-    disjoint-PC certificate with bound < (v+3)/6 raises it to (v+3)/2; as its
-    counting needs v = 3 mod 6 and all v(v-1)/6 triples, any other order or
-    count refuses it, and so does a certificate that does not derive again
-    on this system with the same bound.  Given no certificate, a Steiner
-    system of order 3 mod 6 whose bracket holds (v+3)/2 above its lower end
-    takes the one :func:`pc_bound` derives, its packing search counted in
-    this call's nodes and clock; so the search starts at (v+3)/2 whenever a
-    certificate applies.  A system with v > 3b (a point on no triple) is
-    refused.  A verified witness colouring caps the upper bound.  If the
-    budget runs out the result is the interval bracketing the value."""
+    triples), the counting bound for the order on a Steiner system.  On a
+    Steiner system of order 3 mod 6 (all v(v-1)/6 triples) whose bracket
+    holds (v+3)/2 above its lower end, the search derives the certificate of
+    :func:`pc_bound`, its packing search counted in this call's nodes and
+    clock, and returns it as ``certificate``; a bound below (v+3)/6 raises
+    the lower bound to (v+3)/2.  No other certificate is taken, so none can
+    be forged.  A system with v > 3b (a point on no triple) is refused.  A
+    verified witness colouring caps the upper bound.  If the budget runs out
+    the result is the interval bracketing the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
     m_lower(v)  # refuses the order
     _refuse_unused_points(system)
     lower = -(-b // (v // 3))
-    if pc_certificate is not None:
-        if b != v * (v - 1) // 6:
-            raise ValueError(f"a certificate needs all v(v-1)/6 triples; the system has {b}")
-        lower = chi_lower_from_certificate(v, pc_certificate)
-        _check_certificate(system, pc_certificate)
-
     if upper_witness is not None:
         report = verify_colouring(system, upper_witness)
         if not report.ok:
@@ -691,14 +662,12 @@ def chromatic_index_exact(system: TripleSystem,
     else:
         best_col = _colouring_from_assignment(system, _greedy_colouring(system))
     upper = best_col.n_classes
-    if lower > upper:  # a sound certificate and a verified witness cannot cross
-        raise ValueError(f"lower bound {lower} exceeds witness upper bound {upper}; "
-                         f"the certificate does not apply to this system")
 
-    if (pc_certificate is None and v % 6 == 3 and b == v * (v - 1) // 6
-            and lower < (v + 3) // 2 <= upper):
+    cert = None
+    if v % 6 == 3 and b == v * (v - 1) // 6 and lower < (v + 3) // 2 <= upper:
         try:
-            lower = max(lower, chi_lower_from_certificate(v, _least_bound(system, meter)))
+            cert = _least_bound(system, meter)
+            lower = chi_lower_from_certificate(v, cert)  # m_lower(v) = lower, or (v+3)/2
         except ValueError:  # no certificate applies
             pass
     try:
@@ -713,7 +682,7 @@ def chromatic_index_exact(system: TripleSystem,
         pass
     return ChiResult(lower=lower, upper=upper,
                      status=COMPLETE if lower == upper else INCONCLUSIVE,
-                     colouring=best_col, nodes=meter.nodes)
+                     colouring=best_col, nodes=meter.nodes, certificate=cert)
 
 
 def _verified_colouring(system: TripleSystem, assign: Sequence[int]) -> Colouring:
@@ -910,8 +879,10 @@ def theorem1_pipeline(v: int) -> PipelineReport:
     * v in {3, 9}: the unique systems have chromatic index (v-1)/2.
     * v = 21: relies on the known order-21 systems with no parallel classes
       (external result, reported as such).
-    * v = 33: the embedded fixture has at most 5 < 6 disjoint parallel
-      classes, hence chromatic index 18 (witnessed by its colouring).
+    * v = 33: the exact search, given the embedded fixture's colouring as
+      its witness, derives the fixture's certificate (at most 5 < 6
+      disjoint parallel classes) and so pins chromatic index 18 with no
+      search node.
     * otherwise: the verified 1-factorisation of G(v-2) yields the
       disjoint-PC certificate 3 f(v-2)+1 for the Wilson-Schreiber system of
       order v, which is checked against (v+3)/6.  Below it, the certificate
@@ -941,11 +912,10 @@ def theorem1_pipeline(v: int) -> PipelineReport:
                    "have chromatic index >= 12")
     elif v == 33:
         labelled, colouring = sts33_fixture()
-        cert = pc_bound_mod3_auto(labelled.system)
-        chi = chromatic_index_exact(labelled.system, pc_certificate=cert,
-                                    upper_witness=colouring)
-        route, chi_lower, chi_exact, pc_bound = "fixture", chi.lower, chi.value, cert.bound
-        message = (f"embedded order-33 system: at most {cert.bound} disjoint "
+        chi = chromatic_index_exact(labelled.system, upper_witness=colouring)
+        route, chi_lower, chi_exact, pc_bound = ("fixture", chi.lower, chi.value,
+                                                 chi.certificate.bound)
+        message = (f"embedded order-33 system: at most {pc_bound} disjoint "
                    f"parallel classes, chromatic index {chi.value}")
     else:
         n = v - 2

@@ -282,15 +282,17 @@ def _cmd_analyze_chi(args) -> int:
 
     witness = (_read(args.witness_colouring, parse_colouring, system)
                if "witness_colouring" in opts else None)
-    cert = pc_bound_mod3_auto(system) if "mod3_lower" in opts else None
-    result = chromatic_index_exact(system, _budget(args), pc_certificate=cert,
-                                   upper_witness=witness)
+    if "mod3_lower" in opts:  # kept for scripts: it only refuses a file no weighting fits
+        pc_bound_mod3_auto(system)
+    result = chromatic_index_exact(system, _budget(args), upper_witness=witness)
     complete = result.status == COMPLETE
+    cert = result.certificate
     _emit(args, lambda: {
         "command": "analyze chi", "mode": "exact", "v": system.v,
         "lower": result.lower, "upper": result.upper,
         "status": result.status, "nodes": result.nodes,
         "value": result.lower if complete else None,
+        "certificate": None if cert is None else {"method": cert.method, "bound": cert.bound},
     }, lambda: [f"chromatic index {result.value}" if complete else
                 f"chromatic index in [{result.lower}, {result.upper}] (inconclusive)"])
     return EXIT_OK if complete else EXIT_INCONCLUSIVE
@@ -447,8 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--witness-colouring", default=argparse.SUPPRESS,
                    help="colouring file used as an upper-bound witness (exact mode)")
     q.add_argument("--mod3-lower", action="store_true", default=argparse.SUPPRESS,
-                   help="raise the lower bound via the mod-3 weighting certificate, "
-                        "as in 'analyze bound --method mod3' (exact mode)")
+                   help="refuse a file no mod-3 weighting fits, as 'analyze bound "
+                        "--method mod3' does; the search derives its lower bound "
+                        "either way (exact mode)")
     _add_budget_flags(q)
     q = new(asub, "bound", _cmd_analyze_bound,
             help="disjoint parallel-class upper-bound certificate")

@@ -97,12 +97,10 @@ def test_c05_sts33_fixture():
     assert verify_sts(labelled.system).ok
     report = verify_colouring(labelled.system, colouring)
     assert report.ok and report.n_classes == 18
-    cert = pc_bound_mod3_auto(labelled.system)
-    assert cert.bound == 5
-    assert cert.bound < min_pc_for_low_chi(33) == 6
-    chi = chromatic_index_exact(labelled.system, pc_certificate=cert,
-                                upper_witness=colouring)
+    chi = chromatic_index_exact(labelled.system, upper_witness=colouring)
     assert chi.status == COMPLETE and chi.value == 18
+    assert chi.certificate == pc_bound_mod3_auto(labelled.system)
+    assert chi.certificate.bound == 5 < min_pc_for_low_chi(33) == 6
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"fixture checks took {elapsed:.2f}s"
     _report("C5 order-33 fixture: verified, 18 classes, bound 5, index 18", t0)

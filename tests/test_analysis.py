@@ -332,14 +332,17 @@ def test_ws_bound_on_the_canonical_system(n):
 
 
 def test_ws_certificate_check_verifies_the_factorisation(monkeypatch):
-    # Deriving a WS certificate again runs the factorisation verifier, as
-    # 'analyze bound --method ws' does.
+    # pc_bound takes a WS certificate only once the factorisation verifier
+    # passes, as 'analyze bound --method ws' does: a failing report makes
+    # the ws rule refuse, and the exact search then lifts nothing.
     ws39 = wilson_schreiber(37).system
-    cert = pc_bound_ws(factorise_G(37))
     monkeypatch.setattr(analysis, "verify_factorisation_properties",
                         lambda *_: VerificationReport("broken", 1))
-    with pytest.raises(ValueError, match="weight properties: broken"):
-        chromatic_index_exact(ws39, SearchBudget(max_nodes=10), pc_certificate=cert)
+    with pytest.raises(ValueError, match=r"\[ws: factorisation fails the weight "
+                                         r"properties: broken\]"):
+        pc_bound(ws39, SearchBudget(max_nodes=10))
+    result = chromatic_index_exact(ws39, SearchBudget(max_nodes=10))
+    assert (result.certificate, result.lower) == (None, m_lower(39))
 
 
 def test_pc_bound_takes_the_least_certificate_it_proves():
@@ -353,11 +356,11 @@ def test_pc_bound_takes_the_least_certificate_it_proves():
 
 def test_pc_bound_names_each_refusal():
     # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes, and the greedy
-    # packing of random_sts(27, 1) already 7 > 5; a node cap stops the
-    # search on random_sts(15, 1).
+    # packing of random_sts(27, 1) reaches 5 = (v+3)/6 mid-enumeration; a
+    # node cap stops the search on random_sts(15, 1).
     for system, budget, packing in (
             (random_sts(15, 8), SearchBudget(), "3 disjoint parallel classes reach"),
-            (random_sts(27, 1), SearchBudget(), "7 disjoint parallel classes reach"),
+            (random_sts(27, 1), SearchBudget(), "5 disjoint parallel classes reach"),
             (random_sts(15, 1), SearchBudget(max_nodes=10),
              "the packing search stopped after 10 nodes")):
         with pytest.raises(ValueError) as info:
@@ -427,21 +430,37 @@ def test_chi_exact_fano(fano):
     assert result.value == 7 and result.status == COMPLETE
 
 
-def test_chi_exact_fixture_with_witnesses():
-    labelled, colouring = sts33_fixture()
-    cert = pc_bound_mod3_auto(labelled.system)
-    result = chromatic_index_exact(labelled.system, pc_certificate=cert,
-                                   upper_witness=colouring)
-    assert result.value == 18 and result.status == COMPLETE
-    assert result.nodes == 0  # bounds met without search
-
-
 def test_chi_exact_closes_the_bracket_from_a_derived_certificate():
     # A (v+3)/2 witness colouring and the fixture's own mod-3 bound 5 < 6
     # pin the index with no search.
     labelled, colouring = sts33_fixture()
     result = chromatic_index_exact(labelled.system, upper_witness=colouring)
     assert (result.status, result.value, result.nodes) == (COMPLETE, 18, 0)
+
+
+def _fixture_witness():
+    labelled, colouring = sts33_fixture()
+    return labelled.system, colouring
+
+
+def _ws39_witness():
+    system = wilson_schreiber(37).system
+    return system, chromatic_index_heuristic(system, 21, seed=0, restarts=1)
+
+
+@pytest.mark.parametrize("instance", [
+    _fixture_witness,
+    lambda: (bose_half_sum(11).system, None),
+    _ws39_witness,
+    lambda: (random_sts(15, seed=1), None),
+], ids=["fixture", "bose11", "ws39", "random15"])
+def test_chi_exact_reports_the_certificate_pc_bound_derives(instance):
+    system, witness = instance()
+    result = chromatic_index_exact(system, SearchBudget(max_nodes=1000), upper_witness=witness)
+    assert result.certificate == pc_bound(system)
+    assert result.lower == (system.v + 3) // 2
+    if witness is not None:  # a (v+3)/2-class witness closes the bracket unsearched
+        assert (result.status, result.nodes) == (COMPLETE, 0)
 
 
 def test_chi_exact_budget_interval():
@@ -534,15 +553,6 @@ def test_chi_exact_node_cap_inside_the_certificate_search():
     assert verify_colouring(random_sts(15, seed=1), result.colouring).ok
 
 
-def test_chi_exact_takes_back_a_derived_certificate():
-    # A certificate pc_bound derives is checked by deriving it again.
-    system = random_sts(15, seed=1)
-    cert = pc_bound(system)
-    assert (cert.method, cert.bound) == ("exhaustive-packing", 2)
-    result = chromatic_index_exact(system, pc_certificate=cert)
-    assert (result.status, result.value) == (COMPLETE, 9)
-
-
 def test_chi_exact_indices_of_random_sts15_are_pinned():
     results = [chromatic_index_exact(random_sts(15, seed=s)) for s in range(1, 25)]
     assert [r.value for r in results] == [9, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9, 9,
@@ -631,92 +641,26 @@ def test_chi_exact_rejects_bad_witness(sts9_grid):
         chromatic_index_exact(sts9_grid, upper_witness=foreign)
 
 
-def test_chi_exact_rejects_foreign_certificate(sts9_grid):
-    # A fabricated bound of 0 would force a lower bound of 6 on a system that
-    # greedily colours with fewer classes; the contradiction must surface.
-    from stskit import PCBoundCertificate
-
-    bogus = PCBoundCertificate(bound=0, method="mod3-weighting")
-    with pytest.raises(ValueError, match="does not apply"):
-        chromatic_index_exact(sts9_grid, pc_certificate=bogus)
-
-
-def test_chi_exact_refuses_a_forged_certificate():
-    # Bound 0 under a made-up method would force the lower bound 9 on a
-    # system whose index is 8.
-    from stskit import PCBoundCertificate
-
-    system = random_sts(15, 8)
-    assert chromatic_index_exact(system).value == 8
-    with pytest.raises(ValueError, match="unknown certificate method 'x'"):
-        chromatic_index_exact(system, pc_certificate=PCBoundCertificate(bound=0, method="x"))
-
-
-def test_chi_exact_refuses_a_forged_packing_certificate():
-    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint parallel classes and has
-    # index 8: bound 0 would force the lower bound 9.
-    system = random_sts(15, 8)
-    assert max_disjoint_pcs(system).size == 3
-    forged = PCBoundCertificate(bound=0, method="exhaustive-packing")
-    with pytest.raises(ValueError, match=r"does not apply to this system: 3 disjoint "
-                                         r"parallel classes reach \(v\+3\)/6 = 3"):
-        chromatic_index_exact(system, pc_certificate=forged)
-    # Bound 1 on a system whose packing number is 2.
-    with pytest.raises(ValueError, match="its bound is 1, the system's is 2"):
-        chromatic_index_exact(random_sts(15, 1),
-                              pc_certificate=PCBoundCertificate(forged.method, 1, forged.witness))
-
-
-def test_chi_exact_derives_the_certificate_again_on_the_system():
-    # A mod-3 certificate of the fixture does not fit Bose(11), another
-    # system of order 33, nor the other way round; nor does a certificate
-    # that claims a bound its weights do not give.
-    fixture = sts33_fixture()[0].system
-    bose33 = bose_half_sum(11).system
-    for system, other in ((fixture, bose33), (bose33, fixture)):
-        cert = pc_bound_mod3_auto(other)
-        with pytest.raises(ValueError, match="does not apply to this system: triple"):
-            chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=cert)
-        own = pc_bound_mod3_auto(system)
-        tampered = PCBoundCertificate(own.method, 4, own.witness)
-        with pytest.raises(ValueError, match="its bound is 4, the system's is 5"):
-            chromatic_index_exact(system, SearchBudget(max_nodes=10), pc_certificate=tampered)
-    # A Wilson-Schreiber certificate needs the canonical construction of
-    # its order, and the bound 3 f(n)+1.
-    ws39 = wilson_schreiber(37).system
-    cert = pc_bound_ws(factorise_G(37))
-    swap = {0: 1, 1: 0}
-    relabelled = TripleSystem.from_triples(39, ([swap.get(p, p) for p in t]
-                                                for t in ws39.triples))
-    with pytest.raises(ValueError, match="not the canonical construction of order 39"):
-        chromatic_index_exact(relabelled, SearchBudget(max_nodes=10), pc_certificate=cert)
-    for witness in ({**cert.witness, "n": 31}, {}):
-        forged = PCBoundCertificate(cert.method, cert.bound, witness)
-        with pytest.raises(ValueError, match="not the canonical construction"):
-            chromatic_index_exact(ws39, SearchBudget(max_nodes=10), pc_certificate=forged)
-    with pytest.raises(ValueError, match=f"its bound is 0, the system's is {cert.bound}"):
-        chromatic_index_exact(ws39, SearchBudget(max_nodes=10),
-                              pc_certificate=PCBoundCertificate(cert.method, 0, cert.witness))
-
-
 def test_chi_exact_refuses_certificate_for_order_1_mod_6():
-    # The disjoint-PC argument needs v = 3 mod 6, so at v = 13 a certificate
-    # is refused rather than ignored.
-    from stskit import PCBoundCertificate
-
-    bogus = PCBoundCertificate(bound=0, method="mod3-weighting")
-    with pytest.raises(ValueError, match="order 13 must be 3 mod 6"):
-        chromatic_index_exact(random_sts(13, 1), pc_certificate=bogus)
+    # The disjoint-PC argument needs v = 3 mod 6: at v = 13 the search
+    # derives no certificate and starts at the counting bound.
+    result = chromatic_index_exact(random_sts(13, 1))
+    assert (result.certificate, result.value) == (None, 8)
 
 
 def test_chi_exact_refuses_certificate_without_all_triples():
-    # Bose(5) less one colour class still fits its thirds weighting, but the
-    # certificate's count of 35 triples fails: it used to report a complete 9.
+    # Bose(5) less one colour class still fits its thirds weighting, but a
+    # certificate counts on all 35 triples: the search derives none, starts
+    # at the counting bound ceil(31/5) = 7, and finds the index 8.  Nor
+    # does one lift Bose(5) less its last triple.
     system = _bose15_minus(0)
-    cert = pc_bound_mod3_auto(system)
-    with pytest.raises(ValueError, match="needs all v\\(v-1\\)/6 triples; the system has 31"):
-        chromatic_index_exact(system, pc_certificate=cert)
-    assert chromatic_index_exact(system).value == 8
+    assert pc_bound_mod3_auto(system).bound == 2
+    result = chromatic_index_exact(system)
+    assert (result.certificate, result.value) == (None, 8)
+    bose = bose_half_sum(5).system
+    short = TripleSystem(15, bose.triples[:-1])
+    result = chromatic_index_exact(short, SearchBudget(max_nodes=10))
+    assert (result.certificate, result.lower) == (None, 7)
 
 
 def test_chi_exact_refuses_repeated_point():
@@ -792,13 +736,12 @@ def test_chi_heuristic_reaches_v_plus_3_over_2_on_ws33():
 
 
 def test_chi_heuristic_witness_pins_ws39_without_search():
-    # The WS certificate of order 39 gives the lower bound (v+3)/2 = 21 and
-    # a 21-class colouring closes the bracket before any node is searched.
-    system = wilson_schreiber(37).system
-    colouring = chromatic_index_heuristic(system, 21, seed=0, restarts=1)
+    # The WS certificate of order 39, which the search derives, gives the
+    # lower bound (v+3)/2 = 21, and a 21-class colouring closes the bracket
+    # before any node is searched.
+    system, colouring = _ws39_witness()
     assert colouring is not None
-    result = chromatic_index_exact(system, pc_certificate=pc_bound_ws(factorise_G(37)),
-                                   upper_witness=colouring)
+    result = chromatic_index_exact(system, upper_witness=colouring)
     assert (result.status, result.value, result.nodes) == (COMPLETE, 21, 0)
 
 

@@ -179,12 +179,35 @@ def test_analyze_chi_exact_fano(tmp_path, capsys, fano, monkeypatch):
 
 
 def test_analyze_chi_fixture_with_witness(tmp_path, capsys):
+    # The search derives the fixture's mod-3 certificate itself; --mod3-lower
+    # changes nothing on a file a weighting fits.
     spath, cpath = tmp_path / "s33.sts", tmp_path / "s33.cols"
     run(capsys, "fixture", "sts33", "--out", str(spath), "--colouring-out", str(cpath))
-    code, out, _ = run(capsys, "analyze", "chi", "--in", str(spath), "--exact",
-                       "--witness-colouring", str(cpath), "--mod3-lower", "--json")
-    assert code == 0
-    assert json.loads(out)["value"] == 18
+    chi = ("analyze", "chi", "--in", str(spath), "--exact", "--witness-colouring", str(cpath))
+    for flag in ((), ("--mod3-lower",)):
+        code, out, _ = run(capsys, *chi, *flag, "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "schema": "stskit-report/1", "command": "analyze chi", "mode": "exact",
+            "v": 33, "lower": 18, "upper": 18, "status": "complete", "nodes": 0,
+            "value": 18, "certificate": {"method": "mod3-weighting", "bound": 5}}
+        assert run(capsys, *chi, *flag)[:2] == (0, "chromatic index 18\n")
+
+
+def test_analyze_chi_exact_reports_the_certificate_it_used(tmp_path, capsys):
+    path = tmp_path / "system.sts"
+    for system, cert in ((wilson_schreiber(13).system,
+                          {"method": "ws-weight-argument", "bound": 1}),
+                         (random_sts(15, seed=1), {"method": "exhaustive-packing", "bound": 2}),
+                         (random_sts(13, seed=1), None)):
+        path.write_text(format_sts(system))
+        code, out, _ = run(capsys, "analyze", "chi", "--in", str(path), "--exact", "--json")
+        r = json.loads(out)
+        assert (code, r["certificate"]) == (0, cert), cert
+        # No mod-3 weighting fits these files, so --mod3-lower refuses them.
+        code, out, err = run(capsys, "analyze", "chi", "--in", str(path), "--exact",
+                             "--mod3-lower")
+        assert (code, out) == (2, "") and "no admissible mod-3 weighting found" in err
 
 
 def test_analyze_chi_mod3_lower_on_bose(tmp_path, capsys):
@@ -195,7 +218,9 @@ def test_analyze_chi_mod3_lower_on_bose(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "chi", "--in", str(path), "--exact",
                        "--mod3-lower", "--budget-nodes", "50000", "--json")
     assert code in (0, 3)
-    assert json.loads(out)["lower"] >= 18
+    r = json.loads(out)
+    assert r["lower"] >= 18
+    assert r["certificate"] == {"method": "mod3-weighting", "bound": 5}
 
 
 def test_analyze_chi_inconclusive_exit_code(tmp_path, capsys):
@@ -245,13 +270,15 @@ def test_analyze_chi_heuristic_reaches_target(tmp_path, capsys):
 
 
 def test_analyze_chi_refusals_on_bose15(tmp_path, capsys):
-    # One triple short of Bose(5): the mod-3 certificate counts on all 35.
+    # One triple short of Bose(5): a weighting still fits, but a certificate
+    # counts on all 35 triples, so none lifts the counting bound ceil(34/5).
     path, short = tmp_path / "b15.sts", tmp_path / "b15-short.sts"
     run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
     short.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    code, out, err = run(capsys, "analyze", "chi", "--in", str(short), "--exact",
-                         "--mod3-lower")
-    assert (code, out) == (2, "") and "v(v-1)/6 triples; the system has 34" in err
+    code, out, _ = run(capsys, "analyze", "chi", "--in", str(short), "--exact",
+                       "--mod3-lower", "--budget-nodes", "10", "--json")
+    r = json.loads(out)
+    assert (code, r["lower"], r["certificate"]) == (3, 7, None)
     # No colouring needs more than b = 35 classes.
     code, out, err = run(capsys, "analyze", "chi", "--in", str(path), "--heuristic",
                          "--target", "36")
