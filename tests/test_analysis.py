@@ -430,6 +430,16 @@ def test_chi_exact_fano(fano):
     assert result.value == 7 and result.status == COMPLETE
 
 
+def test_chi_exact_fixture_with_witnesses():
+    # The fixture's mod-3 certificate is the one the search derives and
+    # reports; with the 18-class witness the bounds meet without search.
+    labelled, colouring = sts33_fixture()
+    result = chromatic_index_exact(labelled.system, upper_witness=colouring)
+    assert result.value == 18 and result.status == COMPLETE
+    assert result.nodes == 0  # bounds met without search
+    assert result.certificate == pc_bound_mod3_auto(labelled.system)
+
+
 def test_chi_exact_closes_the_bracket_from_a_derived_certificate():
     # A (v+3)/2 witness colouring and the fixture's own mod-3 bound 5 < 6
     # pin the index with no search.
