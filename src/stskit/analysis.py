@@ -21,7 +21,6 @@ from .core import (
     PartialParallelClass,
     TripleSystem,
     m_lower,
-    min_pc_for_low_chi,
     verify_colouring,
 )
 from .factorisation import OneFactorisation, factorise_G, verify_factorisation_properties
@@ -143,19 +142,24 @@ def enumerate_parallel_classes(system: TripleSystem,
     return _enumerate(system, _Meter(budget))[0]
 
 
-def _enumerate(system: TripleSystem, meter: _Meter,
-               enough: int | None = None) -> tuple[PCEnumeration, list[tuple[int, ...]]]:
+def _enumerate(system: TripleSystem, meter: _Meter, bound: int | None = None
+               ) -> tuple[PCEnumeration, list[tuple[int, ...]], int | None]:
     """:func:`enumerate_parallel_classes` under ``meter``, with a greedy
     packing built as it goes: each class found, as its ascending triple
     indices, is kept when it shares no triple with those kept before it.
-    Once ``enough`` classes are kept the search stops, its status
-    inconclusive; the kept classes are returned beside the enumeration."""
+    Given a proven packing ``bound``, the search stops, its status
+    inconclusive, once ``enough`` classes are kept: the least of ``bound``
+    and the least point degree.  A class takes one triple through every
+    point, so no packing outgrows that degree, (v-1)/2 on a Steiner system.
+    Returns the enumeration, the kept classes and ``enough`` (None without
+    a bound)."""
     v = system.v
     if v % 6 != 3:
         raise ValueError(f"parallel classes need v = 3 mod 6, got v={v}")
     _refuse_unused_points(system)
     masks = [1 << t[0] | 1 << t[1] | 1 << t[2] for t in system.triples]
     on_point = _incidence(system)
+    enough = None if bound is None else min(bound, *map(int.bit_count, on_point))
     above = system.b + 1  # more candidates than any point has: the first point is taken
     tick = meter.tick
     triples = system.triples
@@ -209,7 +213,7 @@ def _enumerate(system: TripleSystem, meter: _Meter,
         status=status,
         nodes=meter.nodes,
     )
-    return enum, kept
+    return enum, kept, enough
 
 
 class MaxDisjointResult(NamedTuple):
@@ -229,54 +233,50 @@ def max_disjoint_pcs(system: TripleSystem,
     """Maximum number of pairwise triple-disjoint parallel classes, by
     branch-and-bound set packing over the enumerated classes.
 
-    The least mod-3 or Wilson-Schreiber bound that applies (both O(b)) is
-    an upper bound: the enumeration packs its classes greedily as it finds
-    them and stops, complete, once that packing holds that many classes;
-    the result then counts only the classes found so far.  Otherwise the
-    packing search over all classes stops once it holds that many.
-    Optimal when status is "complete"; on budget exhaustion reports the
-    best packing found with an upper bound: the trivial cap (v-1)/2, or the
-    class count when that is smaller and enumeration finished, or that
-    certificate's bound when smaller still.  The budget covers the whole
-    call, certificate included: packing gets what enumeration left."""
+    The least mod-3 or Wilson-Schreiber bound that applies (both O(b)) and
+    the least point degree ((v-1)/2 on a Steiner system) cap every packing,
+    so the search stops, complete, once it holds as many classes as the
+    least of them: in the enumeration, whose greedy packing of the classes
+    found so far then counts only those, or in the packing search that
+    follows it.  Optimal when status is "complete"; on budget exhaustion
+    reports the best packing found with an upper bound: that cap, or the
+    class count when that is smaller and enumeration finished.  The budget
+    covers the whole call, certificate included: packing gets what
+    enumeration left."""
     meter = _Meter(budget)
     cheap = _cheap_bound(system, [])
-    enum, kept = _enumerate(system, meter, cheap.bound if cheap else None)
-    classes = enum.classes
-    if cheap and len(kept) >= cheap.bound:
-        witness = tuple(PartialParallelClass(c) for c in sorted(kept))
-        final = True
-    else:
-        best, final = _packing(classes, meter if enum.status == COMPLETE else None,
-                               cheap.bound if cheap else None)
-        witness = tuple(classes[i] for i in best)
-    if final:
-        upper = len(witness)
-    else:
-        upper = (system.v - 1) // 2
-        if enum.status == COMPLETE:  # all classes known, packing unfinished
-            upper = min(upper, len(classes))
-        if cheap:
-            upper = min(upper, cheap.bound)
+    enum, witness, final, enough = _packing(system, meter, cheap.bound if cheap else None)
+    upper = len(witness) if final else enough
+    if not final and enum.status == COMPLETE:  # all classes known, packing unfinished
+        upper = min(upper, len(enum.classes))
     return MaxDisjointResult(
         size=len(witness),
         witness=witness,
         status=COMPLETE if final else INCONCLUSIVE,
         nodes=meter.nodes,
         upper_bound=upper,
-        n_parallel_classes=len(classes),
+        n_parallel_classes=len(enum.classes),
         enumeration_complete=enum.status == COMPLETE,
     )
 
 
-def _packing(classes: Sequence[PartialParallelClass], meter: _Meter | None,
-             enough: int | None) -> tuple[list[int], bool]:
-    """The largest set of pairwise triple-disjoint ``classes`` found, as
-    indices, and whether it is final: a largest one, or one of ``enough``
-    classes.  A greedy seed is improved by depth-first search with count +
-    remaining pruning under ``meter``, which stops once the set holds
-    ``enough`` classes.  A budget stop, or no meter (the greedy seed
-    alone), leaves the set unfinished."""
+def _packing(system: TripleSystem, meter: _Meter, bound: int | None
+             ) -> tuple[PCEnumeration, tuple[PartialParallelClass, ...], bool, int]:
+    """The packing search of :func:`max_disjoint_pcs` and of the
+    exhaustive-packing certificate, under ``meter``.  Its one stop,
+    ``enough``, is the least of ``bound`` (a proven bound, or None) and the
+    least point degree.  The enumeration of :func:`_enumerate` stops once
+    its greedy packing holds ``enough`` classes.  Otherwise, once every
+    class is listed, a greedy seed over the sorted classes is improved by
+    depth-first search with count + remaining pruning, which stops once the
+    set holds ``enough`` classes.  Returns the enumeration, the packing,
+    whether it is final (a largest one, or one of ``enough`` classes) and
+    ``enough``; a budget stop leaves the packing unfinished."""
+    # Without a proven bound the b triples are one: no packing holds more.
+    enum, kept, enough = _enumerate(system, meter, system.b if bound is None else bound)
+    if len(kept) >= enough:
+        return enum, tuple(PartialParallelClass(c) for c in sorted(kept)), True, enough
+    classes = enum.classes
     masks = [0] * len(classes)
     for idx, cls in enumerate(classes):
         for i in cls.indices:
@@ -287,12 +287,6 @@ def _packing(classes: Sequence[PartialParallelClass], meter: _Meter | None,
         if mask & taken == 0:
             best.append(idx)
             taken |= mask
-    if meter is None:
-        return best, False
-    if enough is None:
-        enough = len(masks) + 1  # more than any set holds
-    if len(best) >= enough:
-        return best, True
 
     def pack(cands: list[int], chosen: list[int]) -> bool:
         """True once ``best`` holds ``enough`` classes."""
@@ -311,11 +305,13 @@ def _packing(classes: Sequence[PartialParallelClass], meter: _Meter | None,
             chosen.pop()
         return False
 
-    try:
-        pack(list(range(len(masks))), [])
-    except _BudgetStop:
-        return best, False
-    return best, True
+    final = enum.status == COMPLETE
+    if final and len(best) < enough:
+        try:
+            pack(list(range(len(masks))), [])
+        except _BudgetStop:
+            final = False
+    return enum, tuple(classes[i] for i in best), final, enough
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +432,10 @@ def pc_bound_ws_on(system: TripleSystem) -> PCBoundCertificate:
 
 # The most nodes the exhaustive-packing certificate spends, enumeration
 # included.  On a 2-vCPU host it settles random_sts(15, s), s = 1..200,
-# within 92 nodes each, and refuses random_sts(27, 1) after 14,878 nodes,
-# when the enumeration's greedy packing holds (v+3)/6 = 5 classes (0.03 s);
-# at v = 33 and 45 the cap stops it in 0.3-0.4 s.
+# within 143 nodes each, but for the resolvable s = 104, whose search
+# reaches 7 classes in 102 nodes, and random_sts(21, s), s = 1..3, at 5, 6
+# and 7 classes within 1,735 nodes; at v = 27, 33 and 45 the cap stops it
+# in 0.2-0.4 s.
 PACKING_CAP = 100_000
 
 
@@ -458,28 +455,23 @@ def _cheap_bound(system: TripleSystem, refusals: list[str]) -> PCBoundCertificat
     return best
 
 
-def _packing_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
+def _packing_bound(system: TripleSystem, meter: _Meter, bound: int | None) -> PCBoundCertificate:
     """The exhaustive-packing certificate: the packing number P of
-    ``system``, proven by enumerating its parallel classes and packing them
-    to the end, when P < (v+3)/6.  The search stops once it holds (v+3)/6
-    classes, the enumeration's greedy packing included, and after
-    :data:`PACKING_CAP` nodes or what ``meter`` leaves, whichever comes
-    first; each of these raises ValueError."""
-    threshold = min_pc_for_low_chi(system.v)
+    ``system``, proven by :func:`_packing` under ``bound``, when its search
+    ends below its stop.  The search spends at most :data:`PACKING_CAP`
+    nodes or what ``meter`` leaves, whichever comes first.  A search that
+    reaches its stop, or that the nodes or the clock stop, raises
+    ValueError."""
     start, cap = meter.nodes, meter.max_nodes
     meter.max_nodes = min(cap, start + PACKING_CAP)
     try:
-        enum, best = _enumerate(system, meter, threshold)
-        final = len(best) >= threshold
-        if not final:
-            best, final = _packing(enum.classes, meter if enum.status == COMPLETE else None,
-                                   threshold)
+        enum, best, final, enough = _packing(system, meter, bound)
     finally:
         meter.max_nodes = cap
     if not final:
         raise ValueError(f"the packing search stopped after {meter.nodes - start} nodes")
-    if len(best) >= threshold:
-        raise ValueError(f"{len(best)} disjoint parallel classes reach (v+3)/6 = {threshold}")
+    if len(best) >= enough:
+        raise ValueError(f"{len(best)} disjoint parallel classes reach the search's stop")
     return PCBoundCertificate(
         bound=len(best),
         method="exhaustive-packing",
@@ -489,11 +481,13 @@ def _packing_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
 
 def _least_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
     """:func:`pc_bound` under ``meter``."""
+    v = system.v
     refusals: list[str] = []
     cheap = _cheap_bound(system, refusals)
-    if cheap is None or cheap.bound >= min_pc_for_low_chi(system.v):
+    # No bound lifts the index above (v+3)/2, so a cheap one there is final.
+    if cheap is None or chi_lower_from_certificate(v, cheap) < (v + 3) // 2:
         try:
-            return _packing_bound(system, meter)
+            return _packing_bound(system, meter, cheap.bound if cheap else None)
         except ValueError as e:
             refusals.append(f"[exhaustive-packing: {e}]")
     if cheap is None:
@@ -504,20 +498,32 @@ def _least_bound(system: TripleSystem, meter: _Meter) -> PCBoundCertificate:
 def pc_bound(system: TripleSystem, budget: SearchBudget = DEFAULT_BUDGET) -> PCBoundCertificate:
     """The least bound on the number of disjoint parallel classes of
     ``system`` that this module proves.  It tries :func:`pc_bound_mod3_auto`
-    and :func:`pc_bound_ws_on`, both O(b), and, unless one of them is below
-    (v+3)/6, the exhaustive-packing certificate: the packing number itself,
-    when the search settles it below (v+3)/6 within :data:`PACKING_CAP`
-    nodes and the budget.  Raises ValueError naming each rule's refusal
-    when none applies."""
+    and :func:`pc_bound_ws_on`, both O(b), and, unless one of them already
+    lifts :func:`chi_lower_from_certificate` to (v+3)/2, the
+    exhaustive-packing certificate: the packing number itself, when the
+    search of :func:`max_disjoint_pcs` settles it below the least of those
+    bounds and the least point degree, within :data:`PACKING_CAP` nodes and
+    the budget.  Raises ValueError naming each rule's refusal when none
+    applies."""
     return _least_bound(system, _Meter(budget))
 
 
 def chi_lower_from_certificate(v: int, cert: PCBoundCertificate) -> int:
-    """Lower bound on the chromatic index implied by a disjoint-PC bound:
-    fewer than (v+3)/6 disjoint parallel classes forces index >= (v+3)/2."""
-    if cert.bound < min_pc_for_low_chi(v):
-        return (v + 3) // 2
-    return m_lower(v)
+    """Lower bound on the chromatic index of a Steiner system of order
+    v = 3 mod 6 with at most P = ``cert.bound`` disjoint parallel classes.
+
+    In a k-colouring, a class holds at most v/3 of the b = v(v-1)/6
+    triples, and one that is not a parallel class at most v/3 - 1; so at
+    least F >= b - k(v/3 - 1) classes are parallel classes, pairwise
+    disjoint, and F <= P gives k >= (b - P)/(v/3 - 1).  With the counting
+    bound m_lower(v) = (v-1)/2 this reads (v+3)/2 for P < (v+3)/6, (v+1)/2
+    for P < (v-1)/2, and (v-1)/2 otherwise.  At v = 3 it is m_lower(3)."""
+    if v % 6 != 3:
+        raise ValueError(f"order {v} must be 3 mod 6")
+    per_class = v // 3 - 1
+    if not per_class:
+        return m_lower(v)
+    return max(m_lower(v), -(-(v * (v - 1) // 6 - cert.bound) // per_class))
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +647,15 @@ def chromatic_index_exact(system: TripleSystem,
 
     The lower bound starts at ceil(b / floor(v/3)) (a class holds at most v/3
     triples), the counting bound for the order on a Steiner system.  On a
-    Steiner system of order 3 mod 6 (all v(v-1)/6 triples) whose bracket
-    holds (v+3)/2 above its lower end, the search derives the certificate of
-    :func:`pc_bound`, its packing search counted in this call's nodes and
-    clock, and returns it as ``certificate``; a bound below (v+3)/6 raises
-    the lower bound to (v+3)/2.  No other certificate is taken, so none can
-    be forged.  A system with v > 3b (a point on no triple) is refused.  A
-    verified witness colouring caps the upper bound.  If the budget runs out
+    Steiner system of order 3 mod 6 (all v(v-1)/6 triples) whose bracket is
+    open, the search derives the certificate of :func:`pc_bound`, its
+    packing search counted in this call's nodes and clock, and returns it
+    as ``certificate``; its bound P raises the lower bound to
+    :func:`chi_lower_from_certificate`, ceil((b - P)/(v/3 - 1)): (v+3)/2
+    for P < (v+3)/6, and (v+1)/2 for P < (v-1)/2, where the system is not
+    resolvable.  No other certificate is taken, so none can be forged.  A
+    system with v > 3b (a point on no triple) is refused.  A verified
+    witness colouring caps the upper bound.  If the budget runs out
     the result is the interval bracketing the value."""
     meter = _Meter(budget)
     v, b = system.v, system.b
@@ -664,10 +672,10 @@ def chromatic_index_exact(system: TripleSystem,
     upper = best_col.n_classes
 
     cert = None
-    if v % 6 == 3 and b == v * (v - 1) // 6 and lower < (v + 3) // 2 <= upper:
+    if v % 6 == 3 and b == v * (v - 1) // 6 and lower < upper:
         try:
             cert = _least_bound(system, meter)
-            lower = chi_lower_from_certificate(v, cert)  # m_lower(v) = lower, or (v+3)/2
+            lower = max(lower, chi_lower_from_certificate(v, cert))
         except ValueError:  # no certificate applies
             pass
     try:
@@ -884,11 +892,13 @@ def theorem1_pipeline(v: int) -> PipelineReport:
       disjoint parallel classes) and so pins chromatic index 18 with no
       search node.
     * otherwise: the verified 1-factorisation of G(v-2) yields the
-      disjoint-PC certificate 3 f(v-2)+1 for the Wilson-Schreiber system of
-      order v, which is checked against (v+3)/6.  Below it, the certificate
-      proves chromatic index >= (v+3)/2.  Otherwise the order is a possible
-      exception, undecided here; the exceptions (45, 75, 129, 513 below
-      1000) come from the certificate, not from a list.  The system itself
+      disjoint-PC certificate P = 3 f(v-2)+1 for the Wilson-Schreiber system
+      of order v, and ``chi_lower`` is :func:`chi_lower_from_certificate`.
+      Below (v+3)/6, P proves chromatic index >= (v+3)/2.  Otherwise the
+      order is a possible exception, undecided here; the exceptions (45,
+      75, 129, 513 below 1000) come from the certificate, not from a list.
+      Below (v-1)/2, as at each of these, P shows that the system is not
+      resolvable, so its chromatic index is >= (v+1)/2.  The system itself
       is not built here: the construction's validity is checked by the
       acceptance suite (C4) and by ``stskit construct wilson-schreiber``,
       which runs ``verify_sts``.
@@ -921,7 +931,7 @@ def theorem1_pipeline(v: int) -> PipelineReport:
         n = v - 2
         cert = pc_bound_ws(factorise_G(n))
         chi_lower, pc_bound, f = chi_lower_from_certificate(v, cert), cert.bound, cert.witness["f"]
-        threshold = min_pc_for_low_chi(v)
+        threshold = (v + 3) // 6
         if chi_lower >= high:
             route = "ws-certificate"
             message = (f"the order-{v} construction has at most {cert.bound} "
@@ -931,6 +941,9 @@ def theorem1_pipeline(v: int) -> PipelineReport:
             route = "possible-exception"
             message = (f"possible exception: 3 f({n})+1 = {cert.bound} "
                        f"is not below (v+3)/6 = {threshold}")
+            if chi_lower > m_lower(v):
+                message += (f"; the order-{v} construction is not resolvable, so "
+                            f"chromatic index >= {chi_lower}")
     holds = (True if chi_lower >= high else
              False if chi_exact is not None and chi_exact < high else None)
     return PipelineReport(v=v, route=route, holds=holds, chi_lower=chi_lower,

@@ -26,7 +26,6 @@ __all__ = [
     "colouring_lines",
     "format_sts",
     "m_lower",
-    "min_pc_for_low_chi",
     "parse_colouring",
     "parse_sts",
     "sts_lines",
@@ -167,20 +166,6 @@ def m_lower(v: int) -> int:
     if v % 6 == 1:
         return (v + 1) // 2
     raise ValueError(f"order {v} must be 1 or 3 mod 6")
-
-
-def min_pc_for_low_chi(v: int) -> int:
-    """Least number of disjoint parallel classes any system of order v must
-    contain if its chromatic index is at most (v+1)/2.
-
-    With p full classes of v/3 triples and the remaining (v+1)/2 - p classes
-    holding at most (v-3)/3 triples each, covering all v(v-1)/6 triples forces
-    p >= (v+3)/6.  Used contrapositively: fewer than (v+3)/6 disjoint parallel
-    classes pushes the chromatic index to at least (v+3)/2.
-    """
-    if v % 6 != 3:
-        raise ValueError(f"order {v} must be 3 mod 6")
-    return (v + 3) // 6
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from stskit import (
     factorise_G,
     half_sum_square,
     max_disjoint_pcs,
-    min_pc_for_low_chi,
     pc_bound_mod3_auto,
     pc_bound_ws,
     random_sts,
@@ -100,7 +99,7 @@ def test_c05_sts33_fixture():
     chi = chromatic_index_exact(labelled.system, upper_witness=colouring)
     assert chi.status == COMPLETE and chi.value == 18
     assert chi.certificate == pc_bound_mod3_auto(labelled.system)
-    assert chi.certificate.bound == 5 < min_pc_for_low_chi(33) == 6
+    assert chi.certificate.bound == 5 < (33 + 3) // 6 == 6
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"fixture checks took {elapsed:.2f}s"
     _report("C5 order-33 fixture: verified, 18 classes, bound 5, index 18", t0)
@@ -165,7 +164,7 @@ def test_c09_chromatic_indices(fano, sts9_grid):
     assert verify_colouring(bose15.system, colouring).ok
     # Lower bound (v+3)/2 = 9 from the mod-3 certificate pins the index to 9.
     cert = pc_bound_mod3_auto(bose15.system)
-    assert cert.bound < min_pc_for_low_chi(15)
+    assert cert.bound < (15 + 3) // 6
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report("C9 chromatic indices: order 9 -> 4, order 7 -> 7, bose15 colours at 9", t0)
@@ -180,6 +179,9 @@ def test_c10_theorem1_pipeline():
                                 "ws-certificate")
         if report.holds is None:
             exceptions.append(v)
+            # 3 f(v-2)+1 < (v-1)/2: the construction is not resolvable.
+            assert report.pc_bound < (v - 1) // 2
+            assert report.chi_lower == (v + 1) // 2
         elif report.route == "ws-certificate":
             assert report.pc_bound == 3 * f_of(v - 2) + 1
             assert report.pc_bound < (v + 3) // 6

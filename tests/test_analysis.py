@@ -34,10 +34,12 @@ from stskit import (
     sts33_fixture,
     theorem1_pipeline,
     verify_colouring,
+    verify_sts,
     wilson_schreiber,
 )
 from stskit import analysis
 from stskit.analysis import COMPLETE, INCONCLUSIVE
+from stskit.rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +145,52 @@ def test_ws13_max_disjoint_is_one():
     assert result.size == 3 * f_of(13) + 1
 
 
+def _affine_ternary_27(seed=None):
+    """AG(3, 3): the points of F_3^3, as 9x + 3y + z, and the lines {p, q, r}
+    with p + q + r = 0; the points relabelled through a substream of
+    ``seed`` when given.  Its 13 direction classes are a resolution."""
+    coords = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    label = list(range(27))
+    if seed is not None:
+        substream(seed, "affine-ternary").shuffle(label)
+    lines = set()
+    for p, q in combinations(coords, 2):
+        r = tuple(-(a + b) % 3 for a, b in zip(p, q))
+        lines.add(tuple(sorted(label[9 * x + 3 * y + z] for x, y, z in (p, q, r))))
+    return TripleSystem.from_triples(27, sorted(lines))
+
+
+@pytest.mark.parametrize("system", [
+    lambda grid: grid,
+    lambda _: _affine_ternary_27(),
+    lambda _: _affine_ternary_27(seed=1),
+], ids=["ag2-grid", "ag3", "ag3-relabelled"])
+def test_max_disjoint_stops_at_the_least_point_degree(sts9_grid, system):
+    # A resolvable system holds (v-1)/2 disjoint classes, the least point
+    # degree: the search ends complete there, with no certificate to stop
+    # it.  AG(3, 3), in either labelling, takes about 86,000 nodes, most of
+    # them listing its 17,641 classes.
+    system = system(sts9_grid)
+    assert verify_sts(system).ok
+    result = max_disjoint_pcs(system, SearchBudget(max_nodes=500_000))
+    half = (system.v - 1) // 2
+    assert (result.status, result.size, result.upper_bound) == (COMPLETE, half, half)
+    used = [i for cls in result.witness for i in cls.indices]
+    assert len(used) == len(set(used)) == half * system.v // 3
+    # So no certificate lifts the exact search above (v-1)/2.
+    chi = chromatic_index_exact(system, SearchBudget(max_nodes=100_000))
+    assert (chi.lower, chi.certificate) == (half, None)
+
+
 def test_max_disjoint_inconclusive_budget(sts9_grid):
     result = max_disjoint_pcs(sts9_grid, SearchBudget(max_nodes=2))
     assert result.status == INCONCLUSIVE
     assert result.nodes == 2
-    assert result.upper_bound == 4  # only the trivial (v-1)/2 cap remains
-    # Bose(5)'s mod-3 bound 2 is below the trivial cap 7.
+    assert result.upper_bound == 4 >= result.size  # only the least point degree remains
+    # Bose(5)'s mod-3 bound 2 is below its least point degree 7.
     result = max_disjoint_pcs(bose_half_sum(5).system, SearchBudget(max_nodes=2))
     assert (result.status, result.upper_bound) == (INCONCLUSIVE, 2)
+    assert result.upper_bound >= result.size
 
 
 def test_max_disjoint_budget_covers_enumeration_and_packing():
@@ -162,7 +202,7 @@ def test_max_disjoint_budget_covers_enumeration_and_packing():
     result = max_disjoint_pcs(random_sts(27, seed=1), budget)
     assert result.nodes == budget.max_nodes
     assert result.status == INCONCLUSIVE
-    assert result.upper_bound == 13  # (v-1)/2, not the class count
+    assert result.upper_bound == 13 >= result.size  # (v-1)/2, not the class count
     assert result.n_parallel_classes == 534
 
 
@@ -196,7 +236,8 @@ def test_max_disjoint_budget_starts_before_its_certificate(monkeypatch):
 
     monkeypatch.setattr(analysis, "_cheap_bound", slow_cheap_bound)
     result = max_disjoint_pcs(wilson_schreiber(13).system, budget)
-    assert (result.status, result.nodes, result.upper_bound) == (INCONCLUSIVE, 1, 1)
+    assert (result.status, result.nodes, result.upper_bound, result.size) == (
+        INCONCLUSIVE, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +395,13 @@ def test_pc_bound_takes_the_least_certificate_it_proves():
     assert pc_bound(wilson_schreiber(25).system, SearchBudget(max_nodes=0)).bound == 1
 
 
-def test_pc_bound_names_each_refusal():
-    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes, and the greedy
-    # packing of random_sts(27, 1) reaches 5 = (v+3)/6 mid-enumeration; a
-    # node cap stops the search on random_sts(15, 1).
+def test_pc_bound_names_each_refusal(sts9_grid):
+    # The grid holds 4 = (v-1)/2 disjoint classes, its least point degree;
+    # the packing search of random_sts(27, 1) runs to PACKING_CAP, and a
+    # node cap stops it on random_sts(15, 1).
     for system, budget, packing in (
-            (random_sts(15, 8), SearchBudget(), "3 disjoint parallel classes reach"),
-            (random_sts(27, 1), SearchBudget(), "5 disjoint parallel classes reach"),
+            (sts9_grid, SearchBudget(), "4 disjoint parallel classes reach the search's stop"),
+            (random_sts(27, 1), SearchBudget(), "the packing search stopped after 100000 nodes"),
             (random_sts(15, 1), SearchBudget(max_nodes=10),
              "the packing search stopped after 10 nodes")):
         with pytest.raises(ValueError) as info:
@@ -368,7 +409,10 @@ def test_pc_bound_names_each_refusal():
         message = str(info.value)
         assert message.startswith("no disjoint parallel-class bound applies [mod3: ")
         assert "] [ws: input system is not the canonical construction" in message
-        assert f"[exhaustive-packing: {packing}" in message
+        assert f"[exhaustive-packing: {packing}]" in message
+    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes, fewer than 7.
+    assert pc_bound(random_sts(15, 8)) == PCBoundCertificate(
+        method="exhaustive-packing", bound=3, witness={"parallel_classes": 4, "nodes": 79})
 
 
 def test_pc_bound_prefers_the_least_proof(monkeypatch):
@@ -409,7 +453,22 @@ def test_chi_lower_from_certificate():
     cert = pc_bound_mod3_auto(labelled.system)
     assert chi_lower_from_certificate(33, cert) == 18  # bound 5 < 6
     cert21 = pc_bound_ws(factorise_G(19))
-    assert chi_lower_from_certificate(21, cert21) == 10  # bound 4 = (21+3)/6: no gain
+    assert chi_lower_from_certificate(21, cert21) == 11  # bound 4 < (21-1)/2: not resolvable
+
+
+def test_chi_lower_from_certificate_is_the_two_step_rule():
+    # The paper's two steps, apart from the formula: fewer than (v+3)/6
+    # disjoint classes give (v+3)/2, fewer than (v-1)/2 give (v+1)/2.
+    for v in range(9, 1000, 6):
+        for bound in range((v - 1) // 2 + 1):
+            expected = ((v + 3) // 2 if bound < (v + 3) // 6 else
+                        (v + 1) // 2 if bound < (v - 1) // 2 else (v - 1) // 2)
+            cert = PCBoundCertificate(method="m", bound=bound)
+            assert chi_lower_from_certificate(v, cert) == expected, (v, bound)
+    assert chi_lower_from_certificate(3, PCBoundCertificate(method="m", bound=0)) == 1
+    for v in (13, 16):
+        with pytest.raises(ValueError, match="must be 3 mod 6"):
+            chi_lower_from_certificate(v, PCBoundCertificate(method="m", bound=0))
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +927,7 @@ def test_search_results_are_pinned():
     records.append((enum.nodes, enum.status, [c.indices for c in enum.classes]))
     result = max_disjoint_pcs(k9, SearchBudget(max_nodes=700))
     records.append((result.nodes, result.status, result.size))
+    assert result.upper_bound == 28 >= result.size  # the least point degree
     assert _digest(records) == (
         "626edd6ae5f36f1d6168292d498834ba9c73295edd5a0058577263974d3c2052")
 
@@ -910,11 +970,12 @@ def test_exact_results_are_pinned():
 
 
 def test_theorem1_reports_are_pinned():
-    # Every field of every Theorem 1 report for v = 3 mod 6 up to 999.
+    # Every field of every Theorem 1 report for v = 3 mod 6 up to 999.  At
+    # the possible exceptions 45, 75, 129 and 513, chi_lower is (v+1)/2.
     records = []
     for v in range(3, 1000, 6):
         r = theorem1_pipeline(v)
         records.append((r.v, r.route, r.holds, r.chi_lower, r.chi_exact, r.pc_bound, r.f,
                         r.message))
     assert _digest(records) == (
-        "8c92eca947bd9a091ae9a29dd741ef54df63a9e39fbdbfb01d57b297322dafc9")
+        "296e9dc54847d08611482321ed54e110023ef6cbd6243d51dcce9634010080da")

@@ -341,9 +341,11 @@ def test_analyze_bound_ws_and_mod3(tmp_path, capsys):
 
 def test_analyze_bound_without_method_takes_the_least_bound(tmp_path, capsys):
     path = tmp_path / "system.sts"
+    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes, fewer than 7.
     for system, method, bound in ((wilson_schreiber(13).system, "ws-weight-argument", 1),
                                   (bose_half_sum(5).system, "mod3-weighting", 2),
-                                  (random_sts(15, seed=1), "exhaustive-packing", 2)):
+                                  (random_sts(15, seed=1), "exhaustive-packing", 2),
+                                  (random_sts(15, seed=8), "exhaustive-packing", 3)):
         path.write_text(format_sts(system))
         bound_cmd = ("analyze", "bound", "--in", str(path))
         code, out, _ = run(capsys, *bound_cmd, "--json")
@@ -351,14 +353,15 @@ def test_analyze_bound_without_method_takes_the_least_bound(tmp_path, capsys):
         assert (code, r["method"], r["bound"]) == (0, method, bound), method
         code, text, _ = run(capsys, *bound_cmd)
         assert (code, text) == (0, f"at most {bound} disjoint parallel classes ({method})\n")
-    # random_sts(15, 8) holds 3 = (v+3)/6 disjoint classes: every rule refuses.
-    path.write_text(format_sts(random_sts(15, seed=8)))
+    # The packing search of random_sts(27, 1) runs to PACKING_CAP: every
+    # rule refuses.
+    path.write_text(format_sts(random_sts(27, seed=1)))
     code, out, err = run(capsys, "analyze", "bound", "--in", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: no disjoint parallel-class bound applies [mod3: ")
-    assert ("] [ws: input system is not the canonical construction of order 15; the ws "
-            "bound does not apply] [exhaustive-packing: 3 disjoint parallel classes reach "
-            "(v+3)/6 = 3]\n") in err
+    assert ("] [ws: input system is not the canonical construction of order 27; the ws "
+            "bound does not apply] [exhaustive-packing: the packing search stopped after "
+            "100000 nodes]\n") in err
 
 
 def test_analyze_bound_ws_rejects_noncanonical(tmp_path, capsys):
@@ -617,9 +620,9 @@ def test_factorise_text_and_json_agree(tmp_path, capsys):
 
 
 def test_analyze_pcs_max_disjoint_text_and_json_agree(tmp_path, capsys, sts9_grid):
-    # Bose(5)'s packing reaches its mod-3 bound 2 before its enumeration
-    # ends, so only the classes found so far are counted; the 9-point grid
-    # has no certificate and lists all four.
+    # Bose(5)'s packing reaches its mod-3 bound 2, and the 9-point grid's its
+    # least point degree 4, before the enumeration ends, so only the classes
+    # found so far are counted.
     path = tmp_path / "b15.sts"
     run(capsys, "construct", "bose", "--n", "5", "--out", str(path))
     grid = tmp_path / "sts9.sts"
@@ -630,13 +633,13 @@ def test_analyze_pcs_max_disjoint_text_and_json_agree(tmp_path, capsys, sts9_gri
         code, out, _ = run(capsys, *pcs, "--json")
         assert code == 0
         r = json.loads(out)
-        seen.append(r["enumeration_complete"])
         at_least = "" if r["enumeration_complete"] else "at least "
         code, text, _ = run(capsys, *pcs)
         assert (code, text) == (0, f"{at_least}{r['parallel_classes']} parallel classes; "
                                    f"max disjoint {r['max_disjoint']} (upper bound "
                                    f"{r['upper_bound']}, {r['status']})\n")
-    assert seen == [False, True]
+        seen.append((r["enumeration_complete"], r["max_disjoint"], r["upper_bound"]))
+    assert seen == [(False, 2, 2), (False, 4, 4)]
 
 
 def test_analyze_chi_inconclusive_text_and_json_agree(tmp_path, capsys):

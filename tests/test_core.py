@@ -19,7 +19,6 @@ from stskit import (
     VerificationReport,
     format_sts,
     m_lower,
-    min_pc_for_low_chi,
     parse_colouring,
     parse_sts,
     random_sts,
@@ -195,16 +194,6 @@ def test_m_lower_rejects_bad_residue():
     for v in (8, 11, 12):
         with pytest.raises(ValueError):
             m_lower(v)
-
-
-@pytest.mark.parametrize("v,expected", [(15, 3), (33, 6), (9, 2)])
-def test_min_pc_for_low_chi(v, expected):
-    assert min_pc_for_low_chi(v) == expected
-
-
-def test_min_pc_rejects_wrong_residue():
-    with pytest.raises(ValueError):
-        min_pc_for_low_chi(13)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,10 @@ _REPRS = {
                      "PartialParallelClass(indices=(2, 6, 7)), "
                      "PartialParallelClass(indices=(3, 4, 8))), status='complete', nodes=13)",
     "PCBoundCertificate": "PCBoundCertificate(method='m', bound=2, witness={})",
-    "PipelineReport": "PipelineReport(v=45, route='possible-exception', holds=None, chi_lower=22, "
+    "PipelineReport": "PipelineReport(v=45, route='possible-exception', holds=None, chi_lower=23, "
                       "chi_exact=None, pc_bound=10, f=3, message='possible exception: "
-                      "3 f(43)+1 = 10 is not below (v+3)/6 = 8')",
+                      "3 f(43)+1 = 10 is not below (v+3)/6 = 8; the order-45 construction is "
+                      "not resolvable, so chromatic index >= 23')",
     "LatinSquare": "LatinSquare(n=3, rows=((0, 2, 1), (2, 1, 0), (1, 0, 2)))",
     "LabelledSTS": "LabelledSTS(system=TripleSystem(v=9, triples=((0, 1, 3), (0, 2, 6), "
                    "(0, 4, 7), (0, 5, 8), (1, 2, 8), (1, 4, 6), (1, 5, 7), (2, 3, 7), (2, 4, 5), "
