@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from stskit import (
     Colouring,
     PartialParallelClass,
+    PCBoundCertificate,
     TripleSystem,
     VerificationReport,
+    chi_lower_from_certificate,
     format_sts,
     m_lower,
     parse_colouring,
@@ -194,6 +196,21 @@ def test_m_lower_rejects_bad_residue():
     for v in (8, 11, 12):
         with pytest.raises(ValueError):
             m_lower(v)
+
+
+@pytest.mark.parametrize("v,expected", [(15, 3), (33, 6), (9, 2)])
+def test_min_pc_for_low_chi(v, expected):
+    # (v+3)/6 is the least packing bound at which the counting rule no
+    # longer lifts the chromatic index to (v+3)/2.
+    def lower(bound):
+        return chi_lower_from_certificate(v, PCBoundCertificate(method="m", bound=bound))
+    assert lower(expected - 1) == (v + 3) // 2
+    assert lower(expected) < (v + 3) // 2
+
+
+def test_min_pc_rejects_wrong_residue():
+    with pytest.raises(ValueError):
+        chi_lower_from_certificate(13, PCBoundCertificate(method="m", bound=0))
 
 
 # ---------------------------------------------------------------------------
