@@ -13,9 +13,11 @@ state their map onto 0..v-1, see :mod:`stskit.constructions`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 __all__ = [
@@ -180,10 +182,13 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     triples, uncovered pair, or wrong triple count) plus a total violation
     count.
 
-    Each pair {x,y}, x < y, is filed once under x, in a dict of partner
-    lists that shares the triples' point objects; a temporary set per point
+    Each pair {x,y}, x < y, is counted once under x.  The canonical order
+    puts the triples with first point a in one run, which gives the pairs
+    {a,b} and {a,c} of each; only the pair {b,c} of a triple (a,b,c) is
+    filed, in a list per middle point b that shares the triples' point
+    objects.  A temporary set per point, its run's points and its list,
     counts its distinct partners.  So the check holds one reference per
-    pair and nothing sized by v, and only a failed check does more: a
+    triple and nothing sized by v, and only a failed check does more: a
     re-scan that names both triples of each repeated pair, and a walk to
     the first uncovered pair.
     """
@@ -193,11 +198,13 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
     hit = Violations()
     triples = system.triples
 
-    partners: defaultdict[int, list[int]] = defaultdict(list)
-    for a, b, c in triples:
-        partners[a] += b, c
-        partners[b].append(c)
-    covered = sum(map(len, map(set, partners.values())))
+    middle = _middle_lists(triples)
+    covered = 0
+    for a, run in groupby(triples, itemgetter(0)):
+        mates = set(chain.from_iterable(run))
+        mates.update(middle.pop(a, ()))
+        covered += len(mates) - 1  # a itself
+    covered += sum(map(len, map(set, middle.values())))
     if covered < 3 * len(triples):
         # Some pair is covered twice: re-scan to name both triples each time.
         seen: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -214,8 +221,11 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
         # Report the first uncovered pair; the count covers all of them.  The
         # walk passes only covered pairs before it, so it takes at most
         # covered + 1 steps and holds one point's partners at a time.
+        middle = _middle_lists(triples)
         for x in range(v):
-            mates = set(partners.get(x, ()))
+            run = triples[bisect_left(triples, (x,)):bisect_left(triples, (x + 1,))]
+            mates = set(chain.from_iterable(run))
+            mates.update(middle.get(x, ()))
             y = next((y for y in range(x + 1, v) if y not in mates), None)
             if y is not None:
                 break
@@ -228,6 +238,15 @@ def verify_sts(system: TripleSystem) -> VerificationReport:
         hit(f"triple count {len(triples)} != v(v-1)/6 = {expected}")
 
     return hit.report()
+
+
+def _middle_lists(triples: Sequence[tuple[int, int, int]]) -> defaultdict[int, list[int]]:
+    """The last point c of each triple (a, b, c), listed under its middle
+    point b."""
+    middle: defaultdict[int, list[int]] = defaultdict(list)
+    for _, b, c in triples:
+        middle[b].append(c)
+    return middle
 
 
 def verify_colouring(system: TripleSystem, colouring: Colouring) -> VerificationReport:
@@ -272,18 +291,29 @@ def verify_colouring(system: TripleSystem, colouring: Colouring) -> Verification
 
 
 def sts_lines(system: TripleSystem) -> Iterator[str]:
-    """The lines of the STS file of ``system``, each ending in a newline."""
-    yield f"STS v={system.v}\n"
-    for a, b, c in system.triples:
-        yield f"{a} {b} {c}\n"
+    """The STS file of ``system`` in chunks of whole lines, each ending in a
+    newline: the header line, then the triples' lines in blocks of at most
+    ``_LINES``.  Points are written with ``%d``, so int subclasses such as
+    ``bool`` are written as the numbers they are."""
+    yield "STS v=%d\n" % system.v
+    triples = system.triples
+    for i in range(0, len(triples), _LINES):
+        block = triples[i:i + _LINES]
+        yield ("%d %d %d\n" * len(block)) % tuple(chain.from_iterable(block))
 
 
 def format_sts(system: TripleSystem) -> str:
     return "".join(sts_lines(system))
 
 
-# Characters read from a file at a time.
-_BLOCK = 1 << 16
+# Triples formatted at a time by sts_lines.
+_LINES = 4096
+
+# Characters read from a file at a time.  Each block's token list leaves
+# partly empty memory pools behind, which the small-object allocator keeps,
+# so a smaller block lowers the peak of every read; 16 KiB parses as fast
+# as 64 KiB.
+_BLOCK = 1 << 14
 
 # Whole lines as sts_lines writes them: three ASCII point numbers, one space
 # between them and "\n" after.
@@ -385,9 +415,9 @@ def parse_sts(source: str | TextIO) -> TripleSystem:
 def colouring_lines(colouring: Colouring) -> Iterator[str]:
     """The lines of the colouring file of ``colouring``, each ending in a
     newline."""
-    yield f"COLOURING v={colouring.host.v} k={colouring.n_classes}\n"
+    yield "COLOURING v=%d k=%d\n" % (colouring.host.v, colouring.n_classes)
     for cls in colouring.classes:
-        yield " ".join(map(str, cls.indices)) + "\n"
+        yield " ".join(map("%d".__mod__, cls.indices)) + "\n"
 
 
 def parse_colouring(source: str | TextIO, host: TripleSystem) -> Colouring:
